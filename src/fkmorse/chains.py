@@ -39,6 +39,25 @@ class Chain:
             self, "_terms",
             {x: c for x, c in merged.items() if c})
 
+    @classmethod
+    def _sum(cls, dim: int, terms: Iterable[tuple[Simplex, int]]) -> "Chain":
+        """The chain sum of the terms, built without the checks of __init__.
+
+        Callers guarantee that every simplex has dimension dim and every
+        coefficient is an int.
+        """
+        merged: dict[Simplex, int] = {}
+        for x, c in terms:
+            v = merged.get(x, 0) + c
+            if v:
+                merged[x] = v
+            else:
+                merged.pop(x, None)
+        chain = object.__new__(cls)
+        object.__setattr__(chain, "dim", dim)
+        object.__setattr__(chain, "_terms", merged)
+        return chain
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Chain is immutable")
 
@@ -83,8 +102,8 @@ class Chain:
         if other.dim != self.dim:
             raise ValueError(
                 f"cannot add chains of dimensions {self.dim} and {other.dim}")
-        return Chain(self.dim,
-                     list(self._terms.items()) + list(other._terms.items()))
+        return Chain._sum(self.dim,
+                          [*self._terms.items(), *other._terms.items()])
 
     def __sub__(self, other: "Chain") -> "Chain":
         return self + (-1) * other
@@ -95,7 +114,8 @@ class Chain:
     def __rmul__(self, scalar: int) -> "Chain":
         if not isinstance(scalar, int):
             return NotImplemented
-        return Chain(self.dim, [(x, scalar * c) for x, c in self._terms.items()])
+        return Chain._sum(self.dim,
+                          [(x, scalar * c) for x, c in self._terms.items()])
 
     def __str__(self) -> str:
         if not self._terms:
@@ -147,12 +167,16 @@ def boundary_simplex(x: Simplex, mode: Mode = "unnormalized") -> Chain:
 
 
 def boundary(c: Chain, mode: Mode = "unnormalized") -> Chain:
+    if mode not in MODES:
+        raise ValueError(f"unknown boundary mode {mode!r}")
     if c.dim == 0:
         raise ValueError("dimension-0 chains have no boundary")
-    out = Chain.zero(c.dim - 1)
-    for x, coef in c.items():
-        out = out + coef * boundary_simplex(x, mode)
-    return out
+    n = c.dim
+    faces = ((face(x, i), -coef if i % 2 else coef)
+             for x, coef in c._terms.items() for i in range(n + 1))
+    if mode == "normalized":
+        faces = ((fx, v) for fx, v in faces if not is_degenerate(fx))
+    return Chain._sum(n - 1, faces)
 
 
 def inner(c: Chain, x: Simplex) -> int:

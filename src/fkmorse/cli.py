@@ -337,6 +337,8 @@ def cmd_homology(ns: argparse.Namespace) -> int:
     flags = _flags_from(ns)
     if ns.scan:
         lo, hi = ns.scan
+        if lo > hi:
+            raise ValueError(f"--scan LO HI needs LO <= HI, got {lo} > {hi}")
         scan = stability_scan(ns.degree, lo, hi, flags, ns.mode)
         if ns.format == "json":
             payload = scan.to_json()

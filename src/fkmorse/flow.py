@@ -16,7 +16,7 @@ from typing import Optional, Union
 from .chains import Chain, boundary, incidence, inner
 from .errors import SelfCheckError, StabilizationError, TruncationError
 from .pairing import Matching, Scope, SteepnessRule, validate_matching
-from .simplicial import Simplex, identity, stratum_size
+from .simplicial import Simplex, identity, sort_key, stratum_size
 
 Pairing = Union[Matching, SteepnessRule]
 
@@ -161,16 +161,20 @@ class FlowContext:
                 f"V on a dimension-{c.dim} chain needs dimension "
                 f"{c.dim + 1} cells, beyond max_dim {self.scope.max_dim}",
                 dim=c.dim + 1)
-        for x, _ in c.items():
-            if x.length > self.scope.max_length:
-                raise TruncationError(
-                    f"cell {x} has word length {x.length}, beyond max_length "
-                    f"{self.scope.max_length}", length=x.length)
+        max_length = self.scope.max_length
+        beyond = [x for x in c._terms if len(x.word) > max_length]
+        if beyond:
+            # name the least offender, so the message does not depend on
+            # the order the chain's terms were added in
+            x = min(beyond, key=sort_key)
+            raise TruncationError(
+                f"cell {x} has word length {x.length}, beyond max_length "
+                f"{max_length}", length=x.length)
 
     def apply_V(self, c: Chain) -> Chain:
         self._guard(c)
-        out = Chain.zero(c.dim + 1)
-        for x, coef in c.items():
+        terms = []
+        for x, coef in c._terms.items():
             tau = self.pairing.pair_up(x)
             if tau is None:
                 continue
@@ -179,8 +183,8 @@ class FlowContext:
                 raise SelfCheckError(
                     f"matched pair ({x}, {tau}) has incidence {inc}, "
                     f"not a regular pair")
-            out = out + (-inc * coef) * Chain.unit(tau)
-        return out
+            terms.append((tau, -inc * coef))
+        return Chain._sum(c.dim + 1, terms)
 
     def apply_flow(self, c: Chain) -> Chain:
         out = c + boundary(self.apply_V(c), self.mode)
@@ -204,6 +208,24 @@ class FlowContext:
     def is_critical(self, x: Simplex) -> bool:
         return self.pairing.is_critical(x)
 
+    def boundary_row(self, cell: Simplex, basis: list[Simplex]) -> list[int]:
+        """<boundary-tilde cell, b> for each b in basis, via both exchange
+        routes (stabilize the boundary vs. bound the stabilization), asserted
+        equal entry by entry."""
+        stable_dc, _ = self.stabilize(boundary(Chain.unit(cell), self.mode))
+        stable_c, _ = self.stabilize(Chain.unit(cell))
+        d_stable_c = boundary(stable_c, self.mode)
+        row = [inner(stable_dc, low) for low in basis]
+        via_flow = [inner(d_stable_c, low) for low in basis]
+        if row != via_flow:
+            k = next(k for k, v in enumerate(row) if v != via_flow[k])
+            raise SelfCheckError(
+                f"flow/boundary exchange failed at ({cell}, {basis[k]}): "
+                f"stabilized boundary gives {row[k]}, boundary of the "
+                f"stabilization gives {via_flow[k]}")
+        self.dual_route_checks += len(basis)
+        return row
+
     def morse_boundary_entry(self, c: Simplex, sigma: Simplex) -> int:
         """<boundary-tilde c, sigma> via both exchange routes, asserted equal."""
         if c.dim != sigma.dim + 1:
@@ -213,14 +235,4 @@ class FlowContext:
             if not self.is_critical(cell):
                 raise ValueError(f"{cell} is not critical; entries are only "
                                  f"defined between critical cells")
-        stable_dc, _ = self.stabilize(boundary(Chain.unit(c), self.mode))
-        via_boundary = inner(stable_dc, sigma)
-        stable_c, _ = self.stabilize(Chain.unit(c))
-        via_flow = inner(boundary(stable_c, self.mode), sigma)
-        if via_boundary != via_flow:
-            raise SelfCheckError(
-                f"flow/boundary exchange failed at ({c}, {sigma}): "
-                f"stabilized boundary gives {via_boundary}, boundary of the "
-                f"stabilization gives {via_flow}")
-        self.dual_route_checks += 1
-        return via_boundary
+        return self.boundary_row(c, [sigma])[0]

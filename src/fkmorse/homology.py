@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .chains import Chain, boundary, inner
 from .errors import SelfCheckError
 from .flow import FlowContext
 from .pairing import (CriticalReport, DEFAULT_FLAGS, Matching, PairingFlags,
@@ -44,14 +43,100 @@ def _identity_matrix(n: int) -> Matrix:
 def smith_normal_form(matrix: Matrix, transforms: bool = False) -> SnfResult:
     """Diagonalize over the integers; factors form a divisibility chain.
 
-    With transforms=True the result carries unimodular certificates with
-    left * matrix * right equal to the diagonal, exactly.
+    Two routes give the same rank, factors and diagonal:
+
+    * transforms=False (sparse): peel off +-1 pivots from a row-dict form,
+      each chosen by least Markowitz cost and its column cleared by exact
+      integer row updates; only the residue left over goes through the
+      dense elimination.  Every peeled pivot contributes an invariant
+      factor 1.  Morse slices are sparse with +-1 entries, so the residue
+      is small.
+    * transforms=True (dense, the certificate route): min-abs-pivot
+      elimination on the whole matrix, carrying unimodular certificates
+      with left * matrix * right equal to the diagonal, exactly.
     """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     if any(len(r) != cols for r in matrix):
         raise ValueError("ragged matrix")
-    a = [[int(v) for v in row] for row in matrix]
+    if transforms:
+        return _dense_snf([[int(v) for v in row] for row in matrix],
+                          transforms=True)
+    peeled, residue = _peel_unit_pivots(matrix)
+    factors = [1] * peeled + _dense_snf(residue).invariant_factors
+    diagonal = [[0] * cols for _ in range(rows)]
+    for k, f in enumerate(factors):
+        diagonal[k][k] = f
+    return SnfResult(rank=len(factors), invariant_factors=factors,
+                     diagonal=diagonal)
+
+
+def _peel_unit_pivots(matrix: Matrix) -> tuple[int, Matrix]:
+    """Eliminate +-1 pivots; return their number and the dense residue.
+
+    The residue holds the rows and columns no pivot touched that still have
+    a nonzero entry, so matrix is equivalent to the block-diagonal matrix of
+    one 1 per pivot and the residue.  matrix itself is left as it is.
+    """
+    rows = [{j: v for j, v in enumerate(map(int, row)) if v}
+            for row in matrix]
+    in_col: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            in_col.setdefault(j, set()).add(i)
+    live = {i for i, row in enumerate(rows) if row}
+    peeled = 0
+    while True:
+        # least Markowitz cost (other entries in row) * (others in column)
+        pivot = None
+        best = None
+        for i in live:
+            row = rows[i]
+            width = len(row) - 1
+            for j, v in row.items():
+                if v == 1 or v == -1:
+                    cost = width * (len(in_col[j]) - 1)
+                    if best is None or cost < best:
+                        best, pivot = cost, (i, j)
+                        if not cost:
+                            break
+            if best == 0:
+                break
+        if pivot is None:
+            break
+        p, q = pivot
+        prow = rows[p]
+        u = prow[q]
+        for i in in_col[q] - {p}:
+            row = rows[i]
+            f = row[q] * u  # u is its own inverse
+            for j, v in prow.items():
+                w = row.get(j, 0) - f * v
+                if w:
+                    if j not in row:
+                        in_col[j].add(i)
+                    row[j] = w
+                else:
+                    del row[j]
+                    in_col[j].discard(i)
+            if not row:
+                live.discard(i)
+        # column q is now the pivot alone, so column updates clear row p
+        # without touching any other row
+        for j in prow:
+            in_col[j].discard(p)
+        rows[p] = {}
+        live.discard(p)
+        peeled += 1
+    keep_cols = sorted(j for j, members in in_col.items() if members)
+    residue = [[rows[i].get(j, 0) for j in keep_cols] for i in sorted(live)]
+    return peeled, residue
+
+
+def _dense_snf(a: Matrix, transforms: bool = False) -> SnfResult:
+    """Min-abs-pivot elimination of a, in place, on the whole matrix."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
     left = _identity_matrix(rows) if transforms else None
     right = _identity_matrix(cols) if transforms else None
 
@@ -192,25 +277,7 @@ def build_slice(ctx: FlowContext, report: CriticalReport, degree: int) \
     scope = ctx.scope
     hi = critical_basis(report, degree, scope.max_length)
     lo = critical_basis(report, degree - 1, scope.max_length) if degree else []
-    matrix: Matrix = []
-    for cell in hi:
-        if degree == 0:
-            matrix.append([])
-            continue
-        stable_dc, _ = ctx.stabilize(boundary(Chain.unit(cell), ctx.mode))
-        stable_c, _ = ctx.stabilize(Chain.unit(cell))
-        d_stable_c = boundary(stable_c, ctx.mode)
-        row = []
-        for low in lo:
-            via_boundary = inner(stable_dc, low)
-            via_flow = inner(d_stable_c, low)
-            if via_boundary != via_flow:
-                raise SelfCheckError(
-                    f"flow/boundary exchange failed at ({cell}, {low}): "
-                    f"{via_boundary} vs {via_flow}")
-            ctx.dual_route_checks += 1
-            row.append(via_boundary)
-        matrix.append(row)
+    matrix = [ctx.boundary_row(cell, lo) if degree else [] for cell in hi]
     return MorseSlice(degree=degree, basis_lo=lo, basis_hi=hi,
                       matrix=matrix, scope=scope)
 

@@ -125,12 +125,16 @@ def face(x: Simplex, i: int) -> Simplex:
         raise ValueError("dimension-0 simplices have no faces")
     if not 0 <= i <= x.dim:
         raise ValueError(f"face index {i} out of range 0..{x.dim}")
-    n = x.dim
-    out = []
-    for k in x.word:
-        fk = _face_letter(n, k, i)
-        if fk is not None:
-            out.append(fk)
+    # _face_letter on the whole word at once: letters above n - i drop by
+    # one; d_0 sends the top letter, and d_n the bottom one, to the identity
+    n, word = x.dim, x.word
+    if i == 0:
+        out = [k for k in word if k != n]
+    elif i == n:
+        out = [k - 1 for k in word if k != 1]
+    else:
+        m = n - i
+        out = [k if k <= m else k - 1 for k in word]
     return Simplex(n - 1, tuple(out))
 
 

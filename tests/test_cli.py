@@ -327,6 +327,14 @@ def test_homology_scan(capsys):
     assert lines[3] == "stable_from: 2"
 
 
+def test_homology_scan_rejects_an_empty_range(capsys):
+    code, out, err = run(capsys, "homology", "--degree", "1",
+                         "--scan", "5", "2")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: --scan LO HI needs LO <= HI, got 5 > 2\n"
+
+
 def test_output_flag_writes_the_payload_to_a_file(capsys, tmp_path):
     target = tmp_path / "h1.json"
     code, out, _ = run(capsys, "homology", "--degree", "1",

@@ -3,14 +3,17 @@
 The flow identities (commutation with the boundary, V squared vanishing,
 unit inner products on matched pairs) are checked both on hand-picked cells
 and on randomized chains; stable values of the named families are frozen
-from independent hand computation of the small cases.
+from independent hand computation of the small cases. The one-dict
+accumulators behind boundary, V and the flow are checked against a
+term-by-term reference built from boundary_simplex and Chain addition.
 """
 
 import random
 
 import pytest
 
-from fkmorse.chains import Chain, boundary, inner
+from fkmorse.chains import (Chain, boundary, boundary_simplex, incidence,
+                            inner)
 from fkmorse.errors import (SelfCheckError, StabilizationError,
                             TruncationError)
 from fkmorse.flow import (
@@ -234,6 +237,55 @@ def test_flow_commutes_with_boundary_randomized(ctx):
         assert boundary(ctx.apply_flow(c)) == ctx.apply_flow(boundary(c))
 
 
+# --- reference accumulation: one immutable Chain per term --------------------------
+
+def _reference_boundary(c, mode):
+    out = Chain.zero(c.dim - 1)
+    for x, coef in c.items():
+        out = out + coef * boundary_simplex(x, mode)
+    return out
+
+
+def _reference_apply_V(flow, c):
+    out = Chain.zero(c.dim + 1)
+    for x, coef in c.items():
+        tau = flow.pairing.pair_up(x)
+        if tau is not None:
+            out = out + (-incidence(tau, x) * coef) * _unit(tau)
+    return out
+
+
+def _reference_apply_flow(flow, c):
+    out = c + _reference_boundary(_reference_apply_V(flow, c), flow.mode)
+    if c.dim > 0:
+        out = out + _reference_apply_V(
+            flow, _reference_boundary(c, flow.mode))
+    return out
+
+
+def _random_chain(rng, dim):
+    words = [tuple(rng.randint(1, dim) for _ in range(rng.randint(0, 5)))
+             for _ in range(rng.randint(1, 4))]
+    words.append(words[0])  # a repeated term, so some coefficients cancel
+    return sum((rng.choice((-3, -2, -1, 1, 2, 3)) * _unit(S(dim, w))
+                for w in words), Chain.zero(dim))
+
+
+@pytest.mark.parametrize("mode", ["unnormalized", "normalized"])
+def test_accumulators_match_the_term_by_term_reference(mode):
+    flow = FlowContext(SteepnessRule(), Scope(7, 6), mode=mode)
+    rng = random.Random(2014)
+    for _ in range(120):
+        c = _random_chain(rng, rng.randint(1, 5))
+        assert boundary(c, mode) == _reference_boundary(c, mode)
+        assert flow.apply_V(c) == _reference_apply_V(flow, c)
+        assert flow.apply_flow(c) == _reference_apply_flow(flow, c)
+    stable = c = _random_chain(rng, 4)
+    while _reference_apply_flow(flow, stable) != stable:
+        stable = _reference_apply_flow(flow, stable)
+    assert flow.stabilize(c)[0] == stable
+
+
 def test_stabilize_generator_powers(ctx):
     for r in range(1, 8):
         stable, iterations = ctx.stabilize(_unit(y_power(r)))
@@ -319,6 +371,34 @@ def test_boundary_entry_counts_dual_route_checks():
     assert ctx.dual_route_checks == 1
     ctx.morse_boundary_entry(sigma_cell(2), y_power(1))
     assert ctx.dual_route_checks == 2
+
+
+def test_boundary_row_is_the_entries_of_one_critical_cell():
+    flow = FlowContext(SteepnessRule(), Scope(6, 5))
+    basis = [sigma_cell(3), tau_cell(3), sigma_cell(3)]
+    assert flow.boundary_row(sigma_cell(4), basis) == [
+        flow.morse_boundary_entry(sigma_cell(4), low) for low in basis]
+    assert flow.dual_route_checks == 6
+    assert flow.boundary_row(sigma_cell(4), []) == []
+    assert flow.dual_route_checks == 6
+
+
+def test_boundary_row_rejects_a_disagreeing_route(monkeypatch):
+    flow = FlowContext(SteepnessRule(), Scope(6, 5))
+    honest = flow.stabilize
+    calls = []
+
+    def second_route_off_by_one(c):
+        calls.append(c)
+        stable, steps = honest(c)
+        if len(calls) == 2:  # the stabilization of the cell itself
+            stable = stable + _unit(tau_cell(4))
+        return stable, steps
+
+    monkeypatch.setattr(flow, "stabilize", second_route_off_by_one)
+    with pytest.raises(SelfCheckError, match="exchange failed"):
+        flow.boundary_row(sigma_cell(4), [sigma_cell(3), tau_cell(3)])
+    assert flow.dual_route_checks == 0
 
 
 def test_boundary_entry_requires_critical_cells():

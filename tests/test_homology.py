@@ -3,8 +3,10 @@
 The hand-rolled exact SNF is cross-checked in two independent ways: its
 invariant factors against sympy's implementation, and its transform
 certificates by literal matrix multiplication plus unimodularity of the
-transforms. sympy is a test-only dependency; the package itself never
-imports it.
+transforms. The sparse unit-pivot route (transforms=False) is also checked
+against the dense certificate route (transforms=True), on random sparse
++-1 matrices with planted non-unit blocks and on real Morse slices. sympy
+is a test-only dependency; the package itself never imports it.
 """
 
 import json
@@ -19,6 +21,7 @@ from fkmorse.errors import SelfCheckError
 from fkmorse.flow import y_power
 from fkmorse.homology import (
     MorseSlice,
+    _peel_unit_pivots,
     build_slice,
     compute_homology,
     critical_basis,
@@ -119,6 +122,95 @@ def test_snf_certificates_randomized():
                   for _ in range(rows)]
         result = smith_normal_form(matrix, transforms=True)
         _check_certificates(matrix, result)
+
+
+def _sympy_factors(matrix):
+    rows, cols = len(matrix), len(matrix[0])
+    theirs = sympy_snf(Matrix(matrix), domain=ZZ)
+    return sorted(abs(theirs[i, i]) for i in range(min(rows, cols))
+                  if theirs[i, i] != 0)
+
+
+def _unit_sparse_with_planted_block(rng):
+    """A sparse matrix, mostly +-1 with a few entries 2 or -3, with the block
+    [[2, 4], [4, 14]] (factors 2, 6) planted in two extra rows and columns,
+    mixed by unimodular row and column additions, then shuffled."""
+    rows, cols = rng.randint(6, 38), rng.randint(6, 28)
+    entries = (1, -1) * 7 + (2, -3)
+    m = [[rng.choice(entries) if rng.random() < 0.12 else 0
+          for _ in range(cols)] + [0, 0] for _ in range(rows)]
+    m += [[0] * cols + [2, 4], [0] * cols + [4, 14]]
+    rows, cols = rows + 2, cols + 2
+    for _ in range(8):
+        i, k = rng.sample(range(rows), 2)
+        c = rng.choice((1, -1))
+        m[i] = [x + c * y for x, y in zip(m[i], m[k])]
+        j, k = rng.sample(range(cols), 2)
+        for row in m:
+            row[j] += c * row[k]
+    rng.shuffle(m)
+    order = list(range(cols))
+    rng.shuffle(order)
+    return [[row[j] for j in order] for row in m]
+
+
+def test_snf_sparse_route_matches_sympy_and_dense_route():
+    rng = random.Random(2001)
+    for _ in range(12):
+        matrix = _unit_sparse_with_planted_block(rng)
+        peeled, residue = _peel_unit_pivots(matrix)
+        assert residue and residue[0]  # the planted block survives peeling
+        sparse = smith_normal_form(matrix)
+        dense = smith_normal_form(matrix, transforms=True)
+        assert sparse.invariant_factors == _sympy_factors(matrix)
+        assert sparse.invariant_factors == dense.invariant_factors
+        assert sparse.rank == dense.rank
+        assert sparse.diagonal == dense.diagonal
+        assert sparse.left is None and sparse.right is None
+        torsion = [f for f in sparse.invariant_factors if f != 1]
+        assert len(torsion) >= 2 and torsion[-1] % 6 == 0
+        assert peeled <= sparse.rank - 2
+
+
+def test_snf_planted_block_alone():
+    matrix = [[0, 2, 4], [1, 0, 0], [0, 4, 14]]
+    assert _peel_unit_pivots(matrix) == \
+        (1, [[2, 4], [4, 14]])
+    assert smith_normal_form(matrix).invariant_factors == [1, 2, 6]
+    assert smith_normal_form(matrix).diagonal == \
+        smith_normal_form(matrix, transforms=True).diagonal
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 2), (2, 5), (4, 4)])
+def test_snf_sparse_route_on_zero_matrices(shape):
+    rows, cols = shape
+    matrix = [[0] * cols for _ in range(rows)]
+    result = smith_normal_form(matrix)
+    assert result.rank == 0
+    assert result.invariant_factors == []
+    assert result.diagonal == matrix
+    assert result.diagonal == \
+        smith_normal_form(matrix, transforms=True).diagonal
+
+
+def test_snf_sparse_route_on_empty_shapes():
+    for matrix in ([], [[]]):
+        sparse = smith_normal_form(matrix)
+        dense = smith_normal_form(matrix, transforms=True)
+        assert (sparse.rank, sparse.invariant_factors, sparse.diagonal) == \
+            (dense.rank, dense.invariant_factors, dense.diagonal)
+
+
+@pytest.mark.parametrize("degree,length", [(4, 5), (3, 5)])
+def test_snf_routes_agree_on_real_slices(degree, length):
+    ctx, report, _ = morse_context(degree, length)
+    for slice_degree in (degree, degree + 1):
+        matrix = build_slice(ctx, report, slice_degree).matrix
+        sparse = smith_normal_form(matrix)
+        dense = smith_normal_form(matrix, transforms=True)
+        assert sparse.rank == dense.rank
+        assert sparse.invariant_factors == dense.invariant_factors
+        assert sparse.diagonal == dense.diagonal
 
 
 # --- critical bases and slices -------------------------------------------------------

@@ -196,6 +196,16 @@ def test_faces_and_degeneracies_are_letterwise():
     assert degeneracy(Simplex(1, (1,)), 1) == Simplex(2, (2,))
 
 
+def test_word_faces_are_the_pushing_oracle_letter_by_letter():
+    for n in range(1, 6):
+        for length in range(4):
+            for word in itertools.product(range(1, n + 1), repeat=length):
+                for i in range(n + 1):
+                    letters = (oracle_face(n, k, i) for k in word)
+                    want = tuple(k for k in letters if k is not None)
+                    assert face(Simplex(n, word), i) == Simplex(n - 1, want)
+
+
 def test_faces_of_identities_are_identities():
     for n in range(1, 6):
         for i in range(n + 1):
