@@ -148,6 +148,9 @@ class FlowContext:
         self.scope = scope
         self.mode = mode
         self.dual_route_checks = 0
+        # <boundary tau, x> of each matched x met so far, checked to be +-1
+        # when first computed; the pairing is fixed, so it never changes
+        self._incidence: dict[Simplex, int] = {}
         if iteration_cap is None:
             iteration_cap = max(
                 64,
@@ -178,11 +181,14 @@ class FlowContext:
             tau = self.pairing.pair_up(x)
             if tau is None:
                 continue
-            inc = incidence(tau, x)
-            if abs(inc) != 1:
-                raise SelfCheckError(
-                    f"matched pair ({x}, {tau}) has incidence {inc}, "
-                    f"not a regular pair")
+            inc = self._incidence.get(x)
+            if inc is None:
+                inc = incidence(tau, x)
+                if abs(inc) != 1:
+                    raise SelfCheckError(
+                        f"matched pair ({x}, {tau}) has incidence {inc}, "
+                        f"not a regular pair")
+                self._incidence[x] = inc
             terms.append((tau, -inc * coef))
         return Chain._sum(c.dim + 1, terms)
 

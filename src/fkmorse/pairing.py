@@ -15,20 +15,24 @@ validate_matching records that reduction in its verdict.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import product
+from typing import Iterable, Iterator, Optional
 
 from .errors import SelfCheckError, TruncationError
 from .simplicial import (
     Simplex,
     StratumKey,
-    _face_letter,
     enumerate_stratum,
     face,
+    face_word,
     is_degenerate,
     simplex_text,
     sort_key,
     stratum_size,
+    stratum_words,
+    surjective_words,
 )
 
 FACE_QUANTIFIERS = ("all", "regular")
@@ -114,20 +118,27 @@ def letter_coface_preimages(n: int, i: int, g: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _coface_words(n: int, word: tuple[int, ...]) \
+        -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(i, tau_word) for every same-length coface tau with d_i(tau) = word.
+
+    letter_coface_preimages, inlined: with m = n + 1 - i, a letter below m
+    keeps its value, one above m rises by one, and m itself lifts to both.
+    """
+    for i in range(n + 2):
+        m = n + 1 - i
+        for w in product(*[(g,) if g < m else (g + 1,) if g > m
+                           else (g, g + 1) for g in word]):
+            yield i, w
+
+
 def coface_occurrences(sigma: Simplex) -> dict[Simplex, tuple[int, ...]]:
     """Same-length cofaces tau, each with all indices i where d_i(tau) = sigma."""
-    n = sigma.dim
     found: dict[tuple[int, ...], list[int]] = {}
-    for i in range(n + 2):
-        per_letter = [letter_coface_preimages(n, i, g) for g in sigma.word]
-        if any(not p for p in per_letter):
-            continue
-        words = [()]
-        for choices in per_letter:
-            words = [w + (h,) for w in words for h in choices]
-        for w in words:
-            found.setdefault(w, []).append(i)
-    return {Simplex(n + 1, w): tuple(ix) for w, ix in sorted(found.items())}
+    for i, w in _coface_words(sigma.dim, sigma.word):
+        found.setdefault(w, []).append(i)
+    return {Simplex(sigma.dim + 1, w): tuple(ix)
+            for w, ix in sorted(found.items())}
 
 
 def regular_cofaces(sigma: Simplex) -> list[tuple[Simplex, int]]:
@@ -138,46 +149,64 @@ def regular_cofaces(sigma: Simplex) -> list[tuple[Simplex, int]]:
 
 # --- the single-cell steepness rule -----------------------------------------
 
-def _same_length_faces(tau: Simplex) -> list[tuple[Simplex, int]]:
-    out = []
-    for i in range(tau.dim + 1):
-        f = face(tau, i)
-        if f.length == tau.length:
-            out.append((f, i))
-    return out
+def _same_length_face_words(dim: int, word: tuple[int, ...]) \
+        -> list[tuple[int, ...]]:
+    """The faces d_0..d_dim of a word that keep its length, with repeats."""
+    length = len(word)
+    return [f for f in (face_word(dim, word, i) for i in range(dim + 1))
+            if len(f) == length]
 
 
-def _face_max_ok(tau: Simplex, sigma: Simplex, flags: PairingFlags) -> bool:
-    # sigma must be the largest face of tau; shorter faces are always smaller
-    faces = _same_length_faces(tau)
+def _same_length_faces(tau: Simplex) -> list[Simplex]:
+    return [Simplex(tau.dim - 1, f)
+            for f in _same_length_face_words(tau.dim, tau.word)]
+
+
+def _word_degenerate(dim: int, word: tuple[int, ...]) -> bool:
+    # letters lie in 1..dim, so a word is nondegenerate iff it uses all dim
+    return len(set(word)) < dim
+
+
+def _steepness(n: int, word: tuple[int, ...], flags: PairingFlags) \
+        -> tuple[Optional[tuple[int, ...]], str]:
+    """The steepness rule on a dimension-n word: its partner's word, or
+    None with the reason it stays unmatched.
+
+    The partner is the lex-least same-length coface (a regular one, under
+    coface_quantifier "regular"), kept only if it passes the policy gate and
+    the word is the largest of its same-length faces (of its regular ones,
+    under face_quantifier "regular").  Shorter faces and cofaces are always
+    smaller, so only same-length ones matter.
+    """
+    critical = flags.degenerate_policy == "critical"
+    if critical and _word_degenerate(n, word):
+        return None, "degenerate"
+    counts: dict[tuple[int, ...], int] = {}
+    for _, w in _coface_words(n, word):
+        counts[w] = counts.get(w, 0) + 1
+    if flags.coface_quantifier == "regular":
+        candidates = [w for w, c in counts.items() if c == 1]
+    else:
+        candidates = list(counts)
+    if not candidates:
+        return None, "no-regular-coface"
+    tw = min(candidates)
+    if critical and _word_degenerate(n + 1, tw):
+        return None, "coface-degenerate"
+    faces = _same_length_face_words(n + 1, tw)
     if flags.face_quantifier == "regular":
-        counts: dict[Simplex, int] = {}
-        for f, _ in faces:
-            counts[f] = counts.get(f, 0) + 1
-        faces = [(f, i) for f, i in faces if counts[f] == 1]
-    key = sort_key(sigma)
-    return all(sort_key(f) <= key for f, _ in faces)
+        faces = [f for f in faces if faces.count(f) == 1]
+    if any(f > word for f in faces):
+        return None, "not-max-in-min-coface"
+    return tw, "paired"
 
 
 def steepness_pair_reason(
         sigma: Simplex,
         flags: PairingFlags = DEFAULT_FLAGS) -> tuple[Optional[Simplex], str]:
     """The partner of sigma, or None with the reason it stays unmatched."""
-    if flags.degenerate_policy == "critical" and is_degenerate(sigma):
-        return None, "degenerate"
-    occ = coface_occurrences(sigma)
-    if flags.coface_quantifier == "regular":
-        candidates = [t for t, ix in occ.items() if len(ix) == 1]
-    else:
-        candidates = list(occ)
-    if not candidates:
-        return None, "no-regular-coface"
-    tau = min(candidates, key=sort_key)
-    if flags.degenerate_policy == "critical" and is_degenerate(tau):
-        return None, "coface-degenerate"
-    if not _face_max_ok(tau, sigma, flags):
-        return None, "not-max-in-min-coface"
-    return tau, "paired"
+    tw, reason = _steepness(sigma.dim, sigma.word, flags)
+    return (None if tw is None else Simplex(sigma.dim + 1, tw)), reason
 
 
 def steepness_pair(sigma: Simplex,
@@ -189,24 +218,19 @@ def _pair_down(tau: Simplex, flags: PairingFlags) -> Optional[Simplex]:
     """The sigma with steepness_pair(sigma) = tau, computed from tau's side."""
     if tau.dim == 0:
         return None
-    faces = _same_length_faces(tau)
-    if not faces:
-        return None
-    counts: dict[Simplex, int] = {}
-    for f, _ in faces:
-        counts[f] = counts.get(f, 0) + 1
+    faces = _same_length_face_words(tau.dim, tau.word)
     if flags.face_quantifier == "regular":
-        pool = [f for f, _ in faces if counts[f] == 1]
+        pool = [f for f in faces if faces.count(f) == 1]
     else:
-        pool = [f for f, _ in faces]
+        pool = faces
     if not pool:
         return None
-    sigma = max(pool, key=sort_key)
+    sw = max(pool)
     # the winner must occupy a single face index regardless of quantifier
-    if counts[sigma] != 1:
+    if faces.count(sw) != 1:
         return None
-    if steepness_pair(sigma, flags) == tau:
-        return sigma
+    if _steepness(tau.dim - 1, sw, flags)[0] == tau.word:
+        return Simplex(tau.dim - 1, sw)
     return None
 
 
@@ -313,25 +337,62 @@ class Matching:
                    PairingFlags.from_json_dict(data["flags"]))
 
 
-@dataclass
 class CriticalReport:
     """Critical cells per stratum, split degenerate-by-fiat vs unmatched.
 
-    would_pair lists degenerate cells that satisfy the steepness conditions
-    and were kept critical only by policy; reasons maps each unmatched
-    nondegenerate cell to why the rule skipped it.
+    reasons maps each unmatched cell that is not degenerate by fiat to why
+    the rule skipped it; build_matching fills it and the per-stratum lists
+    of those cells as it walks.  strata adds the degenerate-by-fiat cells
+    (every degenerate word, under the critical policy), and would_pair lists
+    the degenerate cells that satisfy the steepness conditions and were kept
+    critical only by policy.  Both enumerate whole strata, so each is built
+    on first read and kept; the homology path reads neither.
     """
 
-    strata: dict[StratumKey, tuple[list[Simplex], list[Simplex]]] = \
-        field(default_factory=dict)
-    would_pair: list[tuple[Simplex, Simplex]] = field(default_factory=list)
-    reasons: dict[Simplex, str] = field(default_factory=dict)
+    def __init__(self, scope: Scope, flags: PairingFlags,
+                 unmatched: dict[StratumKey, list[Simplex]],
+                 reasons: dict[Simplex, str]) -> None:
+        self.scope = scope
+        self.flags = flags
+        self.reasons = reasons
+        self._unmatched = unmatched
+
+    @cached_property
+    def strata(self) -> dict[StratumKey, tuple[list[Simplex], list[Simplex]]]:
+        fiat = self.flags.degenerate_policy == "critical"
+        out: dict[StratumKey, tuple[list[Simplex], list[Simplex]]] = {}
+        for n in range(self.scope.max_dim + 1):
+            for length in range(self.scope.max_length + 1 if n else 1):
+                key = StratumKey(n, length)
+                deg = [x for x in enumerate_stratum(n, length)
+                       if _word_degenerate(n, x.word)] if fiat else []
+                unm = self._unmatched.get(key, [])
+                if deg or unm:
+                    out[key] = (deg, unm)
+        return out
+
+    @cached_property
+    def would_pair(self) -> list[tuple[Simplex, Simplex]]:
+        flags = self.flags
+        if flags.degenerate_policy != "critical":
+            return []
+        allow = PairingFlags(flags.face_quantifier, flags.coface_quantifier,
+                             "allow")
+        out = []
+        for length in range(self.scope.max_length + 1):
+            for n in range(0 if length == 0 else 1, self.scope.max_dim):
+                for word in stratum_words(n, length):
+                    if _word_degenerate(n, word):
+                        tw, _ = _steepness(n, word, allow)
+                        if tw is not None:
+                            out.append((Simplex(n, word), Simplex(n + 1, tw)))
+        return out
 
     def degenerate_by_fiat(self, dim: int, length: int) -> list[Simplex]:
         return self.strata.get(StratumKey(dim, length), ([], []))[0]
 
     def unmatched_nondegenerate(self, dim: int, length: int) -> list[Simplex]:
-        return self.strata.get(StratumKey(dim, length), ([], []))[1]
+        return self._unmatched.get(StratumKey(dim, length), [])
 
     def critical_cells(self, dim: int, length: int) -> list[Simplex]:
         deg, unm = self.strata.get(StratumKey(dim, length), ([], []))
@@ -358,9 +419,15 @@ def build_matching(max_dim: int, max_length: int,
         -> tuple[Matching, CriticalReport]:
     """Steepness pairs for every stratum with sigma.dim < max_dim.
 
-    Sweeps each coface stratum once, bucketing same-length faces, so the
-    cost is linear in the number of enumerated cells.  Cells at max_dim are
-    classified only by their downward status (their cofaces are unseen).
+    Walks the strata dimension by dimension and applies the steepness rule
+    to each walked word on its own, from its local cofaces and faces.  Under
+    the critical policy both cells of a pair are nondegenerate, so only the
+    surjective words are walked: n! * S(L, n) of the n**L words of stratum
+    (n, L); under allow, every word.  Each walked word pairs upward, is
+    matched from below, or is recorded with the reason it stays unmatched.
+    Cells at max_dim are classified only by their downward status (their
+    cofaces are unseen), with reason "upward-undecided".  The size limit
+    counts every word of a stratum, walked or not.
     """
     if max_dim < 1 or max_length < 1:
         raise ValueError("build_matching needs max_dim >= 1 and max_length >= 1")
@@ -373,118 +440,45 @@ def build_matching(max_dim: int, max_length: int,
                     f"over the limit of {max_stratum_cells}",
                     dim=n, length=length)
 
-    flags_allow = flags.degenerate_policy == "allow"
-    diag_flags = PairingFlags(flags.face_quantifier, flags.coface_quantifier,
-                              "allow")
+    walk = surjective_words if flags.degenerate_policy == "critical" \
+        else stratum_words
     pairs: list[tuple[Simplex, Simplex]] = []
-    report = CriticalReport()
-    matched_down: set[Simplex] = set()
-
-    for length in range(max_length + 1):
-        for n in range(0, max_dim):
-            lo_dim = n
-            hi_dim = n + 1
-            if lo_dim == 0 and length > 0:
-                continue
-            # face sweep of the coface stratum: word -> list of (tau_word, i)
-            hi_tables = [[_face_letter(hi_dim, g, i) for g in range(hi_dim + 1)]
-                         for i in range(hi_dim + 2)]
-            cofaces: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-            tau_faces: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-            for tau in enumerate_stratum(hi_dim, length):
-                tw = tau.word
-                same: list[tuple[int, ...]] = []
-                for i in range(hi_dim + 2):
-                    row = hi_tables[i]
-                    fw = tuple(row[g] for g in tw if row[g] is not None)
-                    if len(fw) == length:
-                        same.append(fw)
-                        bucket = cofaces.setdefault(fw, {})
-                        bucket[tw] = bucket.get(tw, 0) + 1
-                tau_faces[tw] = same
-
-            for sigma in enumerate_stratum(lo_dim, length):
-                sigma_deg = is_degenerate(sigma)
-                if sigma_deg and not flags_allow:
-                    # policy keeps it critical; still record what the rule
-                    # alone would have done with it
-                    diag = _sweep_pair(sigma, cofaces, tau_faces, diag_flags)
-                    if diag is not None:
-                        report.would_pair.append((sigma, diag))
+    unmatched: dict[StratumKey, list[Simplex]] = {}
+    reasons: dict[Simplex, str] = {}
+    below: set[tuple[int, ...]] = set()  # dim-n words matched from dim n-1
+    for n in range(max_dim + 1):
+        above: set[tuple[int, ...]] = set()
+        for length in range(max_length + 1 if n else 1):
+            cells = []
+            for word in walk(n, length):
+                # words matched from below get the rule too, so that a cell
+                # the rule would use twice reaches validate_matching
+                if n < max_dim:
+                    tw, reason = _steepness(n, word, flags)
+                    if tw is not None:
+                        pairs.append((Simplex(n, word), Simplex(n + 1, tw)))
+                        above.add(tw)
+                        continue
+                else:
+                    reason = "upward-undecided"
+                if word in below:
                     continue
-                tau = _sweep_pair(sigma, cofaces, tau_faces, flags)
-                if tau is not None:
-                    pairs.append((sigma, tau))
-                    matched_down.add(tau)
+                x = Simplex(n, word)
+                cells.append(x)
+                reasons[x] = reason
+            if cells:
+                unmatched[StratumKey(n, length)] = cells
+        below = above
 
-    _fill_report(report, pairs, matched_down, max_dim, max_length, flags)
-
-    matching = Matching(pairs, Scope(max_dim, max_length), flags)
+    scope = Scope(max_dim, max_length)
+    matching = Matching(pairs, scope, flags)
     if validate:
         verdict = validate_matching(matching)
         if not verdict.ok:
             raise SelfCheckError(
                 "build_matching produced an invalid matching: "
                 + "; ".join(verdict.errors))
-    return matching, report
-
-
-def _sweep_pair(sigma: Simplex,
-                cofaces: dict[tuple[int, ...], dict[tuple[int, ...], int]],
-                tau_faces: dict[tuple[int, ...], list[tuple[int, ...]]],
-                flags: PairingFlags) -> Optional[Simplex]:
-    """steepness_pair against precomputed stratum tables (policy gate applied
-    to the coface only; the caller decides what a degenerate sigma means)."""
-    occ = cofaces.get(sigma.word)
-    if not occ:
-        return None
-    if flags.coface_quantifier == "regular":
-        candidates = [w for w, count in occ.items() if count == 1]
-    else:
-        candidates = list(occ)
-    if not candidates:
-        return None
-    tw = min(candidates)
-    tau = Simplex(sigma.dim + 1, tw)
-    if flags.degenerate_policy == "critical" and is_degenerate(tau):
-        return None
-    same = tau_faces[tw]
-    if flags.face_quantifier == "regular":
-        counts: dict[tuple[int, ...], int] = {}
-        for fw in same:
-            counts[fw] = counts.get(fw, 0) + 1
-        pool = [fw for fw in same if counts[fw] == 1]
-    else:
-        pool = same
-    if any(fw > sigma.word for fw in pool):
-        return None
-    return tau
-
-
-def _fill_report(report: CriticalReport, pairs: list[tuple[Simplex, Simplex]],
-                 matched_down: set[Simplex], max_dim: int, max_length: int,
-                 flags: PairingFlags) -> None:
-    matched_up = {s for s, _ in pairs}
-    for n in range(0, max_dim + 1):
-        for length in range(max_length + 1):
-            if n == 0 and length > 0:
-                continue
-            deg: list[Simplex] = []
-            unm: list[Simplex] = []
-            for x in enumerate_stratum(n, length):
-                if x in matched_up or x in matched_down:
-                    continue
-                if is_degenerate(x) and flags.degenerate_policy == "critical":
-                    deg.append(x)
-                    continue
-                unm.append(x)
-                if n >= max_dim:
-                    report.reasons[x] = "upward-undecided"
-                else:
-                    _, reason = steepness_pair_reason(x, flags)
-                    report.reasons[x] = reason
-            if deg or unm:
-                report.strata[StratumKey(n, length)] = (deg, unm)
+    return matching, CriticalReport(scope, flags, unmatched, reasons)
 
 
 # --- validation ---------------------------------------------------------------
@@ -558,7 +552,7 @@ def _stratum_cycle(pairs: list[tuple[Simplex, Simplex]]) \
     partner = dict(pairs)
     succ: dict[Simplex, list[Simplex]] = {}
     for sigma, tau in pairs:
-        succ[sigma] = [f for f, _ in _same_length_faces(tau)
+        succ[sigma] = [f for f in _same_length_faces(tau)
                        if f != sigma and f in partner]
 
     WHITE, GRAY, BLACK = 0, 1, 2
@@ -617,7 +611,7 @@ def matching_to_dot(m: Matching) -> str:
                 f'    "d{x.dim}:{simplex_text(x)}" '
                 f'[label="{simplex_text(x)}"{style}];')
         for tau in enumerate_stratum(dim + 1, length):
-            for f, _ in _same_length_faces(tau):
+            for f in _same_length_faces(tau):
                 if up.get(f) == tau:
                     continue
                 lines.append(

@@ -125,17 +125,25 @@ def face(x: Simplex, i: int) -> Simplex:
         raise ValueError("dimension-0 simplices have no faces")
     if not 0 <= i <= x.dim:
         raise ValueError(f"face index {i} out of range 0..{x.dim}")
-    # _face_letter on the whole word at once: letters above n - i drop by
-    # one; d_0 sends the top letter, and d_n the bottom one, to the identity
-    n, word = x.dim, x.word
+    return Simplex(x.dim - 1, face_word(x.dim, x.word, i))
+
+
+def face_word(dim: int, word: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """The word of d_i on a dimension-dim word, for 0 <= i <= dim >= 1.
+
+    _face_letter on the whole word at once: letters above dim - i drop by
+    one; d_0 sends the top letter, and d_dim the bottom one, to the
+    identity.  The caller checks the arguments.
+    """
     if i == 0:
-        out = [k for k in word if k != n]
-    elif i == n:
+        out = [k for k in word if k != dim]
+    elif i == dim:
         out = [k - 1 for k in word if k != 1]
     else:
-        m = n - i
+        m = dim - i
         out = [k if k <= m else k - 1 for k in word]
-    return Simplex(n - 1, tuple(out))
+    # built through a list, so the tuple is allocated at its exact size
+    return tuple(out)
 
 
 def degeneracy(x: Simplex, j: int) -> Simplex:
@@ -204,12 +212,48 @@ def stratum_size(dim: int, length: int) -> int:
 
 def enumerate_stratum(dim: int, length: int) -> Iterator[Simplex]:
     """All words of the given length in sorted (lexicographic) order."""
+    for word in stratum_words(dim, length):
+        yield Simplex(dim, word)
+
+
+def stratum_words(dim: int, length: int) -> Iterator[tuple[int, ...]]:
+    """The words of enumerate_stratum as plain tuples, in the same order."""
     if dim == 0:
         if length == 0:
-            yield identity(0)
+            yield ()
         return
-    for word in product(range(1, dim + 1), repeat=length):
-        yield Simplex(dim, word)
+    yield from product(range(1, dim + 1), repeat=length)
+
+
+def surjective_words(dim: int, length: int) -> Iterator[tuple[int, ...]]:
+    """The nondegenerate words of stratum (dim, length), in lex order.
+
+    These are the words that use every letter 1..dim (see
+    degeneracy_witness): dim! * S(length, dim) of them, against dim**length
+    in the stratum.  A prefix is extended only while the positions left can
+    still hold the letters it misses, and once it holds all of them every
+    tail is allowed.
+    """
+    if dim == 0:
+        if length == 0:
+            yield ()
+        return
+    letters = range(1, dim + 1)
+
+    def extend(prefix: tuple[int, ...], used: frozenset[int]) \
+            -> Iterator[tuple[int, ...]]:
+        free = length - len(prefix)
+        if len(used) == dim:
+            for tail in product(letters, repeat=free):
+                yield prefix + tail
+            return
+        for g in letters:
+            grown = used | {g}
+            if dim - len(grown) <= free - 1:
+                yield from extend(prefix + (g,), grown)
+
+    if length >= dim:
+        yield from extend((), frozenset())
 
 
 def enumerate_cells(dim: int, max_length: int) -> Iterator[Simplex]:

@@ -1,0 +1,69 @@
+"""What the traced benchmark run relies on, checked against the package.
+
+bench/tracing.py wraps entry points by module and attribute name and reads
+the critical report of every build_matching call.  A refactor that renames
+or moves one of them would break traced runs only when the benchmark runs,
+so the names and shapes it uses are checked here, with the tracer itself
+imported from its file and left unchanged.
+"""
+
+import importlib
+import importlib.util
+import pathlib
+
+import pytest
+
+import fkmorse.cli  # noqa: F401  (the tracer needs every layer imported)
+from fkmorse.pairing import build_matching
+from fkmorse.simplicial import StratumKey
+
+TRACING = pathlib.Path(__file__).resolve().parent.parent / "bench" / \
+    "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_entry_point_resolves(tracing):
+    for modname, attr, metric, _ in tracing.SPANS:
+        module = importlib.import_module(modname)
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            # the tracer patches the method where the class defines it
+            assert callable(vars(getattr(module, cls_name))[meth]), attr
+        else:
+            assert callable(getattr(module, attr)), attr
+        assert metric in tracing.LAYER_METRICS
+    simplicial = importlib.import_module("fkmorse.simplicial")
+    assert callable(simplicial.enumerate_stratum)
+
+
+def test_report_strata_unpack_as_degenerate_and_unmatched():
+    _, report = build_matching(3, 3)
+    for key, value in report.strata.items():
+        deg, unmatched = value
+        assert isinstance(key, StratumKey)
+        assert isinstance(deg, list) and isinstance(unmatched, list)
+
+
+def test_a_traced_build_counts_what_an_untraced_one_returns(tracing):
+    matching, report = build_matching(4, 4)
+    critical = sum(len(deg) + len(unm) for deg, unm in report.strata.values())
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        pairing = importlib.import_module("fkmorse.pairing")
+        traced, _ = pairing.build_matching(4, 4)
+    finally:
+        tracer.uninstall()
+    assert traced.pairs == matching.pairs
+    assert tracer.counts["pairing.build_calls"] == 1
+    assert tracer.counts["pairing.pairs"] == len(matching.pairs)
+    assert tracer.counts["pairing.critical_cells"] == critical
+    assert tracer.counts["simplicial.cells_enumerated"] > 0
+    assert "pairing.build_s" in tracer.self_times()

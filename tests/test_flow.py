@@ -194,6 +194,36 @@ def test_V_guard_raises_at_top_dimension():
         small.apply_V(_unit(S(2, (2, 1))))
 
 
+def test_V_reads_each_pair_incidence_once_per_context(monkeypatch):
+    import fkmorse.flow as flow_module
+    calls = []
+
+    def counted(tau, x, mode="unnormalized"):
+        calls.append((tau, x))
+        return incidence(tau, x, mode)
+
+    monkeypatch.setattr(flow_module, "incidence", counted)
+    local = FlowContext(SteepnessRule(), Scope(4, 4))
+    c = _unit(y_power(2)) + 2 * _unit(S(1, (1, 1, 1))) - _unit(y_power(1))
+    first = local.apply_V(c)
+    assert first == _reference_apply_V(local, c)
+    assert sorted(x.length for _, x in calls) == [2, 3]
+    assert local.apply_V(c) == first and len(calls) == 2
+    # the record belongs to the context: a new one computes afresh
+    FlowContext(SteepnessRule(), Scope(4, 4)).apply_V(c)
+    assert len(calls) == 4
+
+
+def test_V_rejects_an_irregular_pair_when_first_met():
+    # (2,1) is the face of (3,1) at indices 1 and 2, with incidence 0
+    bad = Matching([(S(2, (2, 1)), S(3, (3, 1)))], Scope(3, 3),
+                   PairingFlags())
+    local = FlowContext(bad, Scope(3, 3), validate=False)
+    for _ in range(2):
+        with pytest.raises(SelfCheckError, match="not a regular pair"):
+            local.apply_V(_unit(S(2, (2, 1))))
+
+
 def test_boundary_of_V_hits_the_source_with_coefficient_minus_one(ctx):
     matching, _ = build_matching(3, 3)
     for sigma, _tau in matching.pairs:

@@ -11,7 +11,7 @@ import io
 
 import pytest
 
-from fkmorse.errors import TruncationError
+from fkmorse.errors import SelfCheckError, TruncationError
 from fkmorse.pairing import (
     CriticalReport,
     Matching,
@@ -28,7 +28,8 @@ from fkmorse.pairing import (
     steepness_pair_reason,
     validate_matching,
 )
-from fkmorse.simplicial import Simplex, enumerate_stratum, face, is_degenerate
+from fkmorse.simplicial import (Simplex, enumerate_stratum, face,
+                                is_degenerate, sort_key)
 
 S = Simplex
 ALLOW = PairingFlags(degenerate_policy="allow")
@@ -279,6 +280,161 @@ def test_lazy_rule_agrees_with_built_matching(built_3_3):
     # Under the critical policy a degenerate word is critical by fiat.
     assert rule.is_critical(S(2, (2, 2)))
     assert not SteepnessRule(ALLOW).is_critical(S(2, (2, 2)))
+
+
+# --- the literal definition, as an oracle ------------------------------------
+#
+# The steepness rule read off its definition: scan every word of the coface
+# stratum with simplicial.face and keep the words that hold sigma as a face.
+# It looks at whole strata, degenerate words included, so it is only usable
+# on small scopes.
+
+FLAG_COMBOS = [PairingFlags(f, c, p) for f in ("all", "regular")
+               for c in ("regular", "any") for p in ("critical", "allow")]
+ORACLE_SCOPES = [(3, 3), (4, 4), (3, 5), (5, 4)]
+
+
+def _flag_id(flags):
+    return "-".join(flags.to_json_dict().values())
+
+
+def _coface_table(dim, length):
+    """Every word tau of stratum (dim, length) with its faces d_0..d_dim,
+    and for each face sigma the number of indices at which it occurs."""
+    faces, hits = {}, {}
+    for tau in enumerate_stratum(dim, length):
+        faces[tau] = [face(tau, i) for i in range(dim + 1)]
+        for sigma in faces[tau]:
+            counts = hits.setdefault(sigma, {})
+            counts[tau] = counts.get(tau, 0) + 1
+    return faces, hits
+
+
+def _literal_pair(sigma, flags, table):
+    faces, hits = table
+    critical = flags.degenerate_policy == "critical"
+    if critical and is_degenerate(sigma):
+        return None, "degenerate"
+    candidates = [tau for tau, k in hits.get(sigma, {}).items()
+                  if k == 1 or flags.coface_quantifier == "any"]
+    if not candidates:
+        return None, "no-regular-coface"
+    tau = min(candidates, key=sort_key)
+    if critical and is_degenerate(tau):
+        return None, "coface-degenerate"
+    same = [f for f in faces[tau] if f.length == tau.length]
+    if flags.face_quantifier == "regular":
+        same = [f for f in same if same.count(f) == 1]
+    if any(sort_key(f) > sort_key(sigma) for f in same):
+        return None, "not-max-in-min-coface"
+    return tau, "paired"
+
+
+def _literal_build(max_dim, max_length, flags):
+    """(pairs, strata, reasons, would_pair, down) by definition; down maps
+    each upper cell to the lower cell it holds as a regular face."""
+    critical = flags.degenerate_policy == "critical"
+    allow = PairingFlags(flags.face_quantifier, flags.coface_quantifier,
+                         "allow")
+    tables = {}
+
+    def faces_of(dim, length):
+        if (dim, length) not in tables:
+            tables[dim, length] = _coface_table(dim, length)
+        return tables[dim, length]
+
+    pairs, would_pair = [], []
+    for length in range(max_length + 1):
+        for n in range(0 if length == 0 else 1, max_dim):
+            for sigma in enumerate_stratum(n, length):
+                tau, _ = _literal_pair(sigma, flags, faces_of(n + 1, length))
+                if tau is not None:
+                    pairs.append((sigma, tau))
+                elif critical and is_degenerate(sigma):
+                    diag, _ = _literal_pair(sigma, allow,
+                                            faces_of(n + 1, length))
+                    if diag is not None:
+                        would_pair.append((sigma, diag))
+    matched = {x for pair in pairs for x in pair}
+    strata, reasons = {}, {}
+    for n in range(max_dim + 1):
+        for length in range(max_length + 1 if n else 1):
+            deg, unm = [], []
+            for x in enumerate_stratum(n, length):
+                if x in matched:
+                    continue
+                if critical and is_degenerate(x):
+                    deg.append(x)
+                    continue
+                unm.append(x)
+                reasons[x] = "upward-undecided" if n == max_dim else \
+                    _literal_pair(x, flags, faces_of(n + 1, length))[1]
+            if deg or unm:
+                strata[StratumKey(n, length)] = (deg, unm)
+    down = {tau: sigma for sigma, tau in pairs
+            if faces_of(tau.dim, tau.length)[0][tau].count(sigma) == 1}
+    return pairs, strata, reasons, would_pair, down
+
+
+def _literal_csv(strata, reasons):
+    rows = ["dim,length,simplex,degenerate,reason"]
+    for key in sorted(strata, key=lambda k: (k.dim, k.length)):
+        deg, unm = strata[key]
+        rows += [f"{key.dim},{key.length},{x},true,degenerate"
+                 for x in sorted(deg, key=sort_key)]
+        rows += [f"{key.dim},{key.length},{x},false,{reasons[x]}"
+                 for x in sorted(unm, key=sort_key)]
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("flags", FLAG_COMBOS, ids=_flag_id)
+@pytest.mark.parametrize("max_dim,max_length", ORACLE_SCOPES)
+def test_build_matching_agrees_with_the_literal_definition(
+        max_dim, max_length, flags):
+    pairs, strata, reasons, would_pair, _ = \
+        _literal_build(max_dim, max_length, flags)
+    scope = Scope(max_dim, max_length)
+    verdict = validate_matching(Matching(pairs, scope, flags))
+    if flags.coface_quantifier == "any" and \
+            flags.degenerate_policy == "allow":
+        # e_0 has the identity of dimension 1 as its only coface, twice
+        assert not verdict.ok
+        message = ("build_matching produced an invalid matching: "
+                   + "; ".join(verdict.errors))
+        with pytest.raises(SelfCheckError) as caught:
+            build_matching(max_dim, max_length, flags)
+        assert str(caught.value) == message
+        return
+    assert verdict.ok
+    matching, report = build_matching(max_dim, max_length, flags)
+    assert matching.pairs == Matching(pairs, scope, flags).pairs
+    assert list(report.strata.items()) == list(strata.items())
+    assert list(report.reasons.items()) == list(reasons.items())
+    assert report.would_pair == would_pair
+    assert report.to_csv() == _literal_csv(strata, reasons)
+
+
+@pytest.mark.parametrize("flags", FLAG_COMBOS, ids=_flag_id)
+@pytest.mark.parametrize("max_dim,max_length", ORACLE_SCOPES)
+def test_lazy_rule_agrees_with_the_literal_definition(
+        max_dim, max_length, flags):
+    pairs, _, _, _, down = _literal_build(max_dim, max_length, flags)
+    up = dict(pairs)
+    rule = SteepnessRule(flags)
+    for n in range(max_dim + 1):
+        for length in range(max_length + 1 if n else 1):
+            for x in enumerate_stratum(n, length):
+                if n < max_dim:
+                    assert rule.pair_up(x) == up.get(x)
+                assert rule.pair_down(x) == down.get(x)
+
+
+def test_report_keeps_what_it_builds_on_first_read(built_3_3):
+    _, report = built_3_3
+    assert report.strata is report.strata
+    assert report.would_pair is report.would_pair
+    deg, _ = report.strata[StratumKey(2, 3)]
+    assert report.degenerate_by_fiat(2, 3) is deg
 
 
 # --- Matching container semantics ----------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -36,6 +37,7 @@ from fkmorse.simplicial import (
     simplex_to_json,
     sort_key,
     stratum_size,
+    surjective_words,
 )
 
 # --- oracle: generators as degeneracy words --------------------------------------
@@ -363,6 +365,29 @@ def test_stratum_counts_and_order():
             assert len(cells) == stratum_size(n, length) == n ** length
             words = [c.word for c in cells]
             assert words == sorted(words)
+
+
+def _surjection_count(length, letters):
+    # letters! * S(length, letters), by the Stirling recurrence
+    # S(L, n) = n * S(L - 1, n) + S(L - 1, n - 1)
+    row = [1] + [0] * letters  # S(0, n)
+    for _ in range(length):
+        row = [0] + [n * row[n] + row[n - 1] for n in range(1, letters + 1)]
+    return math.factorial(letters) * row[letters]
+
+
+def test_surjective_words_are_the_nondegenerate_words_in_order():
+    for n in range(7):
+        for length in range(8):
+            expected = [x.word for x in enumerate_stratum(n, length)
+                        if not is_degenerate(x)]
+            assert list(surjective_words(n, length)) == expected
+            assert len(expected) == _surjection_count(length, n)
+    assert list(surjective_words(0, 0)) == [()]
+    assert list(surjective_words(0, 2)) == []
+    assert list(surjective_words(3, 2)) == []
+    assert list(surjective_words(2, 3)) == [
+        (1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 1, 1), (2, 1, 2), (2, 2, 1)]
 
 
 def test_enumerate_cells_shortest_first():
