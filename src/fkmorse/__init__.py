@@ -6,48 +6,23 @@ circle, builds a discrete vector field from a steepness pairing rule,
 validates it (regularity, injectivity, acyclicity), stabilizes chains under
 the induced flow, assembles Morse boundary matrices between critical cells,
 and computes integer homology of length-truncated slices exactly.
+
+The package root re-exports the names of the README's Library example and
+the error classes; everything else is imported from its module.
 """
 
-from .chains import Chain, boundary, boundary_simplex, incidence, inner
-from .errors import (ChainParseError, SelfCheckError, StabilizationError,
-                     TruncationError)
-from .flow import (FlowContext, NamedCell, beta_cell, identity_cell,
-                   sigma_cell, sigma_tilde_cell, tau_cell, tau_tilde_cell,
-                   y_power)
-from .homology import (HomologyResult, MorseSlice, SnfResult, StabilityScan,
-                       build_slice, compute_homology, critical_basis,
-                       homology_of_slices, morse_context, smith_normal_form,
-                       stability_scan)
-from .pairing import (CriticalReport, DEFAULT_FLAGS, Matching, PairingFlags,
-                      Scope, SteepnessRule, Verdict, build_matching,
-                      coface_occurrences, matching_to_dot, regular_cofaces,
-                      steepness_pair, steepness_pair_reason,
-                      validate_matching)
-from .simplicial import (Generator, Simplex, StratumKey, degeneracy,
-                         degeneracy_generator, degeneracy_witness,
-                         enumerate_cells, enumerate_stratum, face,
-                         face_generator, generator_simplex, identity,
-                         is_degenerate, lex_less, parse_simplex, simplex_text,
-                         simplex_from_json, simplex_to_json, sort_key,
-                         stratum_size)
+from .chains import Chain, boundary
+from .errors import SelfCheckError, StabilizationError, TruncationError
+from .flow import FlowContext, sigma_cell, y_power
+from .homology import compute_homology, stability_scan
+from .pairing import Scope, SteepnessRule, build_matching, validate_matching
+from .simplicial import Simplex, face, is_degenerate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Chain", "ChainParseError", "CriticalReport", "DEFAULT_FLAGS",
-    "FlowContext", "Generator", "HomologyResult", "Matching", "MorseSlice",
-    "NamedCell", "PairingFlags", "Scope", "SelfCheckError", "Simplex",
-    "SnfResult", "StabilityScan", "StabilizationError", "SteepnessRule",
-    "StratumKey", "TruncationError", "Verdict", "beta_cell", "boundary",
-    "boundary_simplex", "build_matching", "build_slice", "coface_occurrences",
-    "compute_homology", "critical_basis", "degeneracy",
-    "degeneracy_generator", "degeneracy_witness", "enumerate_cells",
-    "enumerate_stratum", "face", "face_generator", "generator_simplex",
-    "homology_of_slices", "identity", "identity_cell", "incidence", "inner",
-    "is_degenerate", "lex_less", "matching_to_dot", "morse_context",
-    "parse_simplex", "regular_cofaces", "sigma_cell", "sigma_tilde_cell",
-    "simplex_from_json", "simplex_text", "simplex_to_json",
-    "smith_normal_form", "sort_key", "stability_scan", "steepness_pair",
-    "steepness_pair_reason", "stratum_size", "tau_cell", "tau_tilde_cell",
-    "validate_matching", "y_power",
+    "Chain", "FlowContext", "Scope", "SelfCheckError", "Simplex",
+    "StabilizationError", "SteepnessRule", "TruncationError", "boundary",
+    "build_matching", "compute_homology", "face", "is_degenerate",
+    "sigma_cell", "stability_scan", "validate_matching", "y_power",
 ]

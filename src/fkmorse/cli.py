@@ -22,7 +22,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .chains import Chain
@@ -41,31 +40,6 @@ EXIT_USAGE = 2
 EXIT_SCOPE = 3
 EXIT_INVALID = 4
 EXIT_SELF_CHECK = 5
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: scope, chain conventions, and output plumbing."""
-
-    max_dim: int
-    max_length: int
-    chain_mode: str = "unnormalized"
-    flags: PairingFlags = PairingFlags()
-    output_format: str = "text"
-    output_path: Optional[str] = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_dim < 1 or self.max_length < 1:
-            raise ValueError("scope bounds must be positive")
-        if self.chain_mode not in ("unnormalized", "normalized"):
-            raise ValueError(f"unknown chain mode {self.chain_mode!r}")
-        if self.output_format not in ("text", "json", "csv", "dot"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-
-    @property
-    def scope(self) -> Scope:
-        return Scope(self.max_dim, self.max_length)
 
 
 # --- chain expression syntax ------------------------------------------------------
@@ -179,19 +153,7 @@ def _note(message: str) -> None:
 
 
 def _flags_from(ns: argparse.Namespace) -> PairingFlags:
-    return PairingFlags(face_quantifier=ns.face_quantifier,
-                        coface_quantifier=ns.coface_quantifier,
-                        degenerate_policy=ns.degenerate_policy)
-
-
-def _config_from(ns: argparse.Namespace, max_dim: int, max_length: int) \
-        -> RunConfig:
-    return RunConfig(max_dim=max_dim, max_length=max_length,
-                     chain_mode=getattr(ns, "mode", "unnormalized"),
-                     flags=_flags_from(ns),
-                     output_format=ns.format,
-                     output_path=getattr(ns, "output", None),
-                     seed=ns.seed)
+    return PairingFlags(degenerate_policy=ns.degenerate_policy)
 
 
 # --- subcommands ------------------------------------------------------------------
@@ -236,22 +198,20 @@ def parse_enumerate_json(payload: str) -> list[tuple[int, Simplex, bool]]:
 
 
 def cmd_pair(ns: argparse.Namespace) -> int:
-    config = _config_from(ns, ns.max_dim, ns.max_length)
-    matching, report = build_matching(config.max_dim, config.max_length,
-                                      config.flags)
+    matching, report = build_matching(ns.max_dim, ns.max_length,
+                                      _flags_from(ns))
     _note(f"built {len(matching.pairs)} pairs")
-    if config.output_format == "json":
+    if ns.format == "json":
         payload = matching.to_json()
-    elif config.output_format == "dot":
+    elif ns.format == "dot":
         payload = matching_to_dot(matching)
-    elif config.output_format == "csv":
+    elif ns.format == "csv":
         payload = report.to_csv()
     else:
-        lines = [f"scope: max_dim={config.max_dim} "
-                 f"max_length={config.max_length}",
-                 f"flags: face={config.flags.face_quantifier} "
-                 f"coface={config.flags.coface_quantifier} "
-                 f"degenerate={config.flags.degenerate_policy}",
+        lines = [f"scope: max_dim={ns.max_dim} max_length={ns.max_length}",
+                 "flags: face={face_quantifier} coface={coface_quantifier} "
+                 "degenerate={degenerate_policy}".format(
+                     **matching.flags.to_json_dict()),
                  f"pairs: {len(matching.pairs)}"]
         for key in sorted(report.strata, key=lambda k: (k.dim, k.length)):
             deg, unmatched = report.strata[key]
@@ -288,12 +248,11 @@ def cmd_flow(ns: argparse.Namespace) -> int:
     max_len = max([len(c.word) for c in chain.support()] or [0])
     max_length = ns.max_length or max(1, max_len)
     max_dim = ns.max_dim or max(1, chain.dim + 1)
-    config = _config_from(ns, max_dim, max_length)
-    rule = SteepnessRule(config.flags)
-    ctx = FlowContext(rule, config.scope, config.chain_mode)
+    rule = SteepnessRule(_flags_from(ns))
+    ctx = FlowContext(rule, Scope(max_dim, max_length), ns.mode)
     stable, iterations = ctx.stabilize(chain)
     _note(f"stabilized in {iterations} iterations")
-    if config.output_format == "json":
+    if ns.format == "json":
         payload = stable.to_json()
     else:
         payload = render_chain(stable)
@@ -303,10 +262,8 @@ def cmd_flow(ns: argparse.Namespace) -> int:
 
 def _slice_at(ns: argparse.Namespace, degree: int, max_dim: int,
               max_length: int) -> tuple[MorseSlice, FlowContext]:
-    config = _config_from(ns, max_dim, max_length)
-    matching, report = build_matching(max_dim, max_length, config.flags)
-    ctx = FlowContext(matching, config.scope, config.chain_mode,
-                      validate=False)
+    matching, report = build_matching(max_dim, max_length, _flags_from(ns))
+    ctx = FlowContext(matching, matching.scope, ns.mode, validate=False)
     return build_slice(ctx, report, degree), ctx
 
 
@@ -362,15 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fkmorse",
         description="Discrete Morse theory on the free simplicial monoid "
                     "model of the loop space of the 2-sphere.")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed recorded for randomized property tests")
     sub = parser.add_subparsers(dest="command", required=True)
 
     flags_parent = argparse.ArgumentParser(add_help=False)
-    flags_parent.add_argument("--face-quantifier",
-                              choices=("all", "regular"), default="all")
-    flags_parent.add_argument("--coface-quantifier",
-                              choices=("regular", "any"), default="regular")
     flags_parent.add_argument("--degenerate-policy",
                               choices=("critical", "allow"),
                               default="critical")
@@ -397,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pair.add_argument("--max-length", type=int, required=True)
     p_pair.add_argument("--format", choices=("text", "json", "csv", "dot"),
                         default="text")
-    p_pair.set_defaults(func=cmd_pair, mode="unnormalized")
+    p_pair.set_defaults(func=cmd_pair)
 
     p_val = sub.add_parser("validate", parents=[out_parent],
                            help="check a matching export for regularity, "

@@ -1,11 +1,10 @@
 """Steepness pairing restricted to word-length strata, and matching validation.
 
 A cell sigma pairs with the lex-least same-length coface tau in which sigma
-sits as a regular face, provided sigma is the largest face of tau.  Quantifier
-scopes are configurable: by default coface-minimality ranges over REGULAR
-same-length cofaces and face-maximality ranges over ALL same-length faces
-(so degenerate faces can block a pair).  Degenerate cells are left critical
-by default; the "allow" policy lets them pair, for diagnostics.
+sits as a regular face, provided sigma is the largest of ALL the same-length
+faces of tau (so degenerate faces can block a pair).  This is a Forman
+gradient on regular face pairs.  Degenerate cells are left critical by
+default; the "allow" policy lets them pair, for diagnostics.
 
 Pairs never cross word-length strata and faces never increase word length,
 so cycle checking reduces to the same-length sub-digraph of each stratum;
@@ -28,6 +27,7 @@ from .simplicial import (
     face,
     face_word,
     is_degenerate,
+    is_degenerate_word,
     simplex_text,
     sort_key,
     stratum_size,
@@ -35,43 +35,40 @@ from .simplicial import (
     surjective_words,
 )
 
-FACE_QUANTIFIERS = ("all", "regular")
-COFACE_QUANTIFIERS = ("regular", "any")
 DEGENERATE_POLICIES = ("critical", "allow")
+
+# The quantifier scopes of the rule, which are fixed.  Matching exports still
+# write them, so that an export names the rule it was built under.
+_SCOPE_FIELDS = {"face_quantifier": "all", "coface_quantifier": "regular"}
 
 
 @dataclass(frozen=True, slots=True)
 class PairingFlags:
-    """Quantifier scopes and degeneracy policy of the steepness rule.
+    """Degeneracy policy of the steepness rule.
 
-    Defaults give the pairing every recorded value in this repository
-    uses; other combinations are diagnostic only.
+    The default "critical" leaves degenerate cells critical and gives the
+    pairing every recorded value in this repository uses; "allow" lets
+    degenerate cells pair.
     """
 
-    face_quantifier: str = "all"
-    coface_quantifier: str = "regular"
     degenerate_policy: str = "critical"
 
     def __post_init__(self) -> None:
-        if self.face_quantifier not in FACE_QUANTIFIERS:
-            raise ValueError(f"face_quantifier must be one of {FACE_QUANTIFIERS}")
-        if self.coface_quantifier not in COFACE_QUANTIFIERS:
-            raise ValueError(
-                f"coface_quantifier must be one of {COFACE_QUANTIFIERS}")
         if self.degenerate_policy not in DEGENERATE_POLICIES:
             raise ValueError(
                 f"degenerate_policy must be one of {DEGENERATE_POLICIES}")
 
     def to_json_dict(self) -> dict:
-        return {"face_quantifier": self.face_quantifier,
-                "coface_quantifier": self.coface_quantifier,
-                "degenerate_policy": self.degenerate_policy}
+        return {**_SCOPE_FIELDS, "degenerate_policy": self.degenerate_policy}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PairingFlags":
-        return cls(face_quantifier=data["face_quantifier"],
-                   coface_quantifier=data["coface_quantifier"],
-                   degenerate_policy=data["degenerate_policy"])
+        for key, value in _SCOPE_FIELDS.items():
+            if data[key] != value:
+                raise ValueError(
+                    f"{key} {data[key]!r} is not supported: the {key} option "
+                    f"was removed, and the steepness rule uses {value!r} only")
+        return cls(degenerate_policy=data["degenerate_policy"])
 
 
 DEFAULT_FLAGS = PairingFlags()
@@ -91,9 +88,6 @@ class Scope:
     def covers(self, x: Simplex) -> bool:
         return x.dim <= self.max_dim and x.length <= self.max_length
 
-    def covers_stratum(self, dim: int, length: int) -> bool:
-        return dim <= self.max_dim and length <= self.max_length
-
     def to_json_dict(self) -> dict:
         return {"max_dim": self.max_dim, "max_length": self.max_length}
 
@@ -108,21 +102,11 @@ class Scope:
 # n+1.  Same-length cofaces are exactly the positionwise products of these
 # letter preimages; no letter may be dropped or the length would shrink.
 
-def letter_coface_preimages(n: int, i: int, g: int) -> tuple[int, ...]:
-    """Letters h in dimension n+1 with d_i(a_h) = a_g in dimension n."""
-    out = []
-    if i <= n + 1 - g:
-        out.append(g)
-    if i >= n + 1 - g:
-        out.append(g + 1)
-    return tuple(out)
-
-
 def _coface_words(n: int, word: tuple[int, ...]) \
         -> Iterator[tuple[int, tuple[int, ...]]]:
     """(i, tau_word) for every same-length coface tau with d_i(tau) = word.
 
-    letter_coface_preimages, inlined: with m = n + 1 - i, a letter below m
+    The letter preimages under d_i: with m = n + 1 - i, a letter below m
     keeps its value, one above m rises by one, and m itself lifts to both.
     """
     for i in range(n + 2):
@@ -162,41 +146,29 @@ def _same_length_faces(tau: Simplex) -> list[Simplex]:
             for f in _same_length_face_words(tau.dim, tau.word)]
 
 
-def _word_degenerate(dim: int, word: tuple[int, ...]) -> bool:
-    # letters lie in 1..dim, so a word is nondegenerate iff it uses all dim
-    return len(set(word)) < dim
-
-
 def _steepness(n: int, word: tuple[int, ...], flags: PairingFlags) \
         -> tuple[Optional[tuple[int, ...]], str]:
     """The steepness rule on a dimension-n word: its partner's word, or
     None with the reason it stays unmatched.
 
-    The partner is the lex-least same-length coface (a regular one, under
-    coface_quantifier "regular"), kept only if it passes the policy gate and
-    the word is the largest of its same-length faces (of its regular ones,
-    under face_quantifier "regular").  Shorter faces and cofaces are always
-    smaller, so only same-length ones matter.
+    The partner is the lex-least regular same-length coface, kept only if
+    it passes the policy gate and the word is the largest of all its
+    same-length faces.  Shorter faces and cofaces are always smaller, so
+    only same-length ones matter.
     """
     critical = flags.degenerate_policy == "critical"
-    if critical and _word_degenerate(n, word):
+    if critical and is_degenerate_word(n, word):
         return None, "degenerate"
     counts: dict[tuple[int, ...], int] = {}
     for _, w in _coface_words(n, word):
         counts[w] = counts.get(w, 0) + 1
-    if flags.coface_quantifier == "regular":
-        candidates = [w for w, c in counts.items() if c == 1]
-    else:
-        candidates = list(counts)
+    candidates = [w for w, c in counts.items() if c == 1]
     if not candidates:
         return None, "no-regular-coface"
     tw = min(candidates)
-    if critical and _word_degenerate(n + 1, tw):
+    if critical and is_degenerate_word(n + 1, tw):
         return None, "coface-degenerate"
-    faces = _same_length_face_words(n + 1, tw)
-    if flags.face_quantifier == "regular":
-        faces = [f for f in faces if faces.count(f) == 1]
-    if any(f > word for f in faces):
+    if any(f > word for f in _same_length_face_words(n + 1, tw)):
         return None, "not-max-in-min-coface"
     return tw, "paired"
 
@@ -219,14 +191,10 @@ def _pair_down(tau: Simplex, flags: PairingFlags) -> Optional[Simplex]:
     if tau.dim == 0:
         return None
     faces = _same_length_face_words(tau.dim, tau.word)
-    if flags.face_quantifier == "regular":
-        pool = [f for f in faces if faces.count(f) == 1]
-    else:
-        pool = faces
-    if not pool:
+    if not faces:
         return None
-    sw = max(pool)
-    # the winner must occupy a single face index regardless of quantifier
+    sw = max(faces)
+    # only a regular face can pair: it must occupy a single face index
     if faces.count(sw) != 1:
         return None
     if _steepness(tau.dim - 1, sw, flags)[0] == tau.word:
@@ -365,7 +333,7 @@ class CriticalReport:
             for length in range(self.scope.max_length + 1 if n else 1):
                 key = StratumKey(n, length)
                 deg = [x for x in enumerate_stratum(n, length)
-                       if _word_degenerate(n, x.word)] if fiat else []
+                       if is_degenerate_word(n, x.word)] if fiat else []
                 unm = self._unmatched.get(key, [])
                 if deg or unm:
                     out[key] = (deg, unm)
@@ -373,16 +341,14 @@ class CriticalReport:
 
     @cached_property
     def would_pair(self) -> list[tuple[Simplex, Simplex]]:
-        flags = self.flags
-        if flags.degenerate_policy != "critical":
+        if self.flags.degenerate_policy != "critical":
             return []
-        allow = PairingFlags(flags.face_quantifier, flags.coface_quantifier,
-                             "allow")
+        allow = PairingFlags(degenerate_policy="allow")
         out = []
         for length in range(self.scope.max_length + 1):
             for n in range(0 if length == 0 else 1, self.scope.max_dim):
                 for word in stratum_words(n, length):
-                    if _word_degenerate(n, word):
+                    if is_degenerate_word(n, word):
                         tw, _ = _steepness(n, word, allow)
                         if tw is not None:
                             out.append((Simplex(n, word), Simplex(n + 1, tw)))

@@ -62,19 +62,8 @@ class Simplex:
     def length(self) -> int:
         return len(self.word)
 
-    def is_identity(self) -> bool:
-        return not self.word
-
     def __str__(self) -> str:
         return simplex_text(self)
-
-    def __mul__(self, other: "Simplex") -> "Simplex":
-        if not isinstance(other, Simplex):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError(
-                f"cannot multiply simplices of dimensions {self.dim} and {other.dim}")
-        return Simplex(self.dim, self.word + other.word)
 
 
 def identity(dim: int) -> Simplex:
@@ -86,20 +75,7 @@ def generator_simplex(dim: int, index: int) -> Simplex:
     return Simplex(dim, (index,))
 
 
-# --- letter-level face and degeneracy tables -------------------------------
-#
-# None means the letter maps to the identity (the face hits the basepoint).
-
-def _face_letter(n: int, k: int, i: int) -> int | None:
-    if n == 1:
-        # both faces of the edge are the basepoint vertex
-        return None
-    if k == 1:
-        return 1 if i <= n - 1 else None
-    if k == n:
-        return None if i == 0 else n - 1
-    return k if i <= n - k else k - 1
-
+# --- faces and degeneracies -------------------------------------------------
 
 def _degeneracy_letter(n: int, k: int, j: int) -> int:
     return k if j <= n - k else k + 1
@@ -109,8 +85,8 @@ def face_generator(g: Generator, i: int) -> Generator | None:
     """d_i of a letter; None when the letter is sent to the identity."""
     if not 0 <= i <= g.dim:
         raise ValueError(f"face index {i} out of range 0..{g.dim}")
-    k = _face_letter(g.dim, g.index, i)
-    return None if k is None else Generator(g.dim - 1, k)
+    word = face_word(g.dim, (g.index,), i)
+    return Generator(g.dim - 1, word[0]) if word else None
 
 
 def degeneracy_generator(g: Generator, j: int) -> Generator:
@@ -131,9 +107,9 @@ def face(x: Simplex, i: int) -> Simplex:
 def face_word(dim: int, word: tuple[int, ...], i: int) -> tuple[int, ...]:
     """The word of d_i on a dimension-dim word, for 0 <= i <= dim >= 1.
 
-    _face_letter on the whole word at once: letters above dim - i drop by
-    one; d_0 sends the top letter, and d_dim the bottom one, to the
-    identity.  The caller checks the arguments.
+    Letters above dim - i drop by one; d_0 sends the top letter, and d_dim
+    the bottom one, to the identity (in dimension 1 both faces send the
+    edge to the basepoint).  The caller checks the arguments.
     """
     if i == 0:
         out = [k for k in word if k != dim]
@@ -174,7 +150,16 @@ def degeneracy_witness(x: Simplex) -> tuple[int, Simplex] | None:
 
 
 def is_degenerate(x: Simplex) -> bool:
-    return degeneracy_witness(x) is not None
+    return is_degenerate_word(x.dim, x.word)
+
+
+def is_degenerate_word(dim: int, word: tuple[int, ...]) -> bool:
+    """Whether the dimension-dim word is degenerate (see degeneracy_witness).
+
+    Letters lie in 1..dim, so a word is nondegenerate iff it uses all dim
+    of them; in dimension 0 only the identity exists, and it is not.
+    """
+    return len(set(word)) < dim
 
 
 # --- ordering and enumeration ------------------------------------------------

@@ -230,6 +230,40 @@ def test_validate_missing_file(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_pair_json_export_round_trips_through_validate(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    code, _, _ = run(capsys, "pair", "--max-dim", "3", "--max-length", "3",
+                     "--degenerate-policy", "allow", "--format", "json",
+                     "--output", str(path))
+    assert code == EXIT_OK
+    text = path.read_text()
+    assert list(json.loads(text)["flags"].items()) == [
+        ("face_quantifier", "all"), ("coface_quantifier", "regular"),
+        ("degenerate_policy", "allow")]
+    assert Matching.from_json(text).to_json() + "\n" == text
+    code, out, _ = run(capsys, "validate", "--matching", str(path))
+    assert code == EXIT_OK
+    assert out.splitlines()[-1] == "verdict: ok"
+
+
+@pytest.mark.parametrize("fixed,edit", [
+    ('"face_quantifier":"all"', '"face_quantifier":"regular"'),
+    ('"coface_quantifier":"regular"', '"coface_quantifier":"any"'),
+], ids=["face", "coface"])
+def test_validate_rejects_a_removed_quantifier_scope(capsys, tmp_path,
+                                                     fixed, edit):
+    path = tmp_path / "m.json"
+    run(capsys, "pair", "--max-dim", "3", "--max-length", "3",
+        "--format", "json", "--output", str(path))
+    text = path.read_text()
+    assert fixed in text
+    path.write_text(text.replace(fixed, edit))
+    code, out, err = run(capsys, "validate", "--matching", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "option was removed" in err
+
+
 # --- flow ----------------------------------------------------------------------------
 
 def test_flow_collapses_generator_powers(capsys):
@@ -355,6 +389,21 @@ def test_no_arguments_is_a_usage_error(capsys):
 def test_help_exits_cleanly(capsys):
     code, _, _ = run(capsys, "--help")
     assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("argv", [
+    ("--seed", "1", "pair", "--max-dim", "3", "--max-length", "3"),
+    ("pair", "--max-dim", "3", "--max-length", "3",
+     "--face-quantifier", "all"),
+    ("homology", "--degree", "1", "--max-length", "3",
+     "--coface-quantifier", "regular"),
+    ("pair", "--max-dim", "0", "--max-length", "3"),
+], ids=["seed", "face-quantifier", "coface-quantifier", "max-dim-0"])
+def test_removed_options_and_bad_scopes_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err
 
 
 def test_self_check_failures_exit_five(capsys, monkeypatch):

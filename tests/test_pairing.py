@@ -11,7 +11,7 @@ import io
 
 import pytest
 
-from fkmorse.errors import SelfCheckError, TruncationError
+from fkmorse.errors import TruncationError
 from fkmorse.pairing import (
     CriticalReport,
     Matching,
@@ -19,9 +19,9 @@ from fkmorse.pairing import (
     Scope,
     SteepnessRule,
     StratumKey,
+    _coface_words,
     build_matching,
     coface_occurrences,
-    letter_coface_preimages,
     matching_to_dot,
     regular_cofaces,
     steepness_pair,
@@ -38,16 +38,13 @@ ALLOW = PairingFlags(degenerate_policy="allow")
 # --- flags and scope ----------------------------------------------------------
 
 def test_default_flags():
-    flags = PairingFlags()
-    assert flags.face_quantifier == "all"
-    assert flags.coface_quantifier == "regular"
-    assert flags.degenerate_policy == "critical"
+    assert PairingFlags().degenerate_policy == "critical"
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"face_quantifier": "some"},
-    {"coface_quantifier": "all"},
     {"degenerate_policy": "skip"},
+    {"degenerate_policy": "Allow"},
+    {"degenerate_policy": ""},
 ])
 def test_flags_reject_unknown_values(kwargs):
     with pytest.raises(ValueError):
@@ -55,7 +52,11 @@ def test_flags_reject_unknown_values(kwargs):
 
 
 def test_flags_json_round_trip():
-    flags = PairingFlags(coface_quantifier="any", degenerate_policy="allow")
+    flags = PairingFlags(degenerate_policy="allow")
+    # the fixed quantifier scopes stay in the export, in this key order
+    assert list(flags.to_json_dict().items()) == [
+        ("face_quantifier", "all"), ("coface_quantifier", "regular"),
+        ("degenerate_policy", "allow")]
     assert PairingFlags.from_json_dict(flags.to_json_dict()) == flags
 
 
@@ -81,11 +82,13 @@ def _brute_letter_preimages(n: int, i: int, g: int) -> tuple[int, ...]:
 
 
 def test_letter_coface_preimages_match_brute_force():
+    # on a one-letter word, the cofaces at index i are the letter preimages
     for n in range(1, 6):
         for i in range(n + 2):
             for g in range(1, n + 1):
-                assert letter_coface_preimages(n, i, g) == \
-                    _brute_letter_preimages(n, i, g)
+                lifts = tuple(w[0] for j, w in _coface_words(n, (g,))
+                              if j == i)
+                assert lifts == _brute_letter_preimages(n, i, g)
 
 
 def test_coface_occurrences_of_sigma_2():
@@ -289,9 +292,9 @@ def test_lazy_rule_agrees_with_built_matching(built_3_3):
 # It looks at whole strata, degenerate words included, so it is only usable
 # on small scopes.
 
-FLAG_COMBOS = [PairingFlags(f, c, p) for f in ("all", "regular")
-               for c in ("regular", "any") for p in ("critical", "allow")]
-ORACLE_SCOPES = [(3, 3), (4, 4), (3, 5), (5, 4)]
+FLAG_COMBOS = [PairingFlags(degenerate_policy=p)
+               for p in ("critical", "allow")]
+ORACLE_SCOPES = [(3, 3), (4, 4), (3, 5), (5, 4), (4, 5), (6, 4)]
 
 
 def _flag_id(flags):
@@ -315,16 +318,13 @@ def _literal_pair(sigma, flags, table):
     critical = flags.degenerate_policy == "critical"
     if critical and is_degenerate(sigma):
         return None, "degenerate"
-    candidates = [tau for tau, k in hits.get(sigma, {}).items()
-                  if k == 1 or flags.coface_quantifier == "any"]
+    candidates = [tau for tau, k in hits.get(sigma, {}).items() if k == 1]
     if not candidates:
         return None, "no-regular-coface"
     tau = min(candidates, key=sort_key)
     if critical and is_degenerate(tau):
         return None, "coface-degenerate"
     same = [f for f in faces[tau] if f.length == tau.length]
-    if flags.face_quantifier == "regular":
-        same = [f for f in same if same.count(f) == 1]
     if any(sort_key(f) > sort_key(sigma) for f in same):
         return None, "not-max-in-min-coface"
     return tau, "paired"
@@ -334,8 +334,7 @@ def _literal_build(max_dim, max_length, flags):
     """(pairs, strata, reasons, would_pair, down) by definition; down maps
     each upper cell to the lower cell it holds as a regular face."""
     critical = flags.degenerate_policy == "critical"
-    allow = PairingFlags(flags.face_quantifier, flags.coface_quantifier,
-                         "allow")
+    allow = PairingFlags(degenerate_policy="allow")
     tables = {}
 
     def faces_of(dim, length):
@@ -394,18 +393,7 @@ def test_build_matching_agrees_with_the_literal_definition(
     pairs, strata, reasons, would_pair, _ = \
         _literal_build(max_dim, max_length, flags)
     scope = Scope(max_dim, max_length)
-    verdict = validate_matching(Matching(pairs, scope, flags))
-    if flags.coface_quantifier == "any" and \
-            flags.degenerate_policy == "allow":
-        # e_0 has the identity of dimension 1 as its only coface, twice
-        assert not verdict.ok
-        message = ("build_matching produced an invalid matching: "
-                   + "; ".join(verdict.errors))
-        with pytest.raises(SelfCheckError) as caught:
-            build_matching(max_dim, max_length, flags)
-        assert str(caught.value) == message
-        return
-    assert verdict.ok
+    assert validate_matching(Matching(pairs, scope, flags)).ok
     matching, report = build_matching(max_dim, max_length, flags)
     assert matching.pairs == Matching(pairs, scope, flags).pairs
     assert list(report.strata.items()) == list(strata.items())
