@@ -291,14 +291,32 @@ def test_lazy_rule_agrees_with_built_matching(built_3_3):
 # stratum with simplicial.face and keep the words that hold sigma as a face.
 # It looks at whole strata, degenerate words included, so it is only usable
 # on small scopes.
+#
+# The definition also reads the two scopes the rule no longer offers: the
+# least coface may be sought among any cofaces instead of the regular ones
+# (those holding sigma once), and sigma may be steepest among the faces of
+# that coface that occur once instead of among all of them.  The rule keeps
+# (all faces, regular cofaces); at the first four oracle scopes the other
+# three scope pairs are checked for how they stand to it.
 
 FLAG_COMBOS = [PairingFlags(degenerate_policy=p)
                for p in ("critical", "allow")]
 ORACLE_SCOPES = [(3, 3), (4, 4), (3, 5), (5, 4), (4, 5), (6, 4)]
+KEPT_SCOPES = ("all", "regular")
+REMOVED_SCOPES = [("all", "any"), ("regular", "regular"), ("regular", "any")]
 
 
-def _flag_id(flags):
-    return "-".join(flags.to_json_dict().values())
+def _oracle_cases():
+    cases = [(d, n, KEPT_SCOPES, flags) for d, n in ORACLE_SCOPES
+             for flags in FLAG_COMBOS]
+    cases += [(d, n, scopes, flags) for d, n in ORACLE_SCOPES[:4]
+              for scopes in REMOVED_SCOPES for flags in FLAG_COMBOS]
+    return [pytest.param(d, n, scopes, flags, id="-".join(
+                [str(d), str(n), *scopes, flags.degenerate_policy]))
+            for d, n, scopes, flags in cases]
+
+
+ORACLE_CASES = _oracle_cases()
 
 
 def _coface_table(dim, length):
@@ -313,24 +331,28 @@ def _coface_table(dim, length):
     return faces, hits
 
 
-def _literal_pair(sigma, flags, table):
+def _literal_pair(sigma, flags, table, scopes=KEPT_SCOPES):
     faces, hits = table
+    face_scope, coface_scope = scopes
     critical = flags.degenerate_policy == "critical"
     if critical and is_degenerate(sigma):
         return None, "degenerate"
-    candidates = [tau for tau, k in hits.get(sigma, {}).items() if k == 1]
+    candidates = [tau for tau, k in hits.get(sigma, {}).items()
+                  if k == 1 or coface_scope == "any"]
     if not candidates:
         return None, "no-regular-coface"
     tau = min(candidates, key=sort_key)
     if critical and is_degenerate(tau):
         return None, "coface-degenerate"
     same = [f for f in faces[tau] if f.length == tau.length]
+    if face_scope == "regular":
+        same = [f for f in same if same.count(f) == 1]
     if any(sort_key(f) > sort_key(sigma) for f in same):
         return None, "not-max-in-min-coface"
     return tau, "paired"
 
 
-def _literal_build(max_dim, max_length, flags):
+def _literal_build(max_dim, max_length, flags, scopes=KEPT_SCOPES):
     """(pairs, strata, reasons, would_pair, down) by definition; down maps
     each upper cell to the lower cell it holds as a regular face."""
     critical = flags.degenerate_policy == "critical"
@@ -346,12 +368,13 @@ def _literal_build(max_dim, max_length, flags):
     for length in range(max_length + 1):
         for n in range(0 if length == 0 else 1, max_dim):
             for sigma in enumerate_stratum(n, length):
-                tau, _ = _literal_pair(sigma, flags, faces_of(n + 1, length))
+                tau, _ = _literal_pair(sigma, flags, faces_of(n + 1, length),
+                                       scopes)
                 if tau is not None:
                     pairs.append((sigma, tau))
                 elif critical and is_degenerate(sigma):
                     diag, _ = _literal_pair(sigma, allow,
-                                            faces_of(n + 1, length))
+                                            faces_of(n + 1, length), scopes)
                     if diag is not None:
                         would_pair.append((sigma, diag))
     matched = {x for pair in pairs for x in pair}
@@ -367,7 +390,8 @@ def _literal_build(max_dim, max_length, flags):
                     continue
                 unm.append(x)
                 reasons[x] = "upward-undecided" if n == max_dim else \
-                    _literal_pair(x, flags, faces_of(n + 1, length))[1]
+                    _literal_pair(x, flags, faces_of(n + 1, length),
+                                  scopes)[1]
             if deg or unm:
                 strata[StratumKey(n, length)] = (deg, unm)
     down = {tau: sigma for sigma, tau in pairs
@@ -386,15 +410,41 @@ def _literal_csv(strata, reasons):
     return "\n".join(rows) + "\n"
 
 
-@pytest.mark.parametrize("flags", FLAG_COMBOS, ids=_flag_id)
-@pytest.mark.parametrize("max_dim,max_length", ORACLE_SCOPES)
+def _assert_removed_scope_relation(kept, literal, scopes, flags, scope):
+    """How the rule's upward pairs stand to the literal definition read
+    with a scope pair the rule no longer offers."""
+    kept, literal = dict(kept), dict(literal)
+    verdict = validate_matching(Matching(list(literal.items()), scope, flags))
+    face_scope, coface_scope = scopes
+    if coface_scope == "any" and flags.degenerate_policy == "allow":
+        # e_0 has the identity of dimension 1 as its only coface, twice
+        assert not verdict.ok
+        return
+    assert verdict.ok
+    if coface_scope == "any":
+        # a least coface that holds sigma twice is degenerate, so under the
+        # critical policy it leaves sigma critical: that scope only loses pairs
+        assert literal.items() < kept.items()
+    elif flags.degenerate_policy == "critical":
+        # the repeated faces of a nondegenerate least coface decide no pair
+        assert literal == kept
+    else:
+        # passing over repeated faces lets more cells be steepest
+        assert kept.items() < literal.items()
+
+
+@pytest.mark.parametrize("max_dim,max_length,scopes,flags", ORACLE_CASES)
 def test_build_matching_agrees_with_the_literal_definition(
-        max_dim, max_length, flags):
+        max_dim, max_length, scopes, flags):
     pairs, strata, reasons, would_pair, _ = \
-        _literal_build(max_dim, max_length, flags)
+        _literal_build(max_dim, max_length, flags, scopes)
     scope = Scope(max_dim, max_length)
-    assert validate_matching(Matching(pairs, scope, flags)).ok
     matching, report = build_matching(max_dim, max_length, flags)
+    if scopes != KEPT_SCOPES:
+        _assert_removed_scope_relation(matching.pairs, pairs, scopes, flags,
+                                       scope)
+        return
+    assert validate_matching(Matching(pairs, scope, flags)).ok
     assert matching.pairs == Matching(pairs, scope, flags).pairs
     assert list(report.strata.items()) == list(strata.items())
     assert list(report.reasons.items()) == list(reasons.items())
@@ -402,13 +452,20 @@ def test_build_matching_agrees_with_the_literal_definition(
     assert report.to_csv() == _literal_csv(strata, reasons)
 
 
-@pytest.mark.parametrize("flags", FLAG_COMBOS, ids=_flag_id)
-@pytest.mark.parametrize("max_dim,max_length", ORACLE_SCOPES)
+@pytest.mark.parametrize("max_dim,max_length,scopes,flags", ORACLE_CASES)
 def test_lazy_rule_agrees_with_the_literal_definition(
-        max_dim, max_length, flags):
-    pairs, _, _, _, down = _literal_build(max_dim, max_length, flags)
-    up = dict(pairs)
+        max_dim, max_length, scopes, flags):
+    pairs, _, _, _, down = _literal_build(max_dim, max_length, flags, scopes)
     rule = SteepnessRule(flags)
+    if scopes != KEPT_SCOPES:
+        kept = [(x, rule.pair_up(x)) for n in range(max_dim)
+                for length in range(max_length + 1 if n else 1)
+                for x in enumerate_stratum(n, length)
+                if rule.pair_up(x) is not None]
+        _assert_removed_scope_relation(kept, pairs, scopes, flags,
+                                       Scope(max_dim, max_length))
+        return
+    up = dict(pairs)
     for n in range(max_dim + 1):
         for length in range(max_length + 1 if n else 1):
             for x in enumerate_stratum(n, length):
