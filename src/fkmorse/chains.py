@@ -132,13 +132,6 @@ class Chain:
                        for x, c in self.items()]},
             separators=(",", ":"))
 
-    @classmethod
-    def from_json(cls, text: str) -> "Chain":
-        data = json.loads(text)
-        dim = int(data["dim"])
-        return cls(dim, [(Simplex(dim, tuple(int(k) for k in t["word"])),
-                          int(t["coef"])) for t in data["terms"]])
-
 
 def _join_terms(items: list[tuple[Simplex, int]]) -> str:
     parts: list[str] = []

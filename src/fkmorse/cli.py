@@ -27,8 +27,9 @@ from typing import Optional, Sequence
 from .chains import Chain
 from .errors import (ChainParseError, SelfCheckError, StabilizationError,
                      TruncationError)
-from .flow import FlowContext, NamedCell
-from .homology import (MorseSlice, build_slice, compute_homology,
+from .flow import (FlowContext, beta_cell, sigma_cell, sigma_tilde_cell,
+                   tau_cell, tau_tilde_cell, y_power)
+from .homology import (build_slice, compute_homology, morse_context,
                        stability_scan)
 from .pairing import (Matching, PairingFlags, Scope, SteepnessRule,
                       build_matching, matching_to_dot, validate_matching)
@@ -47,7 +48,9 @@ EXIT_SELF_CHECK = 5
 _TERM = re.compile(r"[+-]?[^+-]+")
 _SCALAR = re.compile(r"(\d+)(?:\*|·)?(.*)\Z")
 _POWER = re.compile(r"y\^(\d+)\Z")
-_NAMED = re.compile(r"(sigma|tau)(~?)\((\d+)\)\Z")
+_NAMED = re.compile(r"(sigma~?|tau~?)\((\d+)\)\Z")
+_NAMED_CELLS = {"sigma": sigma_cell, "tau": tau_cell,
+                "sigma~": sigma_tilde_cell, "tau~": tau_tilde_cell}
 _BETA = re.compile(r"beta\((\d+),(\d+)\)\Z")
 _WORD = re.compile(r"a\d+(?:\.a\d+)*\Z")
 
@@ -58,17 +61,16 @@ def _parse_cell(body: str, dim: Optional[int]) -> Simplex:
             raise ChainParseError("'e' needs an explicit --dim")
         return identity(dim)
     if body == "y":
-        return NamedCell("y-power", (1,)).expand()
+        return y_power(1)
     m = _POWER.match(body)
     if m:
-        return NamedCell("y-power", (int(m.group(1)),)).expand()
+        return y_power(int(m.group(1)))
     m = _NAMED.match(body)
     if m:
-        kind = m.group(1) + ("-tilde" if m.group(2) else "")
-        return NamedCell(kind, (int(m.group(3)),)).expand()
+        return _NAMED_CELLS[m.group(1)](int(m.group(2)))
     m = _BETA.match(body)
     if m:
-        return NamedCell("beta", (int(m.group(1)), int(m.group(2)))).expand()
+        return beta_cell(int(m.group(1)), int(m.group(2)))
     if _WORD.match(body):
         letters = tuple(int(p[1:]) for p in body.split("."))
         return Simplex(dim if dim is not None else max(letters), letters)
@@ -185,18 +187,6 @@ def cmd_enumerate(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def parse_enumerate_json(payload: str) -> list[tuple[int, Simplex, bool]]:
-    """Re-import an enumerate JSON export as (rank, cell, degenerate) rows."""
-    data = json.loads(payload)
-    dim = data["dim"]
-    out = []
-    for row in data["cells"]:
-        letters = tuple(int(p[1:]) for p in row["word"].split(".")) \
-            if row["word"] != "e" else ()
-        out.append((row["rank"], Simplex(dim, letters), row["degenerate"]))
-    return out
-
-
 def cmd_pair(ns: argparse.Namespace) -> int:
     matching, report = build_matching(ns.max_dim, ns.max_length,
                                       _flags_from(ns))
@@ -246,8 +236,8 @@ def cmd_validate(ns: argparse.Namespace) -> int:
 def cmd_flow(ns: argparse.Namespace) -> int:
     chain = parse_chain(ns.chain, ns.dim)
     max_len = max([len(c.word) for c in chain.support()] or [0])
-    max_length = ns.max_length or max(1, max_len)
-    max_dim = ns.max_dim or max(1, chain.dim + 1)
+    max_length = max(1, max_len) if ns.max_length is None else ns.max_length
+    max_dim = max(1, chain.dim + 1) if ns.max_dim is None else ns.max_dim
     rule = SteepnessRule(_flags_from(ns))
     ctx = FlowContext(rule, Scope(max_dim, max_length), ns.mode)
     stable, iterations = ctx.stabilize(chain)
@@ -260,17 +250,12 @@ def cmd_flow(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _slice_at(ns: argparse.Namespace, degree: int, max_dim: int,
-              max_length: int) -> tuple[MorseSlice, FlowContext]:
-    matching, report = build_matching(max_dim, max_length, _flags_from(ns))
-    ctx = FlowContext(matching, matching.scope, ns.mode, validate=False)
-    return build_slice(ctx, report, degree), ctx
-
-
 def cmd_morse(ns: argparse.Namespace) -> int:
     if ns.degree < 1:
         raise ValueError("--degree must be >= 1")
-    slc, ctx = _slice_at(ns, ns.degree, ns.degree + 1, ns.max_length)
+    ctx, report, _ = morse_context(ns.degree - 1, ns.max_length,
+                                   _flags_from(ns), ns.mode)
+    slc = build_slice(ctx, report, ns.degree)
     _note(f"{ctx.dual_route_checks} boundary entries double-checked")
     if ns.format == "json":
         payload = slc.to_json()

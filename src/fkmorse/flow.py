@@ -4,13 +4,12 @@ V sends a matched lower cell to minus-incidence times its partner and
 everything else to zero; iterating the flow on a chain reaches a fixed
 point because the matching is acyclic and word length filters the strata.
 Morse boundary entries are always computed along both routes of the
-flow/boundary exchange (stabilize the boundary vs. bound the stabilization)
-and must agree exactly.
+flow/boundary exchange (stabilize the boundary vs. bound the stabilization),
+whose two chains must agree exactly, term by term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .chains import Chain, boundary, incidence, inner
@@ -22,95 +21,50 @@ Pairing = Union[Matching, SteepnessRule]
 
 
 # --- named cells ---------------------------------------------------------------
-
-NAMED_KINDS = ("sigma", "tau", "sigma-tilde", "tau-tilde", "beta",
-               "y-power", "identity")
-
-
-@dataclass(frozen=True, slots=True)
-class NamedCell:
-    """A cell family addressed by name: staircase words, their first-letter
-    transposes, the omit-one staircases, powers of the edge, identities."""
-
-    kind: str
-    params: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.kind not in NAMED_KINDS:
-            raise ValueError(f"unknown named cell kind {self.kind!r}")
-
-    def expand(self) -> Simplex:
-        kind, params = self.kind, self.params
-        if kind == "sigma":
-            (r,) = params
-            if r < 0:
-                raise ValueError("sigma(r) needs r >= 0")
-            return Simplex(max(r, 1), tuple(range(r, 0, -1))) if r else identity(0)
-        if kind == "tau":
-            (r,) = params
-            if r < 0:
-                raise ValueError("tau(r) needs r >= 0")
-            if r == 0:
-                return identity(0)
-            if r == 1:
-                return Simplex(1, (1,))
-            return Simplex(r, tuple(range(r, 2, -1)) + (2, 2))
-        if kind == "sigma-tilde":
-            (r,) = params
-            if r < 2:
-                raise ValueError("sigma-tilde(r) needs r >= 2")
-            w = list(range(r, 0, -1))
-            w[0], w[1] = w[1], w[0]
-            return Simplex(r, tuple(w))
-        if kind == "tau-tilde":
-            (r,) = params
-            if r < 3:
-                raise ValueError("tau-tilde(r) needs r >= 3")
-            w = list(range(r, 2, -1)) + [2, 2]
-            w[0], w[1] = w[1], w[0]
-            return Simplex(r, tuple(w))
-        if kind == "beta":
-            k, s = params
-            if k < 1 or not 1 <= s <= k:
-                raise ValueError("beta(k, s) needs k >= 1 and 1 <= s <= k")
-            return Simplex(k + 1, tuple(j for j in range(k + 1, 0, -1) if j != s))
-        if kind == "y-power":
-            (r,) = params
-            if r < 0:
-                raise ValueError("y-power(r) needs r >= 0")
-            return Simplex(1, (1,) * r)
-        (n,) = params
-        if n < 0:
-            raise ValueError("identity(n) needs n >= 0")
-        return identity(n)
-
+#
+# Staircase words, their first-letter transposes, the omit-one staircases and
+# powers of the edge.
 
 def sigma_cell(r: int) -> Simplex:
-    return NamedCell("sigma", (r,)).expand()
+    if r < 0:
+        raise ValueError("sigma(r) needs r >= 0")
+    return Simplex(max(r, 1), tuple(range(r, 0, -1))) if r else identity(0)
 
 
 def tau_cell(r: int) -> Simplex:
-    return NamedCell("tau", (r,)).expand()
+    if r < 0:
+        raise ValueError("tau(r) needs r >= 0")
+    if r < 2:
+        return sigma_cell(r)  # no tail to double
+    return Simplex(r, tuple(range(r, 2, -1)) + (2, 2))
 
 
 def sigma_tilde_cell(r: int) -> Simplex:
-    return NamedCell("sigma-tilde", (r,)).expand()
+    if r < 2:
+        raise ValueError("sigma-tilde(r) needs r >= 2")
+    w = list(range(r, 0, -1))
+    w[0], w[1] = w[1], w[0]
+    return Simplex(r, tuple(w))
 
 
 def tau_tilde_cell(r: int) -> Simplex:
-    return NamedCell("tau-tilde", (r,)).expand()
+    if r < 3:
+        raise ValueError("tau-tilde(r) needs r >= 3")
+    w = list(range(r, 2, -1)) + [2, 2]
+    w[0], w[1] = w[1], w[0]
+    return Simplex(r, tuple(w))
 
 
 def beta_cell(k: int, s: int) -> Simplex:
-    return NamedCell("beta", (k, s)).expand()
+    if k < 1 or not 1 <= s <= k:
+        raise ValueError("beta(k, s) needs k >= 1 and 1 <= s <= k")
+    return Simplex(k + 1, tuple(j for j in range(k + 1, 0, -1) if j != s))
 
 
 def y_power(r: int) -> Simplex:
-    return NamedCell("y-power", (r,)).expand()
-
-
-def identity_cell(n: int) -> Simplex:
-    return NamedCell("identity", (n,)).expand()
+    if r < 0:
+        raise ValueError("y-power(r) needs r >= 0")
+    return Simplex(1, (1,) * r)
 
 
 # --- the flow -------------------------------------------------------------------
@@ -215,22 +169,23 @@ class FlowContext:
         return self.pairing.is_critical(x)
 
     def boundary_row(self, cell: Simplex, basis: list[Simplex]) -> list[int]:
-        """<boundary-tilde cell, b> for each b in basis, via both exchange
-        routes (stabilize the boundary vs. bound the stabilization), asserted
-        equal entry by entry."""
+        """<boundary-tilde cell, b> for each b in basis.
+
+        The flow commutes with the boundary in either chain mode, so the two
+        exchange routes (stabilize the boundary vs. bound the stabilization)
+        must give equal chains, compared whole, in every coefficient.
+        """
         stable_dc, _ = self.stabilize(boundary(Chain.unit(cell), self.mode))
         stable_c, _ = self.stabilize(Chain.unit(cell))
         d_stable_c = boundary(stable_c, self.mode)
-        row = [inner(stable_dc, low) for low in basis]
-        via_flow = [inner(d_stable_c, low) for low in basis]
-        if row != via_flow:
-            k = next(k for k, v in enumerate(row) if v != via_flow[k])
+        if stable_dc != d_stable_c:
+            x = (stable_dc - d_stable_c).support()[0]
             raise SelfCheckError(
-                f"flow/boundary exchange failed at ({cell}, {basis[k]}): "
-                f"stabilized boundary gives {row[k]}, boundary of the "
-                f"stabilization gives {via_flow[k]}")
+                f"flow/boundary exchange failed at ({cell}, {x}): "
+                f"stabilized boundary gives {inner(stable_dc, x)}, boundary "
+                f"of the stabilization gives {inner(d_stable_c, x)}")
         self.dual_route_checks += len(basis)
-        return row
+        return [inner(stable_dc, low) for low in basis]
 
     def morse_boundary_entry(self, c: Simplex, sigma: Simplex) -> int:
         """<boundary-tilde c, sigma> via both exchange routes, asserted equal."""

@@ -24,7 +24,6 @@ from .simplicial import (
     Simplex,
     StratumKey,
     enumerate_stratum,
-    face,
     face_word,
     is_degenerate,
     is_degenerate_word,
@@ -63,6 +62,8 @@ class PairingFlags:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PairingFlags":
+        _json_object(data, (*_SCOPE_FIELDS, "degenerate_policy"),
+                     "matching flags")
         for key, value in _SCOPE_FIELDS.items():
             if data[key] != value:
                 raise ValueError(
@@ -93,7 +94,19 @@ class Scope:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Scope":
+        _json_object(data, ("max_dim", "max_length"), "matching scope")
         return cls(int(data["max_dim"]), int(data["max_length"]))
+
+
+def _json_object(data: object, keys: tuple[str, ...], what: str) -> dict:
+    """data, checked to be a JSON object that holds every key."""
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"{what} must be a JSON object, not {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} has no {key!r} key")
+    return data
 
 
 # --- coface inversion --------------------------------------------------------
@@ -139,11 +152,6 @@ def _same_length_face_words(dim: int, word: tuple[int, ...]) \
     length = len(word)
     return [f for f in (face_word(dim, word, i) for i in range(dim + 1))
             if len(f) == length]
-
-
-def _same_length_faces(tau: Simplex) -> list[Simplex]:
-    return [Simplex(tau.dim - 1, f)
-            for f in _same_length_face_words(tau.dim, tau.word)]
 
 
 def _steepness(n: int, word: tuple[int, ...], flags: PairingFlags) \
@@ -293,16 +301,22 @@ class Matching:
 
     @classmethod
     def from_json(cls, text: str) -> "Matching":
-        data = json.loads(text)
+        data = _json_object(json.loads(text), ("scope", "flags", "pairs"),
+                            "matching export")
         pairs = []
-        for entry in data["pairs"]:
-            s = Simplex(int(entry["sigma"]["dim"]),
-                        tuple(int(k) for k in entry["sigma"]["word"]))
-            t = Simplex(int(entry["tau"]["dim"]),
-                        tuple(int(k) for k in entry["tau"]["word"]))
-            pairs.append((s, t))
-        return cls(pairs, Scope.from_json_dict(data["scope"]),
-                   PairingFlags.from_json_dict(data["flags"]))
+        try:
+            for entry in data["pairs"]:
+                _json_object(entry, ("sigma", "tau"), "matching pair")
+                s, t = (_json_object(entry[role], ("dim", "word"), role)
+                        for role in ("sigma", "tau"))
+                pairs.append(
+                    (Simplex(int(s["dim"]), tuple(int(k) for k in s["word"])),
+                     Simplex(int(t["dim"]), tuple(int(k) for k in t["word"]))))
+            scope = Scope.from_json_dict(data["scope"])
+        except TypeError as exc:
+            raise ValueError(f"matching export holds a value of the wrong "
+                             f"type: {exc}") from None
+        return cls(pairs, scope, PairingFlags.from_json_dict(data["flags"]))
 
 
 class CriticalReport:
@@ -311,10 +325,9 @@ class CriticalReport:
     reasons maps each unmatched cell that is not degenerate by fiat to why
     the rule skipped it; build_matching fills it and the per-stratum lists
     of those cells as it walks.  strata adds the degenerate-by-fiat cells
-    (every degenerate word, under the critical policy), and would_pair lists
-    the degenerate cells that satisfy the steepness conditions and were kept
-    critical only by policy.  Both enumerate whole strata, so each is built
-    on first read and kept; the homology path reads neither.
+    (every degenerate word, under the critical policy); it enumerates whole
+    strata, so it is built on first read and kept, and the homology path
+    does not read it.
     """
 
     def __init__(self, scope: Scope, flags: PairingFlags,
@@ -339,30 +352,11 @@ class CriticalReport:
                     out[key] = (deg, unm)
         return out
 
-    @cached_property
-    def would_pair(self) -> list[tuple[Simplex, Simplex]]:
-        if self.flags.degenerate_policy != "critical":
-            return []
-        allow = PairingFlags(degenerate_policy="allow")
-        out = []
-        for length in range(self.scope.max_length + 1):
-            for n in range(0 if length == 0 else 1, self.scope.max_dim):
-                for word in stratum_words(n, length):
-                    if is_degenerate_word(n, word):
-                        tw, _ = _steepness(n, word, allow)
-                        if tw is not None:
-                            out.append((Simplex(n, word), Simplex(n + 1, tw)))
-        return out
-
     def degenerate_by_fiat(self, dim: int, length: int) -> list[Simplex]:
         return self.strata.get(StratumKey(dim, length), ([], []))[0]
 
     def unmatched_nondegenerate(self, dim: int, length: int) -> list[Simplex]:
         return self._unmatched.get(StratumKey(dim, length), [])
-
-    def critical_cells(self, dim: int, length: int) -> list[Simplex]:
-        deg, unm = self.strata.get(StratumKey(dim, length), ([], []))
-        return sorted(deg + unm, key=sort_key)
 
     def to_csv(self) -> str:
         lines = ["dim,length,simplex,degenerate,reason"]
@@ -466,24 +460,24 @@ _REDUCTION_NOTE = (
     "paths")
 
 
-def validate_matching(m: Matching, scope: Optional[Scope] = None) -> Verdict:
+def validate_matching(m: Matching) -> Verdict:
     """Regularity, injectivity, and per-stratum acyclicity with witnesses."""
-    scope = scope or m.scope
     errors: list[str] = []
     seen: dict[Simplex, str] = {}
     strata: dict[tuple[int, int], list[tuple[Simplex, Simplex]]] = {}
 
     for sigma, tau in m.pairs:
-        if not scope.covers(sigma) or not scope.covers(tau):
+        if not m.scope.covers(sigma) or not m.scope.covers(tau):
             raise ValueError(
-                f"pair ({sigma}, {tau}) lies outside scope {scope}")
-        hits = [i for i in range(tau.dim + 1) if face(tau, i) == sigma]
+                f"pair ({sigma}, {tau}) lies outside scope {m.scope}")
+        n, sw, tw = tau.dim, sigma.word, tau.word
+        hits = [i for i in range(n + 1) if face_word(n, tw, i) == sw]
         if len(hits) != 1:
             errors.append(
                 f"regularity: {simplex_text(sigma)} occurs in faces of "
                 f"{simplex_text(tau)} at indices {hits}, not exactly once")
         if m.flags.degenerate_policy == "critical":
-            if is_degenerate(sigma) or is_degenerate(tau):
+            if is_degenerate_word(n - 1, sw) or is_degenerate_word(n, tw):
                 errors.append(
                     f"policy: pair ({simplex_text(sigma)}, {simplex_text(tau)}) "
                     f"contains a degenerate cell under the critical policy")
@@ -514,20 +508,20 @@ def validate_matching(m: Matching, scope: Optional[Scope] = None) -> Verdict:
 
 def _stratum_cycle(pairs: list[tuple[Simplex, Simplex]]) \
         -> Optional[list[Simplex]]:
-    """A cycle sigma_0, tau_0, sigma_1, ..., sigma_0 if one exists."""
-    partner = dict(pairs)
-    succ: dict[Simplex, list[Simplex]] = {}
-    for sigma, tau in pairs:
-        succ[sigma] = [f for f in _same_length_faces(tau)
-                       if f != sigma and f in partner]
+    """A cycle sigma_0, tau_0, sigma_1, ..., sigma_0 if one exists; the
+    search runs on words, which tell the cells of one stratum apart."""
+    cell = {s.word: s for s, _ in pairs}
+    partner = {s.word: t for s, t in pairs}
+    succ = {s.word: [f for f in _same_length_face_words(t.dim, t.word)
+                     if f != s.word and f in partner] for s, t in pairs}
 
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {s: WHITE for s in partner}
     for root in partner:
         if color[root] != WHITE:
             continue
-        stack: list[tuple[Simplex, int]] = [(root, 0)]
-        trail: list[Simplex] = [root]
+        stack: list[tuple[tuple[int, ...], int]] = [(root, 0)]
+        trail: list[tuple[int, ...]] = [root]
         color[root] = GRAY
         while stack:
             node, idx = stack[-1]
@@ -539,8 +533,8 @@ def _stratum_cycle(pairs: list[tuple[Simplex, Simplex]]) \
                     loop = trail[at:] + [nxt]
                     out: list[Simplex] = []
                     for s in loop[:-1]:
-                        out.extend((s, partner[s]))
-                    out.append(loop[-1])
+                        out.extend((cell[s], partner[s]))
+                    out.append(cell[loop[-1]])
                     return out
                 if color[nxt] == WHITE:
                     color[nxt] = GRAY
@@ -577,7 +571,8 @@ def matching_to_dot(m: Matching) -> str:
                 f'    "d{x.dim}:{simplex_text(x)}" '
                 f'[label="{simplex_text(x)}"{style}];')
         for tau in enumerate_stratum(dim + 1, length):
-            for f in _same_length_faces(tau):
+            for fw in _same_length_face_words(dim + 1, tau.word):
+                f = Simplex(dim, fw)
                 if up.get(f) == tau:
                     continue
                 lines.append(

@@ -10,11 +10,15 @@ Faces and degeneracies are monoid homomorphisms, so they act letterwise.
 On letters they follow closed-form tables derived from the simplicial
 identities; the test suite re-derives both tables from an independent
 rewriting of degeneracy subscript strings and cross-checks them.
+
+A word is degenerate exactly when it misses a letter of 1..dim: a word
+missing the letter dim - j is s_j of its face d_j, and a word using every
+letter is in the image of no degeneracy.  The identity of dimension 0 is
+the only 0-simplex and is nondegenerate.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
@@ -70,16 +74,7 @@ def identity(dim: int) -> Simplex:
     return Simplex(dim, ())
 
 
-def generator_simplex(dim: int, index: int) -> Simplex:
-    Generator(dim, index)  # validate range
-    return Simplex(dim, (index,))
-
-
 # --- faces and degeneracies -------------------------------------------------
-
-def _degeneracy_letter(n: int, k: int, j: int) -> int:
-    return k if j <= n - k else k + 1
-
 
 def face_generator(g: Generator, i: int) -> Generator | None:
     """d_i of a letter; None when the letter is sent to the identity."""
@@ -87,12 +82,6 @@ def face_generator(g: Generator, i: int) -> Generator | None:
         raise ValueError(f"face index {i} out of range 0..{g.dim}")
     word = face_word(g.dim, (g.index,), i)
     return Generator(g.dim - 1, word[0]) if word else None
-
-
-def degeneracy_generator(g: Generator, j: int) -> Generator:
-    if not 0 <= j <= g.dim:
-        raise ValueError(f"degeneracy index {j} out of range 0..{g.dim}")
-    return Generator(g.dim + 1, _degeneracy_letter(g.dim, g.index, j))
 
 
 def face(x: Simplex, i: int) -> Simplex:
@@ -126,38 +115,22 @@ def degeneracy(x: Simplex, j: int) -> Simplex:
     if not 0 <= j <= x.dim:
         raise ValueError(f"degeneracy index {j} out of range 0..{x.dim}")
     n = x.dim
-    return Simplex(n + 1, tuple(_degeneracy_letter(n, k, j) for k in x.word))
+    return Simplex(n + 1, tuple(k if j <= n - k else k + 1 for k in x.word))
 
 
 # --- degeneracy detection ---------------------------------------------------
-
-def degeneracy_witness(x: Simplex) -> tuple[int, Simplex] | None:
-    """Least j with s_j(d_j(x)) == x, together with that preimage d_j(x).
-
-    Every positive-dimensional word whose letters do not exhaust 1..dim is
-    degenerate, and the least missing value of dim - j locates the witness;
-    words using all dim letters are nondegenerate.  The identity in
-    dimension n >= 1 is s_0 of the identity below it.  The test suite checks
-    this rule against a literal scan of all j.
-    """
-    n, letters = x.dim, set(x.word)
-    if n == 0:
-        return None
-    for j in range(n):
-        if (n - j) not in letters:
-            return j, face(x, j)
-    return None
-
 
 def is_degenerate(x: Simplex) -> bool:
     return is_degenerate_word(x.dim, x.word)
 
 
 def is_degenerate_word(dim: int, word: tuple[int, ...]) -> bool:
-    """Whether the dimension-dim word is degenerate (see degeneracy_witness).
+    """Whether the dimension-dim word is degenerate.
 
-    Letters lie in 1..dim, so a word is nondegenerate iff it uses all dim
-    of them; in dimension 0 only the identity exists, and it is not.
+    Letters lie in 1..dim.  A word missing the letter dim - j is s_j(d_j)
+    of itself, so it is degenerate; a word using all dim letters is not.
+    In dimension 0 only the identity exists, and it is not degenerate.
+    The test suite checks this rule against a literal scan of all s_j d_j.
     """
     return len(set(word)) < dim
 
@@ -167,12 +140,6 @@ def is_degenerate_word(dim: int, word: tuple[int, ...]) -> bool:
 def sort_key(x: Simplex) -> tuple[int, tuple[int, ...]]:
     """Word length first, then left-to-right lexicographic on letters."""
     return (len(x.word), x.word)
-
-
-def lex_less(a: Simplex, b: Simplex) -> bool:
-    if a.dim != b.dim:
-        raise ValueError("simplices of different dimensions are not comparable")
-    return sort_key(a) < sort_key(b)
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,7 +181,7 @@ def surjective_words(dim: int, length: int) -> Iterator[tuple[int, ...]]:
     """The nondegenerate words of stratum (dim, length), in lex order.
 
     These are the words that use every letter 1..dim (see
-    degeneracy_witness): dim! * S(length, dim) of them, against dim**length
+    is_degenerate_word): dim! * S(length, dim) of them, against dim**length
     in the stratum.  A prefix is extended only while the positions left can
     still hold the letters it misses, and once it holds all of them every
     tail is allowed.
@@ -241,42 +208,9 @@ def surjective_words(dim: int, length: int) -> Iterator[tuple[int, ...]]:
         yield from extend((), frozenset())
 
 
-def enumerate_cells(dim: int, max_length: int) -> Iterator[Simplex]:
-    """All words of length 0..max_length, shortest first, lex within length."""
-    top = 0 if dim == 0 else max_length
-    for length in range(top + 1):
-        yield from enumerate_stratum(dim, length)
-
-
-# --- text and JSON round-trips ----------------------------------------------
+# --- text -------------------------------------------------------------------
 
 def simplex_text(x: Simplex) -> str:
     if not x.word:
         return "e"
     return ".".join(f"a{k}" for k in x.word)
-
-
-def parse_simplex(text: str, dim: int) -> Simplex:
-    """Inverse of simplex_text for a known dimension."""
-    text = text.strip()
-    if text == "e":
-        return identity(dim)
-    letters = []
-    for part in text.split("."):
-        if not part.startswith("a"):
-            raise ValueError(f"bad generator {part!r} in {text!r}")
-        try:
-            letters.append(int(part[1:]))
-        except ValueError:
-            raise ValueError(f"bad generator {part!r} in {text!r}") from None
-    return Simplex(dim, tuple(letters))
-
-
-def simplex_to_json(x: Simplex) -> str:
-    return json.dumps({"dim": x.dim, "word": list(x.word)},
-                      separators=(",", ":"))
-
-
-def simplex_from_json(text: str) -> Simplex:
-    data = json.loads(text)
-    return Simplex(int(data["dim"]), tuple(int(k) for k in data["word"]))

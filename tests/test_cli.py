@@ -18,7 +18,6 @@ from fkmorse.cli import (
     ChainParseError,
     main,
     parse_chain,
-    parse_enumerate_json,
     render_cell,
     render_chain,
 )
@@ -113,13 +112,12 @@ def test_enumerate_json_round_trip(capsys):
     code, out, _ = run(capsys, "enumerate", "--dim", "2", "--length", "2",
                        "--format", "json")
     assert code == EXIT_OK
-    cells = parse_enumerate_json(out)
-    assert cells == [
-        (0, S(2, (1, 1)), True),
-        (1, S(2, (1, 2)), False),
-        (2, S(2, (2, 1)), False),
-        (3, S(2, (2, 2)), True),
-    ]
+    assert json.loads(out) == {"dim": 2, "length": 2, "cells": [
+        {"rank": 0, "word": "a1.a1", "degenerate": True},
+        {"rank": 1, "word": "a1.a2", "degenerate": False},
+        {"rank": 2, "word": "a2.a1", "degenerate": False},
+        {"rank": 3, "word": "a2.a2", "degenerate": True},
+    ]}
 
 
 def test_enumerate_rejects_impossible_stratum(capsys):
@@ -264,6 +262,37 @@ def test_validate_rejects_a_removed_quantifier_scope(capsys, tmp_path,
     assert "option was removed" in err
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda data: data.pop("flags"), "matching export has no 'flags' key"),
+    (lambda data: data.pop("scope"), "matching export has no 'scope' key"),
+    (lambda data: data["pairs"][0].pop("tau"),
+     "matching pair has no 'tau' key"),
+    (lambda data: data["flags"].pop("degenerate_policy"),
+     "matching flags has no 'degenerate_policy' key"),
+    (lambda data: data["pairs"][0]["sigma"].update(word=3),
+     "matching export holds a value of the wrong type"),
+], ids=["no-flags", "no-scope", "no-tau", "no-policy", "word-not-a-list"])
+def test_validate_rejects_a_malformed_export(capsys, tmp_path, edit,
+                                             message):
+    data = json.loads(build_matching(3, 3)[0].to_json())
+    edit(data)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", "--matching", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: " + message)
+
+
+def test_validate_rejects_an_export_that_is_not_an_object(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text("[]")
+    code, out, err = run(capsys, "validate", "--matching", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: matching export must be a JSON object, not list\n"
+
+
 # --- flow ----------------------------------------------------------------------------
 
 def test_flow_collapses_generator_powers(capsys):
@@ -302,6 +331,14 @@ def test_flow_scope_exit_code(capsys):
                        "--max-dim", "3")
     assert code == EXIT_SCOPE
     assert "beyond max_dim" in err
+
+
+@pytest.mark.parametrize("bound", ["--max-dim", "--max-length"])
+def test_flow_zero_bound_is_a_usage_error(capsys, bound):
+    code, out, err = run(capsys, "flow", "--chain", "y^4", bound, "0")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "scope bounds must be >= 1" in err
 
 
 def test_flow_parse_error_exit_code(capsys):

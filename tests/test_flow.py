@@ -18,9 +18,7 @@ from fkmorse.errors import (SelfCheckError, StabilizationError,
                             TruncationError)
 from fkmorse.flow import (
     FlowContext,
-    NamedCell,
     beta_cell,
-    identity_cell,
     sigma_cell,
     sigma_tilde_cell,
     tau_cell,
@@ -29,7 +27,7 @@ from fkmorse.flow import (
 )
 from fkmorse.pairing import (Matching, PairingFlags, Scope, SteepnessRule,
                              build_matching)
-from fkmorse.simplicial import Simplex, enumerate_stratum, face
+from fkmorse.simplicial import Simplex, enumerate_stratum, face, identity
 
 S = Simplex
 ALLOW = PairingFlags(degenerate_policy="allow")
@@ -53,7 +51,7 @@ def test_named_cell_expansions():
     assert tau_tilde_cell(4) == S(4, (3, 4, 2, 2))
     assert y_power(1) == S(1, (1,))
     assert y_power(3) == S(1, (1, 1, 1))
-    assert identity_cell(2) == S(2, ())
+    assert identity(2) == S(2, ())
     assert beta_cell(4, 1) == S(5, (5, 4, 3, 2))
     assert beta_cell(4, 4) == S(5, (5, 3, 2, 1))
 
@@ -77,15 +75,6 @@ def test_degenerate_corner_names():
 def test_named_cell_parameter_errors(bad):
     with pytest.raises(ValueError):
         bad()
-
-
-def test_named_cell_objects():
-    cell = NamedCell("sigma", (3,))
-    assert cell.kind == "sigma"
-    assert cell.params == (3,)
-    assert cell.expand() == sigma_cell(3)
-    with pytest.raises(ValueError):
-        NamedCell("zeta", (1,))
 
 
 def test_beta_is_a_top_word_with_one_letter_deleted():
@@ -428,6 +417,29 @@ def test_boundary_row_rejects_a_disagreeing_route(monkeypatch):
     monkeypatch.setattr(flow, "stabilize", second_route_off_by_one)
     with pytest.raises(SelfCheckError, match="exchange failed"):
         flow.boundary_row(sigma_cell(4), [sigma_cell(3), tau_cell(3)])
+    assert flow.dual_route_checks == 0
+
+
+def test_boundary_row_compares_whole_chains(monkeypatch):
+    # The routes are compared in every coefficient, so a disagreement shows
+    # even when the row reads no basis cell, and the error names the least
+    # differing cell.
+    flow = FlowContext(SteepnessRule(), Scope(6, 5))
+    honest = flow.stabilize
+    calls = []
+
+    def second_route_off(c):
+        calls.append(c)
+        stable, steps = honest(c)
+        if len(calls) == 2:  # the stabilization of the cell itself
+            stable = stable + _unit(tau_cell(4))
+        return stable, steps
+
+    monkeypatch.setattr(flow, "stabilize", second_route_off)
+    with pytest.raises(SelfCheckError, match="exchange failed") as caught:
+        flow.boundary_row(sigma_cell(4), [])
+    least = boundary(_unit(tau_cell(4))).support()[0]  # sorted support
+    assert f"at (a4.a3.a2.a1, {least})" in str(caught.value)
     assert flow.dual_route_checks == 0
 
 

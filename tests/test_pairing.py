@@ -208,8 +208,6 @@ def test_report_strata_partition(built_3_3):
         [(1, 1, 1), (2, 2, 2)]
     assert [c.word for c in report.unmatched_nondegenerate(2, 3)] == \
         [(1, 2, 1), (2, 1, 1)]
-    assert [c.word for c in report.critical_cells(2, 3)] == \
-        [(1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 2)]
     assert [c.word for c in report.unmatched_nondegenerate(1, 1)] == [(1,)]
     assert [c.word for c in report.unmatched_nondegenerate(3, 3)] == \
         [(1, 3, 2), (3, 1, 2), (3, 2, 1)]
@@ -226,14 +224,6 @@ def test_report_reasons(built_3_3):
     assert S(2, (2, 2)) not in report.reasons
 
 
-def test_report_would_pair_records_allow_candidates(built_3_3):
-    _, report = built_3_3
-    assert report.would_pair == [
-        (S(2, (2, 2)), S(3, (2, 3))),
-        (S(2, (2, 2, 2)), S(3, (2, 2, 3))),
-    ]
-
-
 def test_report_csv_shape(built_3_3):
     _, report = built_3_3
     text = report.to_csv()
@@ -246,12 +236,6 @@ def test_report_csv_shape(built_3_3):
     assert by_cell[("2", "2", "a2.a1")]["reason"] == "no-regular-coface"
     assert by_cell[("2", "3", "a1.a2.a1")]["reason"] == "not-max-in-min-coface"
     assert by_cell[("3", "3", "a3.a2.a1")]["reason"] == "upward-undecided"
-
-
-def test_build_in_allow_mode_pairs_the_would_pair_cells():
-    matching, report = build_matching(3, 3, flags=ALLOW)
-    assert matching.pair_up(S(2, (2, 2))) == S(3, (2, 3))
-    assert report.would_pair == []
 
 
 def test_truncation_limit():
@@ -353,10 +337,9 @@ def _literal_pair(sigma, flags, table, scopes=KEPT_SCOPES):
 
 
 def _literal_build(max_dim, max_length, flags, scopes=KEPT_SCOPES):
-    """(pairs, strata, reasons, would_pair, down) by definition; down maps
-    each upper cell to the lower cell it holds as a regular face."""
+    """(pairs, strata, reasons, down) by definition; down maps each upper
+    cell to the lower cell it holds as a regular face."""
     critical = flags.degenerate_policy == "critical"
-    allow = PairingFlags(degenerate_policy="allow")
     tables = {}
 
     def faces_of(dim, length):
@@ -364,7 +347,7 @@ def _literal_build(max_dim, max_length, flags, scopes=KEPT_SCOPES):
             tables[dim, length] = _coface_table(dim, length)
         return tables[dim, length]
 
-    pairs, would_pair = [], []
+    pairs = []
     for length in range(max_length + 1):
         for n in range(0 if length == 0 else 1, max_dim):
             for sigma in enumerate_stratum(n, length):
@@ -372,11 +355,6 @@ def _literal_build(max_dim, max_length, flags, scopes=KEPT_SCOPES):
                                        scopes)
                 if tau is not None:
                     pairs.append((sigma, tau))
-                elif critical and is_degenerate(sigma):
-                    diag, _ = _literal_pair(sigma, allow,
-                                            faces_of(n + 1, length), scopes)
-                    if diag is not None:
-                        would_pair.append((sigma, diag))
     matched = {x for pair in pairs for x in pair}
     strata, reasons = {}, {}
     for n in range(max_dim + 1):
@@ -396,7 +374,7 @@ def _literal_build(max_dim, max_length, flags, scopes=KEPT_SCOPES):
                 strata[StratumKey(n, length)] = (deg, unm)
     down = {tau: sigma for sigma, tau in pairs
             if faces_of(tau.dim, tau.length)[0][tau].count(sigma) == 1}
-    return pairs, strata, reasons, would_pair, down
+    return pairs, strata, reasons, down
 
 
 def _literal_csv(strata, reasons):
@@ -436,7 +414,7 @@ def _assert_removed_scope_relation(kept, literal, scopes, flags, scope):
 @pytest.mark.parametrize("max_dim,max_length,scopes,flags", ORACLE_CASES)
 def test_build_matching_agrees_with_the_literal_definition(
         max_dim, max_length, scopes, flags):
-    pairs, strata, reasons, would_pair, _ = \
+    pairs, strata, reasons, _ = \
         _literal_build(max_dim, max_length, flags, scopes)
     scope = Scope(max_dim, max_length)
     matching, report = build_matching(max_dim, max_length, flags)
@@ -448,14 +426,13 @@ def test_build_matching_agrees_with_the_literal_definition(
     assert matching.pairs == Matching(pairs, scope, flags).pairs
     assert list(report.strata.items()) == list(strata.items())
     assert list(report.reasons.items()) == list(reasons.items())
-    assert report.would_pair == would_pair
     assert report.to_csv() == _literal_csv(strata, reasons)
 
 
 @pytest.mark.parametrize("max_dim,max_length,scopes,flags", ORACLE_CASES)
 def test_lazy_rule_agrees_with_the_literal_definition(
         max_dim, max_length, scopes, flags):
-    pairs, _, _, _, down = _literal_build(max_dim, max_length, flags, scopes)
+    pairs, _, _, down = _literal_build(max_dim, max_length, flags, scopes)
     rule = SteepnessRule(flags)
     if scopes != KEPT_SCOPES:
         kept = [(x, rule.pair_up(x)) for n in range(max_dim)
@@ -477,7 +454,6 @@ def test_lazy_rule_agrees_with_the_literal_definition(
 def test_report_keeps_what_it_builds_on_first_read(built_3_3):
     _, report = built_3_3
     assert report.strata is report.strata
-    assert report.would_pair is report.would_pair
     deg, _ = report.strata[StratumKey(2, 3)]
     assert report.degenerate_by_fiat(2, 3) is deg
 
@@ -588,11 +564,13 @@ def test_validator_rejects_alternating_cycle():
 
 
 def test_validator_scope_override_rejects_uncovered_pairs(built_3_3):
-    # Passing a scope that cannot hold the matching is a usage error, not a
-    # matching defect, so it raises instead of returning a failed verdict.
+    # The validator checks a matching against its own scope; pairs that
+    # scope cannot hold are a usage error, not a matching defect, so they
+    # raise instead of returning a failed verdict.
     matching, _ = built_3_3
     with pytest.raises(ValueError, match="outside scope"):
-        validate_matching(matching, scope=Scope(2, 2))
+        validate_matching(Matching(matching.pairs, Scope(2, 2),
+                                   matching.flags))
 
 
 # --- DOT rendering ---------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Cells, face/degeneracy structure, enumeration, and serialization.
+"""Cells, face/degeneracy structure, enumeration, and cell text.
 
 The oracle at the top recomputes generator faces and degeneracies from first
 principles: a generator is an iterated-degeneracy word applied to the
@@ -10,31 +10,23 @@ everywhere; the tests below freeze that agreement before anything else.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 
 import pytest
 
+from fkmorse.cli import parse_chain
 from fkmorse.simplicial import (
     Generator,
     Simplex,
     StratumKey,
     degeneracy,
-    degeneracy_generator,
-    degeneracy_witness,
-    enumerate_cells,
     enumerate_stratum,
     face,
     face_generator,
-    generator_simplex,
     identity,
     is_degenerate,
-    lex_less,
-    parse_simplex,
-    simplex_from_json,
     simplex_text,
-    simplex_to_json,
     sort_key,
     stratum_size,
     surjective_words,
@@ -116,12 +108,13 @@ def test_face_generator_matches_pushing_oracle():
                     assert got == Generator(n - 1, want), (n, k, i, got, want)
 
 
-def test_degeneracy_generator_matches_pushing_oracle():
+def test_degeneracy_table_matches_pushing_oracle():
+    # the degeneracy of a one-letter word is its letter's table entry
     for n in range(1, 7):
         for k in range(1, n + 1):
             for j in range(n + 1):
-                got = degeneracy_generator(Generator(n, k), j)
-                assert got == Generator(n + 1, oracle_degeneracy(n, k, j))
+                got = degeneracy(Simplex(n, (k,)), j)
+                assert got == Simplex(n + 1, (oracle_degeneracy(n, k, j),))
 
 
 def test_face_generator_display_cases():
@@ -149,13 +142,13 @@ def test_face_generator_dimension_one_collapses():
     assert face_generator(Generator(1, 1), 1) is None
 
 
-def test_degeneracy_generator_display_cases():
+def test_degeneracy_table_display_cases():
     for n in range(1, 7):
         for k in range(1, n + 1):
             for j in range(n + 1):
                 want = k if j <= n - k else k + 1
-                assert degeneracy_generator(Generator(n, k), j) == \
-                    Generator(n + 1, want)
+                assert degeneracy(Simplex(n, (k,)), j) == \
+                    Simplex(n + 1, (want,))
 
 
 def test_generator_validation():
@@ -168,7 +161,7 @@ def test_generator_validation():
     with pytest.raises(ValueError):
         face_generator(Generator(3, 2), 4)
     with pytest.raises(ValueError):
-        degeneracy_generator(Generator(3, 2), -1)
+        degeneracy(Simplex(3, (2,)), -1)
 
 
 # --- words and monoid structure ----------------------------------------------------
@@ -227,7 +220,8 @@ def _sample_words(rng: random.Random, count: int, max_dim: int,
 
 def _all_words(max_dim: int, max_length: int):
     for n in range(max_dim + 1):
-        yield from enumerate_cells(n, max_length)
+        for length in range(max_length + 1 if n else 1):
+            yield from enumerate_stratum(n, length)
 
 
 def test_simplicial_identities_exhaustive_small():
@@ -300,16 +294,13 @@ def test_is_degenerate_matches_literal_scan_random():
         assert is_degenerate(x) == _literal_degenerate(x), x
 
 
-def test_degeneracy_witness_is_minimal_and_exact():
+def test_a_missing_letter_locates_the_degeneracy():
+    # the rule stated in the module docstring: a word missing the letter
+    # dim - j is s_j of its face d_j, and only then
     for x in _all_words(4, 4):
-        wit = degeneracy_witness(x)
-        if wit is None:
-            assert not _literal_degenerate(x)
-            continue
-        j, pre = wit
-        assert degeneracy(pre, j) == x
-        for smaller in range(j):
-            assert degeneracy(face(x, smaller), smaller) != x
+        for j in range(x.dim):
+            missing = (x.dim - j) not in x.word
+            assert (degeneracy(face(x, j), j) == x) == missing, (x, j)
 
 
 def test_known_degeneracy_facts():
@@ -317,16 +308,15 @@ def test_known_degeneracy_facts():
     assert not is_degenerate(identity(0))
     for n in range(1, 6):
         assert is_degenerate(identity(n))
-        assert degeneracy_witness(identity(n)) == (0, identity(n - 1))
+        assert degeneracy(identity(n - 1), 0) == identity(n)
     # generators above dimension one are degenerate
     assert not is_degenerate(Simplex(1, (1,)))
     for n in range(2, 7):
         for k in range(1, n + 1):
-            assert is_degenerate(generator_simplex(n, k))
+            assert is_degenerate(Simplex(n, (k,)))
     # words missing a letter are degenerate; full-alphabet words are not
     assert is_degenerate(Simplex(3, (3, 2, 2)))
-    assert degeneracy_witness(Simplex(3, (3, 2, 2))) == \
-        (2, Simplex(2, (2, 1, 1)))
+    assert degeneracy(Simplex(2, (2, 1, 1)), 2) == Simplex(3, (3, 2, 2))
     assert not is_degenerate(Simplex(3, (3, 2, 1)))
     assert not is_degenerate(Simplex(2, (1, 2)))
     assert is_degenerate(Simplex(2, (1, 1)))
@@ -383,17 +373,9 @@ def test_surjective_words_are_the_nondegenerate_words_in_order():
         (1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 1, 1), (2, 1, 2), (2, 2, 1)]
 
 
-def test_enumerate_cells_shortest_first():
-    cells = list(enumerate_cells(2, 2))
-    keys = [sort_key(c) for c in cells]
-    assert keys == sorted(keys)
-    assert cells[0] == identity(2)
-    assert len(cells) == 1 + 2 + 4
-
-
 def test_lex_order_on_equal_length():
-    assert lex_less(Simplex(2, (1, 2)), Simplex(2, (2, 1)))
-    assert not lex_less(Simplex(2, (2, 1)), Simplex(2, (1, 2)))
+    assert sort_key(Simplex(2, (1, 2))) < sort_key(Simplex(2, (2, 1)))
+    assert not sort_key(Simplex(2, (2, 1))) < sort_key(Simplex(2, (1, 2)))
     assert sort_key(Simplex(2, (2,))) < sort_key(Simplex(2, (1, 1)))
 
 
@@ -408,32 +390,14 @@ def test_stratum_key_validation():
         StratumKey(1, -2)
 
 
-# --- text and JSON round-trips --------------------------------------------------------
+# --- text ----------------------------------------------------------------------------
 
 def test_simplex_text_round_trip():
+    # the command line's word syntax reads simplex_text back
     x = Simplex(3, (3, 2, 2))
     assert simplex_text(x) == "a3.a2.a2"
-    assert parse_simplex("a3.a2.a2", 3) == x
     assert simplex_text(identity(4)) == "e"
-    assert parse_simplex("e", 4) == identity(4)
-    with pytest.raises(ValueError):
-        parse_simplex("a3.a2", 2)
-    with pytest.raises(ValueError):
-        parse_simplex("b2", 3)
-    with pytest.raises(ValueError):
-        parse_simplex("", 3)
-
-
-def test_simplex_json_round_trip():
-    x = Simplex(3, (3, 2, 2))
-    blob = simplex_to_json(x)
-    assert json.loads(blob) == {"dim": 3, "word": [3, 2, 2]}
-    assert simplex_from_json(blob) == x
-    assert simplex_from_json(simplex_to_json(identity(2))) == identity(2)
-
-
-def test_simplex_json_round_trip_random():
+    assert simplex_text(Simplex(1, (1, 1))) == "a1.a1"
     rng = random.Random(5)
     for x in _sample_words(rng, 100, 6, 6):
-        assert simplex_from_json(simplex_to_json(x)) == x
-        assert parse_simplex(simplex_text(x), x.dim) == x
+        assert parse_chain(simplex_text(x), x.dim).support() == [x]
