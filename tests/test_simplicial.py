@@ -16,6 +16,7 @@ import random
 import pytest
 
 from fkmorse.cli import parse_chain
+from fkmorse.pairing import Matching, PairingFlags, Scope
 from fkmorse.simplicial import (
     Generator,
     Simplex,
@@ -398,6 +399,14 @@ def test_simplex_text_round_trip():
     assert simplex_text(x) == "a3.a2.a2"
     assert simplex_text(identity(4)) == "e"
     assert simplex_text(Simplex(1, (1, 1))) == "a1.a1"
+
+
+def test_simplex_json_round_trip_random():
+    # cells are written to JSON only inside a matching export, so each random
+    # word rides there as the lower cell of a pair with its degeneracy s_0
     rng = random.Random(5)
     for x in _sample_words(rng, 100, 6, 6):
+        pair = (x, degeneracy(x, 0))
+        m = Matching([pair], Scope(x.dim + 1, max(x.length, 1)), PairingFlags())
+        assert Matching.from_json(m.to_json()).pairs == [pair]
         assert parse_chain(simplex_text(x), x.dim).support() == [x]
