@@ -33,8 +33,9 @@ from .homology import (build_slice, compute_homology, morse_context,
                        stability_scan)
 from .pairing import (Matching, PairingFlags, Scope, SteepnessRule,
                       build_matching, matching_to_dot, validate_matching)
-from .simplicial import (Simplex, StratumKey, enumerate_stratum, identity,
-                         is_degenerate, simplex_text)
+from .simplicial import (Simplex, StratumKey, check_stratum_size,
+                         enumerate_stratum, identity, is_degenerate,
+                         simplex_text)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -162,6 +163,7 @@ def _flags_from(ns: argparse.Namespace) -> PairingFlags:
 
 def cmd_enumerate(ns: argparse.Namespace) -> int:
     StratumKey(ns.dim, ns.length)  # reject ill-formed strata up front
+    check_stratum_size(ns.dim, ns.length)
     cells = enumerate_stratum(ns.dim, ns.length)
     rows = [(rank, cell, is_degenerate(cell))
             for rank, cell in enumerate(cells)]

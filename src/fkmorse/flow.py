@@ -3,19 +3,28 @@
 V sends a matched lower cell to minus-incidence times its partner and
 everything else to zero; iterating the flow on a chain reaches a fixed
 point because the matching is acyclic and word length filters the strata.
-Morse boundary entries are always computed along both routes of the
-flow/boundary exchange (stabilize the boundary vs. bound the stabilization),
-whose two chains must agree exactly, term by term.
+The `flow` command prints that fixed point, and the tests use it as the
+oracle for Morse boundary slices.
+
+Morse boundary entries come from the gradient-path formula instead
+(Forman, Morse theory for cell complexes, 1998, Thm 8.10; in algorithmic
+form Skoldberg, TAMS 2006, and Harker-Mischaikow-Mrozek-Nanda, FoCM 2014),
+along two reductions that share only the pairing and the incidences and
+must agree at every basis cell: forward, each face of a cell projects onto
+the critical cells by following gradient paths down; backward, gradient
+paths run up from each basis cell through all of its cofaces.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Callable, Container, Optional, Union
 
-from .chains import Chain, boundary, incidence, inner
+from .chains import Chain, boundary, boundary_simplex, incidence
 from .errors import SelfCheckError, StabilizationError, TruncationError
-from .pairing import Matching, Scope, SteepnessRule, validate_matching
-from .simplicial import Simplex, identity, sort_key, stratum_size
+from .pairing import (Matching, Scope, SteepnessRule, _coface_words_within,
+                      validate_matching)
+from .simplicial import (Simplex, identity, is_degenerate, sort_key,
+                         stratum_size)
 
 Pairing = Union[Matching, SteepnessRule]
 
@@ -69,6 +78,34 @@ def y_power(r: int) -> Simplex:
 
 # --- the flow -------------------------------------------------------------------
 
+def _postorder(root: Simplex, successors: Callable[[Simplex], list[Simplex]],
+               known: Container[Simplex]) -> list[Simplex]:
+    """The cells reachable from root through successors and not in known,
+    each after all of its successors.  A cell reached again while the walk
+    is still inside it is a cycle, which an acyclic matching never has."""
+    order: list[Simplex] = []
+    walking = {root}
+    done: set[Simplex] = set()
+    stack = [(root, iter(successors(root)))]
+    while stack:
+        cell, rest = stack[-1]
+        for y in rest:
+            if y in walking:
+                raise SelfCheckError(
+                    f"gradient path from {cell} returns to {y}: the "
+                    f"matching has a cycle")
+            if y not in done and y not in known:
+                walking.add(y)
+                stack.append((y, iter(successors(y))))
+                break
+        else:
+            stack.pop()
+            walking.discard(cell)
+            done.add(cell)
+            order.append(cell)
+    return order
+
+
 class FlowContext:
     """Scope-guarded flow computations over a fixed pairing.
 
@@ -102,9 +139,17 @@ class FlowContext:
         self.scope = scope
         self.mode = mode
         self.dual_route_checks = 0
-        # <boundary tau, x> of each matched x met so far, checked to be +-1
-        # when first computed; the pairing is fixed, so it never changes
+        # <boundary tau, x> of each matched x met so far (_pair_incidence)
         self._incidence: dict[Simplex, int] = {}
+        # the forward and backward reductions of boundary_row: G of each
+        # cell, the coface edges of each cell and the column of each basis
+        # cell, plus the last basis and its columns as sparse rows
+        self._gradient: dict[Simplex, dict[Simplex, int]] = {}
+        self._edges: dict[Simplex, tuple[list, list]] = {}
+        self._columns: dict[Simplex, dict[tuple[int, ...], int]] = {}
+        self._basis: list[Simplex] = []
+        self._index: dict[Simplex, list[int]] = {}
+        self._rows: dict[tuple[int, ...], dict[int, int]] = {}
         if iteration_cap is None:
             iteration_cap = max(
                 64,
@@ -135,15 +180,7 @@ class FlowContext:
             tau = self.pairing.pair_up(x)
             if tau is None:
                 continue
-            inc = self._incidence.get(x)
-            if inc is None:
-                inc = incidence(tau, x)
-                if abs(inc) != 1:
-                    raise SelfCheckError(
-                        f"matched pair ({x}, {tau}) has incidence {inc}, "
-                        f"not a regular pair")
-                self._incidence[x] = inc
-            terms.append((tau, -inc * coef))
+            terms.append((tau, -self._pair_incidence(x, tau) * coef))
         return Chain._sum(c.dim + 1, terms)
 
     def apply_flow(self, c: Chain) -> Chain:
@@ -168,27 +205,173 @@ class FlowContext:
     def is_critical(self, x: Simplex) -> bool:
         return self.pairing.is_critical(x)
 
-    def boundary_row(self, cell: Simplex, basis: list[Simplex]) -> list[int]:
-        """<boundary-tilde cell, b> for each b in basis.
+    # --- Morse boundary rows ----------------------------------------------------
 
-        The flow commutes with the boundary in either chain mode, so the two
-        exchange routes (stabilize the boundary vs. bound the stabilization)
-        must give equal chains, compared whole, in every coefficient.
+    def _pair_incidence(self, x: Simplex, tau: Simplex) -> int:
+        """<boundary tau, x> of the pair (x, tau), checked to be +-1 when
+        first computed; the pairing is fixed, so it never changes."""
+        inc = self._incidence.get(x)
+        if inc is None:
+            inc = incidence(tau, x)
+            if abs(inc) != 1:
+                raise SelfCheckError(
+                    f"matched pair ({x}, {tau}) has incidence {inc}, "
+                    f"not a regular pair")
+            self._incidence[x] = inc
+        return inc
+
+    def _projection(self, x: Simplex) -> dict[Simplex, int]:
+        """G(x): the critical cells of the stable value of x under the flow.
+
+        G(x) = x for a critical x, 0 for an upper cell, and
+        -inc * sum over the other faces y of its partner tau of
+        <boundary tau, y> G(y) for a cell that pairs up.  Memoized per
+        context.
         """
-        stable_dc, _ = self.stabilize(boundary(Chain.unit(cell), self.mode))
-        stable_c, _ = self.stabilize(Chain.unit(cell))
-        d_stable_c = boundary(stable_c, self.mode)
-        if stable_dc != d_stable_c:
-            x = (stable_dc - d_stable_c).support()[0]
+        memo = self._gradient
+        if x in memo:
+            return memo[x]
+        pairing = self.pairing
+        partners: dict[Simplex, tuple[int, list[tuple[Simplex, int]]]] = {}
+
+        def faces(cell: Simplex) -> list[Simplex]:
+            tau = pairing.pair_up(cell)
+            if tau is None:
+                return []
+            other = [(y, v) for y, v in
+                     boundary_simplex(tau, self.mode)._terms.items()
+                     if y != cell]
+            partners[cell] = (-self._pair_incidence(cell, tau), other)
+            return [y for y, _ in other]
+
+        for cell in _postorder(x, faces, memo):
+            if cell not in partners:
+                memo[cell] = {} if pairing.pair_down(cell) is not None \
+                    else {cell: 1}
+                continue
+            scale, other = partners.pop(cell)
+            acc: dict[Simplex, int] = {}
+            for y, v in other:
+                for z, u in memo[y].items():
+                    acc[z] = acc.get(z, 0) + scale * v * u
+            memo[cell] = {z: u for z, u in acc.items() if u}
+        return memo[x]
+
+    def _coface_edges(self, z: Simplex) -> tuple[
+            list[tuple[Simplex, int]], list[tuple[tuple[int, ...], int]]]:
+        """The cofaces tau of z within the scope, split by pair_down alone.
+
+        First, for each upper tau whose partner y is not z, the gradient
+        edge (y, -<boundary tau, y> <boundary tau, z>); then the word of
+        every other tau with <boundary tau, z>.  Memoized per context.
+        """
+        edges = self._edges.get(z)
+        if edges is not None:
+            return edges
+        up: list[tuple[Simplex, int]] = []
+        rest: list[tuple[tuple[int, ...], int]] = []
+        # a normalized boundary drops every degenerate face
+        if self.mode == "unnormalized" or not is_degenerate(z):
+            n = z.dim
+            inc: dict[tuple[int, ...], int] = {}
+            for i, w in _coface_words_within(n, z.word,
+                                             self.scope.max_length):
+                inc[w] = inc.get(w, 0) + (-1 if i % 2 else 1)
+            for w, v in inc.items():
+                if not v:
+                    continue
+                tau = Simplex(n + 1, w)
+                y = self.pairing.pair_down(tau)
+                if y is None:
+                    rest.append((w, v))
+                elif y != z:
+                    up.append((y, -self._pair_incidence(y, tau) * v))
+        edges = self._edges[z] = (up, rest)
+        return edges
+
+    def _column(self, sigma: Simplex) -> dict[tuple[int, ...], int]:
+        """<boundary-tilde c, sigma> by the word of every non-upper cell c
+        it is nonzero on, by walking gradient paths upward from sigma.
+
+        The weight of sigma is 1 and each gradient edge (y, w) out of a
+        cell z adds w times the weight of z to y; the walk's post-order,
+        reversed, puts every cell after all cells with an edge into it.
+        """
+        column = self._columns.get(sigma)
+        if column is not None:
+            return column
+        order = _postorder(
+            sigma, lambda z: [y for y, _ in self._coface_edges(z)[0]], {})
+        weight = {sigma: 1}
+        column = {}
+        for z in reversed(order):
+            h = weight.pop(z, 0)
+            if not h:
+                continue
+            up, rest = self._coface_edges(z)
+            for y, w in up:
+                weight[y] = weight.get(y, 0) + w * h
+            for w, v in rest:
+                column[w] = column.get(w, 0) + v * h
+        column = self._columns[sigma] = {w: v for w, v in column.items() if v}
+        return column
+
+    def _transposed(self, basis: list[Simplex]) -> tuple[
+            dict[Simplex, list[int]], dict[tuple[int, ...], dict[int, int]]]:
+        """The basis positions of each cell, and the backward columns of the
+        basis as sparse rows by word; kept for the last basis asked for."""
+        if basis != self._basis:
+            if len({b.dim for b in basis}) > 1:
+                raise ValueError("basis cells must share one dimension")
+            index: dict[Simplex, list[int]] = {}
+            rows: dict[tuple[int, ...], dict[int, int]] = {}
+            for j, sigma in enumerate(basis):
+                index.setdefault(sigma, []).append(j)
+                for w, v in self._column(sigma).items():
+                    rows.setdefault(w, {})[j] = v
+            self._basis, self._index, self._rows = list(basis), index, rows
+        return self._index, self._rows
+
+    def boundary_row(self, cell: Simplex, basis: list[Simplex]) -> list[int]:
+        """<boundary-tilde cell, b> for each b in basis, for a critical cell.
+
+        Two reductions that share only the pairing and the incidences must
+        agree at every basis cell: the forward one sums the projections G
+        of the faces of the cell; the backward one reads the cell off the
+        columns built by walking gradient paths upward from each b.
+        """
+        if not self.scope.covers(cell):
+            raise TruncationError(
+                f"cell {cell} lies outside the flow scope {self.scope}",
+                dim=cell.dim, length=cell.length)
+        if basis and basis[0].dim != cell.dim - 1:
+            raise ValueError(
+                f"a row of dimension-{cell.dim} cell {cell} reads "
+                f"dimension-{cell.dim - 1} cells, not {basis[0]}")
+        index, rows = self._transposed(basis)
+        forward: dict[Simplex, int] = {}
+        for y, v in boundary_simplex(cell, self.mode)._terms.items():
+            for z, u in self._projection(y).items():
+                forward[z] = forward.get(z, 0) + v * u
+        row = {j: u for z, u in forward.items() if u
+               for j in index.get(z, ())}
+        backward = rows.get(cell.word, {})
+        if row != backward:
+            j = min((j for j in row.keys() | backward.keys()
+                     if row.get(j) != backward.get(j)),
+                    key=lambda j: sort_key(basis[j]))
             raise SelfCheckError(
-                f"flow/boundary exchange failed at ({cell}, {x}): "
-                f"stabilized boundary gives {inner(stable_dc, x)}, boundary "
-                f"of the stabilization gives {inner(d_stable_c, x)}")
+                f"gradient-path routes disagree at ({cell}, {basis[j]}): "
+                f"forward reduction gives {row.get(j, 0)}, backward "
+                f"reduction gives {backward.get(j, 0)}")
         self.dual_route_checks += len(basis)
-        return [inner(stable_dc, low) for low in basis]
+        out = [0] * len(basis)
+        for j, u in row.items():
+            out[j] = u
+        return out
 
     def morse_boundary_entry(self, c: Simplex, sigma: Simplex) -> int:
-        """<boundary-tilde c, sigma> via both exchange routes, asserted equal."""
+        """<boundary-tilde c, sigma> via both reductions, asserted equal."""
         if c.dim != sigma.dim + 1:
             raise ValueError(
                 f"entry needs c.dim = sigma.dim + 1, got {c.dim}, {sigma.dim}")

@@ -354,6 +354,8 @@ def compute_homology(degree: int, max_length: int,
     ctx, report, _ = morse_context(degree, max_length, flags, mode)
     lo = build_slice(ctx, report, degree)
     hi = build_slice(ctx, report, degree + 1)
+    # the Smith normal form needs neither the matching nor the flow's memos
+    del ctx, report
     return homology_of_slices(lo, hi)
 
 

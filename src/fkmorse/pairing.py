@@ -16,20 +16,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Iterator, Optional
 
-from .errors import SelfCheckError, TruncationError
+from .errors import SelfCheckError
 from .simplicial import (
+    MAX_STRATUM_CELLS,
     Simplex,
     StratumKey,
+    check_stratum_size,
     enumerate_stratum,
     face_word,
     is_degenerate,
     is_degenerate_word,
     simplex_text,
     sort_key,
-    stratum_size,
     stratum_words,
     surjective_words,
 )
@@ -127,6 +128,33 @@ def _coface_words(n: int, word: tuple[int, ...]) \
         for w in product(*[(g,) if g < m else (g + 1,) if g > m
                            else (g, g + 1) for g in word]):
             yield i, w
+
+
+def _coface_words_within(n: int, word: tuple[int, ...], max_length: int) \
+        -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(i, tau_word) for every coface tau of length <= max_length with
+    d_i(tau) = word.
+
+    Only d_0 and d_{n+1} shorten a word: d_0 kills the top letter n+1, and
+    d_{n+1} kills 1 after every other letter drops by one.  So the longer
+    cofaces insert k >= 1 letters n+1 into the word, or k letters 1 into
+    the word with every letter raised, at any positions; the same-length
+    ones are those of _coface_words.
+    """
+    length = len(word)
+    if length > max_length:
+        return
+    yield from _coface_words(n, word)
+    raised = tuple(g + 1 for g in word)
+    for k in range(1, max_length - length + 1):
+        total = length + k
+        for slots in combinations(range(total), k):
+            top, bottom = list(word), list(raised)
+            for p in slots:
+                top.insert(p, n + 1)
+                bottom.insert(p, 1)
+            yield 0, tuple(top)
+            yield n + 1, tuple(bottom)
 
 
 def coface_occurrences(sigma: Simplex) -> dict[Simplex, tuple[int, ...]]:
@@ -375,7 +403,7 @@ class CriticalReport:
 def build_matching(max_dim: int, max_length: int,
                    flags: PairingFlags = DEFAULT_FLAGS,
                    validate: bool = True,
-                   max_stratum_cells: int = 2_000_000) \
+                   max_stratum_cells: int = MAX_STRATUM_CELLS) \
         -> tuple[Matching, CriticalReport]:
     """Steepness pairs for every stratum with sigma.dim < max_dim.
 
@@ -393,12 +421,7 @@ def build_matching(max_dim: int, max_length: int,
         raise ValueError("build_matching needs max_dim >= 1 and max_length >= 1")
     for n in range(1, max_dim + 1):
         for length in range(max_length + 1):
-            size = stratum_size(n, length)
-            if size > max_stratum_cells:
-                raise TruncationError(
-                    f"stratum (dim {n}, length {length}) holds {size} cells, "
-                    f"over the limit of {max_stratum_cells}",
-                    dim=n, length=length)
+            check_stratum_size(n, length, max_stratum_cells)
 
     walk = surjective_words if flags.degenerate_policy == "critical" \
         else stratum_words

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator
 
+from .errors import TruncationError
+
 
 @dataclass(frozen=True, slots=True)
 class Generator:
@@ -160,6 +162,22 @@ def stratum_size(dim: int, length: int) -> int:
     if dim == 0:
         return 1 if length == 0 else 0
     return dim ** length
+
+
+# The most cells of one stratum that the package lists or walks; a larger
+# stratum is refused rather than exhausting memory.
+MAX_STRATUM_CELLS = 2_000_000
+
+
+def check_stratum_size(dim: int, length: int,
+                       limit: int = MAX_STRATUM_CELLS) -> None:
+    """Raise TruncationError when stratum (dim, length) holds more than
+    limit cells."""
+    size = stratum_size(dim, length)
+    if size > limit:
+        raise TruncationError(
+            f"stratum (dim {dim}, length {length}) holds {size} cells, "
+            f"over the limit of {limit}", dim=dim, length=length)
 
 
 def enumerate_stratum(dim: int, length: int) -> Iterator[Simplex]:

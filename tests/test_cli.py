@@ -5,6 +5,7 @@ stdout bytes can be asserted without spawning subprocesses.
 """
 
 import json
+import time
 
 import pytest
 
@@ -22,8 +23,8 @@ from fkmorse.cli import (
     render_chain,
 )
 from fkmorse.errors import SelfCheckError, StabilizationError
-from fkmorse.flow import (beta_cell, sigma_cell, sigma_tilde_cell, tau_cell,
-                          tau_tilde_cell, y_power)
+from fkmorse.flow import (FlowContext, beta_cell, sigma_cell,
+                          sigma_tilde_cell, tau_cell, tau_tilde_cell, y_power)
 from fkmorse.pairing import Matching, PairingFlags, Scope, build_matching
 from fkmorse.simplicial import Simplex
 
@@ -131,6 +132,15 @@ def test_enumerate_missing_arguments(capsys):
     assert code == EXIT_USAGE
 
 
+def test_enumerate_refuses_a_stratum_over_the_cell_limit(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", "--dim", "9", "--length", "9")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_SCOPE
+    assert out == ""
+    assert "387420489 cells, over the limit of 2000000" in err
+
+
 # --- pair ----------------------------------------------------------------------------
 
 def test_pair_text_summary(capsys):
@@ -204,21 +214,39 @@ def test_validate_flags_a_broken_matching(capsys, tmp_path):
     assert "regularity" in out
 
 
+# regular pairs in one stratum whose gradient paths run in a cycle
+CYCLIC_PAIRS = [
+    (S(2, (1, 2, 2)), S(3, (1, 3, 2))),
+    (S(2, (1, 2, 1)), S(3, (2, 3, 1))),
+    (S(2, (2, 2, 1)), S(3, (3, 2, 1))),
+    (S(2, (2, 1, 1)), S(3, (3, 1, 2))),
+    (S(2, (2, 1, 2)), S(3, (2, 1, 3))),
+    (S(2, (1, 1, 2)), S(3, (1, 2, 3))),
+]
+
+
 def test_validate_reports_cycle_witnesses(capsys, tmp_path):
-    pairs = [
-        (S(2, (1, 2, 2)), S(3, (1, 3, 2))),
-        (S(2, (1, 2, 1)), S(3, (2, 3, 1))),
-        (S(2, (2, 2, 1)), S(3, (3, 2, 1))),
-        (S(2, (2, 1, 1)), S(3, (3, 1, 2))),
-        (S(2, (2, 1, 2)), S(3, (2, 1, 3))),
-        (S(2, (1, 1, 2)), S(3, (1, 2, 3))),
-    ]
     path = tmp_path / "cycle.json"
-    path.write_text(Matching(pairs, Scope(3, 3), PairingFlags()).to_json())
+    path.write_text(
+        Matching(CYCLIC_PAIRS, Scope(3, 3), PairingFlags()).to_json())
     code, out, _ = run(capsys, "validate", "--matching", str(path))
     assert code == EXIT_INVALID
     assert "acyclicity" in out
     assert "cycle:" in out
+
+
+def test_boundary_rows_on_a_cyclic_export_fail_fast():
+    export = Matching(CYCLIC_PAIRS, Scope(3, 3), PairingFlags()).to_json()
+    flow = FlowContext(Matching.from_json(export), Scope(3, 3),
+                       validate=False)
+    start = time.perf_counter()
+    # the backward walk up from the basis cell meets the cycle
+    with pytest.raises(SelfCheckError, match="has a cycle"):
+        flow.boundary_row(S(3, (3, 2, 2)), [S(2, (2, 1))])
+    # the forward walk down from the faces of a cell meets it too
+    with pytest.raises(SelfCheckError, match="has a cycle"):
+        flow.boundary_row(S(3, (3, 2, 1)), [])
+    assert time.perf_counter() - start < 1.0
 
 
 def test_validate_missing_file(capsys, tmp_path):

@@ -6,6 +6,9 @@ and on randomized chains; stable values of the named families are frozen
 from independent hand computation of the small cases. The one-dict
 accumulators behind boundary, V and the flow are checked against a
 term-by-term reference built from boundary_simplex and Chain addition.
+Morse boundary rows, which the library computes by two gradient-path
+reductions, are checked against the iterated flow, kept here as the
+oracle for whole slices.
 """
 
 import random
@@ -25,6 +28,7 @@ from fkmorse.flow import (
     tau_tilde_cell,
     y_power,
 )
+from fkmorse.homology import build_slice, morse_context
 from fkmorse.pairing import (Matching, PairingFlags, Scope, SteepnessRule,
                              build_matching)
 from fkmorse.simplicial import Simplex, enumerate_stratum, face, identity
@@ -402,45 +406,90 @@ def test_boundary_row_is_the_entries_of_one_critical_cell():
     assert flow.dual_route_checks == 6
 
 
+def _tamper_columns(monkeypatch, flow, cell, shifts):
+    """Make the backward route of flow add shifts[sigma] to the entry of
+    cell in the column of each basis cell sigma."""
+    honest = flow._column
+
+    def column(sigma):
+        out = dict(honest(sigma))
+        if sigma in shifts:
+            out[cell.word] = out.get(cell.word, 0) + shifts[sigma]
+        return out
+
+    monkeypatch.setattr(flow, "_column", column)
+
+
 def test_boundary_row_rejects_a_disagreeing_route(monkeypatch):
     flow = FlowContext(SteepnessRule(), Scope(6, 5))
-    honest = flow.stabilize
-    calls = []
-
-    def second_route_off_by_one(c):
-        calls.append(c)
-        stable, steps = honest(c)
-        if len(calls) == 2:  # the stabilization of the cell itself
-            stable = stable + _unit(tau_cell(4))
-        return stable, steps
-
-    monkeypatch.setattr(flow, "stabilize", second_route_off_by_one)
-    with pytest.raises(SelfCheckError, match="exchange failed"):
+    _tamper_columns(monkeypatch, flow, sigma_cell(4), {tau_cell(3): 1})
+    with pytest.raises(SelfCheckError, match="routes disagree") as caught:
         flow.boundary_row(sigma_cell(4), [sigma_cell(3), tau_cell(3)])
+    assert "at (a4.a3.a2.a1, a3.a2.a2): forward reduction gives 0, " \
+        "backward reduction gives 1" in str(caught.value)
     assert flow.dual_route_checks == 0
 
 
 def test_boundary_row_compares_whole_chains(monkeypatch):
-    # The routes are compared in every coefficient, so a disagreement shows
-    # even when the row reads no basis cell, and the error names the least
-    # differing cell.
+    # The routes are compared at every basis cell, and the error names the
+    # least differing one in (length, word) order, not in basis order.
     flow = FlowContext(SteepnessRule(), Scope(6, 5))
-    honest = flow.stabilize
-    calls = []
-
-    def second_route_off(c):
-        calls.append(c)
-        stable, steps = honest(c)
-        if len(calls) == 2:  # the stabilization of the cell itself
-            stable = stable + _unit(tau_cell(4))
-        return stable, steps
-
-    monkeypatch.setattr(flow, "stabilize", second_route_off)
-    with pytest.raises(SelfCheckError, match="exchange failed") as caught:
-        flow.boundary_row(sigma_cell(4), [])
-    least = boundary(_unit(tau_cell(4))).support()[0]  # sorted support
-    assert f"at (a4.a3.a2.a1, {least})" in str(caught.value)
+    basis = [tau_cell(3), beta_cell(2, 1), sigma_cell(3)]
+    _tamper_columns(monkeypatch, flow, sigma_cell(4),
+                    {tau_cell(3): 2, sigma_cell(3): -1})
+    with pytest.raises(SelfCheckError, match="routes disagree") as caught:
+        flow.boundary_row(sigma_cell(4), basis)
+    assert "at (a4.a3.a2.a1, a3.a2.a1)" in str(caught.value)
     assert flow.dual_route_checks == 0
+
+
+def _iterated_flow_row(flow, cell, basis):
+    """The reference row: stabilize the boundary of the cell and bound its
+    stabilization, check that the two chains agree in every coefficient,
+    and read the basis cells."""
+    stable_dc, _ = flow.stabilize(boundary(_unit(cell), flow.mode))
+    stable_c, _ = flow.stabilize(_unit(cell))
+    assert stable_dc == boundary(stable_c, flow.mode), cell
+    return [inner(stable_dc, low) for low in basis]
+
+
+@pytest.mark.parametrize("flags", [PairingFlags(), ALLOW])
+def test_boundary_rows_of_degenerate_critical_cells_match_the_flow(flags):
+    # Under the critical policy the tau family is degenerate and critical
+    # by fiat, so the projections must keep degenerate critical cells.
+    flow = FlowContext(SteepnessRule(flags), Scope(7, 6))
+    oracle = FlowContext(SteepnessRule(flags), Scope(7, 6))
+    for r in (3, 4, 5):
+        cells = [c for c in (tau_cell(r + 1), sigma_cell(r + 1))
+                 if flow.is_critical(c)]
+        basis = [c for c in (tau_cell(r), sigma_cell(r), S(r, (r,) * r))
+                 if flow.is_critical(c)]
+        for cell in cells:
+            assert flow.boundary_row(cell, basis) == \
+                _iterated_flow_row(oracle, cell, basis)
+
+
+@pytest.mark.parametrize("degree,length,policy,mode", [
+    (1, 8, "critical", "unnormalized"),
+    (3, 6, "critical", "unnormalized"),
+    (4, 5, "critical", "unnormalized"),
+    (3, 5, "critical", "normalized"),
+    (3, 5, "allow", "unnormalized"),
+])
+def test_slices_equal_the_iterated_flow(degree, length, policy, mode):
+    ctx, report, matching = morse_context(degree, length,
+                                          PairingFlags(policy), mode)
+    oracle = FlowContext(matching, ctx.scope, mode, validate=False)
+    for slice_degree in (degree, degree + 1):
+        slc = build_slice(ctx, report, slice_degree)
+        assert slc.matrix == [_iterated_flow_row(oracle, cell, slc.basis_lo)
+                              for cell in slc.basis_hi]
+
+
+def test_boundary_row_refuses_a_cell_outside_the_scope():
+    flow = FlowContext(SteepnessRule(), Scope(6, 3))
+    with pytest.raises(TruncationError, match="outside the flow scope"):
+        flow.boundary_row(sigma_cell(4), [sigma_cell(3)])
 
 
 def test_boundary_entry_requires_critical_cells():
