@@ -27,12 +27,12 @@ from .simplicial import (
     check_stratum_size,
     enumerate_stratum,
     face_word,
-    is_degenerate,
     is_degenerate_word,
     simplex_text,
     sort_key,
     stratum_words,
     surjective_words,
+    word_text,
 )
 
 DEGENERATE_POLICIES = ("critical", "allow")
@@ -387,16 +387,18 @@ class CriticalReport:
         return self._unmatched.get(StratumKey(dim, length), [])
 
     def to_csv(self) -> str:
+        """The rows of strata, from words; each list is in word order."""
         lines = ["dim,length,simplex,degenerate,reason"]
-        for key in sorted(self.strata, key=lambda k: (k.dim, k.length)):
-            deg, unm = self.strata[key]
-            for x in sorted(deg, key=sort_key):
-                lines.append(
-                    f"{key.dim},{key.length},{simplex_text(x)},true,degenerate")
-            for x in sorted(unm, key=sort_key):
-                reason = self.reasons.get(x, "unmatched")
-                lines.append(
-                    f"{key.dim},{key.length},{simplex_text(x)},false,{reason}")
+        for n in range(self.scope.max_dim + 1):
+            for length in range(self.scope.max_length + 1 if n else 1):
+                head = f"{n},{length},"
+                if self.flags.degenerate_policy == "critical":
+                    lines += [f"{head}{word_text(w)},true,degenerate"
+                              for w in stratum_words(n, length)
+                              if is_degenerate_word(n, w)]
+                for x in self.unmatched_nondegenerate(n, length):
+                    reason = self.reasons.get(x, "unmatched")
+                    lines.append(f"{head}{word_text(x.word)},false,{reason}")
         return "\n".join(lines) + "\n"
 
 
@@ -580,31 +582,24 @@ def matching_to_dot(m: Matching) -> str:
     """
     lines = ["digraph steepness {", "  rankdir=BT;",
              '  node [shape=box, fontname="monospace"];']
-    strata = sorted({(s.dim, s.length) for s, _ in m.pairs})
-    for dim, length in strata:
+    strata: dict[tuple[int, int], dict[tuple[int, ...], tuple[int, ...]]] = {}
+    for s, t in m.pairs:
+        strata.setdefault((s.dim, s.length), {})[s.word] = t.word
+    for (dim, length), up in sorted(strata.items()):
         lines.append(f"  subgraph cluster_{dim}_{length} {{")
         lines.append(f'    label="stratum (dim {dim}, length {length})";')
-        cells = list(enumerate_stratum(dim, length)) + \
-            list(enumerate_stratum(dim + 1, length))
-        pair_set = {(s, t) for s, t in m.pairs_for_stratum(dim, length)}
-        up = dict(pair_set)
-        for x in cells:
-            style = ', style=dashed' if is_degenerate(x) else ''
-            lines.append(
-                f'    "d{x.dim}:{simplex_text(x)}" '
-                f'[label="{simplex_text(x)}"{style}];')
-        for tau in enumerate_stratum(dim + 1, length):
-            for fw in _same_length_face_words(dim + 1, tau.word):
-                f = Simplex(dim, fw)
-                if up.get(f) == tau:
-                    continue
-                lines.append(
-                    f'    "d{tau.dim}:{simplex_text(tau)}" -> '
-                    f'"d{f.dim}:{simplex_text(f)}" [color=gray];')
-        for sigma, tau in sorted(pair_set, key=lambda p: sort_key(p[0])):
-            lines.append(
-                f'    "d{sigma.dim}:{simplex_text(sigma)}" -> '
-                f'"d{tau.dim}:{simplex_text(tau)}" [color=red, penwidth=2];')
+        lo, hi = ({w: word_text(w) for w in stratum_words(n, length)}
+                  for n in (dim, dim + 1))
+        for n, text in ((dim, lo), (dim + 1, hi)):
+            for w, wt in text.items():
+                style = ', style=dashed' if is_degenerate_word(n, w) else ''
+                lines.append(f'    "d{n}:{wt}" [label="{wt}"{style}];')
+        lines += [f'    "d{dim + 1}:{tt}" -> "d{dim}:{lo[fw]}" [color=gray];'
+                  for tw, tt in hi.items()
+                  for fw in _same_length_face_words(dim + 1, tw)
+                  if up.get(fw) != tw]
+        lines += [f'    "d{dim}:{lo[sw]}" -> "d{dim + 1}:{hi[tw]}" '
+                  f'[color=red, penwidth=2];' for sw, tw in up.items()]
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -228,7 +228,19 @@ def surjective_words(dim: int, length: int) -> Iterator[tuple[int, ...]]:
 
 # --- text -------------------------------------------------------------------
 
+class _Letters(dict):
+    def __missing__(self, k: int) -> str:
+        self[k] = text = f"a{k}"
+        return text
+
+
+_letter_text = _Letters().__getitem__
+
+
+def word_text(word: tuple[int, ...]) -> str:
+    """Letters joined by dots, as in a3.a1.a2; the identity is e."""
+    return ".".join(map(_letter_text, word)) if word else "e"
+
+
 def simplex_text(x: Simplex) -> str:
-    if not x.word:
-        return "e"
-    return ".".join(f"a{k}" for k in x.word)
+    return word_text(x.word)

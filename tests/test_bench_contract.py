@@ -7,18 +7,22 @@ so the names and shapes it uses are checked here, with the tracer itself
 imported from its file and left unchanged.
 """
 
+import contextlib
+import hashlib
 import importlib
 import importlib.util
+import io
+import json
 import pathlib
 
 import pytest
 
-import fkmorse.cli  # noqa: F401  (the tracer needs every layer imported)
+import fkmorse.cli  # the tracer needs every layer imported
 from fkmorse.pairing import build_matching
 from fkmorse.simplicial import StratumKey
 
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "bench" / \
-    "tracing.py"
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +71,17 @@ def test_a_traced_build_counts_what_an_untraced_one_returns(tracing):
     assert tracer.counts["pairing.critical_cells"] == critical
     assert tracer.counts["simplicial.cells_enumerated"] > 0
     assert "pairing.build_s" in tracer.self_times()
+
+
+def test_pair_grid_jobs_print_their_recorded_bytes():
+    """The pair-grid jobs' exit codes and stdout digests, as recorded in
+    bench/reference.json, so a change to any pair export shows here and
+    not only when the benchmark runs."""
+    reference = json.loads((BENCH / "reference.json").read_text("utf-8"))
+    for row in reference["grids"]["pair-grid"]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = fkmorse.cli.main(row["argv"].split())
+        assert code == row["exit"], row["argv"]
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+            row["stdout_sha256"], row["argv"]

@@ -4,6 +4,7 @@ Each subcommand is run in-process through main() so exit codes and exact
 stdout bytes can be asserted without spawning subprocesses.
 """
 
+import hashlib
 import json
 import time
 
@@ -175,6 +176,45 @@ def test_pair_dot_marks_three_reversed_edges_in_the_top_stratum(capsys):
     assert '    "d2:a1.a2.a2" -> "d3:a1.a2.a3" [color=red, penwidth=2];' in red
     assert '    "d2:a2.a1.a2" -> "d3:a2.a1.a3" [color=red, penwidth=2];' in red
     assert '    "d2:a2.a2.a1" -> "d3:a2.a3.a1" [color=red, penwidth=2];' in red
+
+
+@pytest.mark.parametrize("policy", ["critical", "allow"])
+@pytest.mark.parametrize("max_dim,max_length", [(3, 3), (4, 4), (3, 5)])
+def test_pair_text_summary_counts_what_the_report_lists(capsys, max_dim,
+                                                        max_length, policy):
+    code, out, _ = run(capsys, "pair", "--max-dim", str(max_dim),
+                       "--max-length", str(max_length),
+                       "--degenerate-policy", policy)
+    assert code == EXIT_OK
+    _, report = build_matching(max_dim, max_length,
+                               PairingFlags(degenerate_policy=policy))
+    expected = [f"stratum dim={key.dim} length={key.length}: "
+                f"{len(unmatched)} critical nondegenerate, "
+                f"{len(deg)} degenerate unmatched"
+                for key, (deg, unmatched) in sorted(
+                    report.strata.items(),
+                    key=lambda item: (item[0].dim, item[0].length))]
+    assert out.splitlines()[3:] == expected
+
+
+def test_pair_dot_output_is_unchanged(capsys):
+    # the bytes the Simplex-based renderer printed for this scope
+    code, out, _ = run(capsys, "pair", "--max-dim", "3", "--max-length", "3",
+                       "--format", "dot")
+    assert code == EXIT_OK
+    assert len(out.splitlines()) == 148
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "8f55a4ad0aaf9f7a62ca4b5f35d15c30a3b77fb513d8269131e33caf2287a926"
+
+
+def test_pair_dot_refuses_an_oversized_diagram(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "pair", "--max-dim", "6", "--max-length", "7",
+                         "--format", "dot")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_SCOPE
+    assert out == ""
+    assert "the DOT diagram would draw over 2000000 lines" in err
 
 
 def test_pair_csv_header(capsys):

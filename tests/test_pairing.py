@@ -588,3 +588,47 @@ def test_dot_output(built_3_3):
     assert '"d1:a1.a1" -> "d2:a1.a2" [color=red, penwidth=2];' in dot
     # Degenerate cells are dashed.
     assert '"d2:a2.a2" [label="a2.a2", style=dashed];' in dot
+
+
+def _literal_dot(m):
+    """The DOT renderer as it stood before it drew from words: Simplex
+    objects from enumerate_stratum and face, one pairs_for_stratum scan per
+    stratum, and each cell's text joined letter by letter."""
+    def text(x):
+        return ".".join(f"a{k}" for k in x.word) if x.word else "e"
+
+    lines = ["digraph steepness {", "  rankdir=BT;",
+             '  node [shape=box, fontname="monospace"];']
+    for dim, length in sorted({(s.dim, s.length) for s, _ in m.pairs}):
+        lines.append(f"  subgraph cluster_{dim}_{length} {{")
+        lines.append(f'    label="stratum (dim {dim}, length {length})";')
+        cells = list(enumerate_stratum(dim, length)) + \
+            list(enumerate_stratum(dim + 1, length))
+        pair_set = set(m.pairs_for_stratum(dim, length))
+        up = dict(pair_set)
+        for x in cells:
+            style = ', style=dashed' if is_degenerate(x) else ''
+            lines.append(
+                f'    "d{x.dim}:{text(x)}" [label="{text(x)}"{style}];')
+        for tau in enumerate_stratum(dim + 1, length):
+            for i in range(dim + 2):
+                f = face(tau, i)
+                if f.length != length or up.get(f) == tau:
+                    continue
+                lines.append(f'    "d{tau.dim}:{text(tau)}" -> '
+                             f'"d{f.dim}:{text(f)}" [color=gray];')
+        for sigma, tau in sorted(pair_set, key=lambda p: sort_key(p[0])):
+            lines.append(f'    "d{sigma.dim}:{text(sigma)}" -> '
+                         f'"d{tau.dim}:{text(tau)}" [color=red, penwidth=2];')
+        lines.append("  }")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("flags", FLAG_COMBOS,
+                         ids=lambda f: f.degenerate_policy)
+@pytest.mark.parametrize("max_dim,max_length",
+                         [(3, 3), (4, 4), (3, 5), (5, 4)])
+def test_dot_output_equals_the_literal_renderer(max_dim, max_length, flags):
+    matching, _ = build_matching(max_dim, max_length, flags)
+    assert matching_to_dot(matching) == _literal_dot(matching)
