@@ -32,10 +32,11 @@ from .flow import (FlowContext, beta_cell, sigma_cell, sigma_tilde_cell,
 from .homology import (build_slice, compute_homology, morse_context,
                        stability_scan)
 from .pairing import (Matching, PairingFlags, Scope, SteepnessRule,
-                      build_matching, matching_to_dot, validate_matching)
-from .simplicial import (MAX_STRATUM_CELLS, Simplex, StratumKey,
-                         check_stratum_size, enumerate_stratum, identity,
-                         is_degenerate, simplex_text, stratum_size)
+                      build_matching, check_dot_size, matching_to_dot,
+                      validate_matching)
+from .simplicial import (Simplex, StratumKey, check_stratum_size,
+                         enumerate_stratum, identity, is_degenerate,
+                         simplex_text)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -191,14 +192,7 @@ def cmd_enumerate(ns: argparse.Namespace) -> int:
 
 def cmd_pair(ns: argparse.Namespace) -> int:
     if ns.format == "dot":
-        # each stratum (n, L) draws <= n^L + (n+1)^L nodes, (n+2)(n+1)^L edges
-        drawn = 0
-        for n in range(ns.max_dim):
-            for k in range(ns.max_length + 1 if n else 1):
-                drawn += stratum_size(n, k) + (n + 3) * stratum_size(n + 1, k)
-                if drawn > MAX_STRATUM_CELLS:
-                    raise TruncationError(f"the DOT diagram would draw over "
-                                          f"{MAX_STRATUM_CELLS} lines")
+        check_dot_size(Scope(ns.max_dim, ns.max_length))
     matching, report = build_matching(ns.max_dim, ns.max_length,
                                       _flags_from(ns))
     _note(f"built {len(matching.pairs)} pairs")
@@ -214,19 +208,13 @@ def cmd_pair(ns: argparse.Namespace) -> int:
                  "degenerate={degenerate_policy}".format(
                      **matching.flags.to_json_dict()),
                  f"pairs: {len(matching.pairs)}"]
-        fiat = ns.degenerate_policy == "critical"
-        for n in range(ns.max_dim + 1):
-            onto = [1] + [0] * n  # onto[k]: words using all of k letters
-            for length in range(ns.max_length + 1 if n else 1):
-                # n^L - n! S(L, n) words of stratum (n, L) miss a letter
-                deg = stratum_size(n, length) - onto[n] if fiat else 0
-                unmatched = len(report.unmatched_nondegenerate(n, length))
-                if deg or unmatched:
-                    lines.append(f"stratum dim={n} length={length}: "
-                                 f"{unmatched} critical nondegenerate, "
-                                 f"{deg} degenerate unmatched")
-                onto = [0] + [k * (onto[k - 1] + onto[k])
-                              for k in range(1, n + 1)]
+        for n, length in matching.scope.strata():
+            deg = sum(1 for _ in report.degenerate_words(n, length))
+            unmatched = len(report.unmatched_nondegenerate(n, length))
+            if deg or unmatched:
+                lines.append(f"stratum dim={n} length={length}: "
+                             f"{unmatched} critical nondegenerate, "
+                             f"{deg} degenerate unmatched")
         payload = "\n".join(lines)
     _emit(ns, payload)
     return EXIT_OK

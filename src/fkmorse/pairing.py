@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Iterator, Optional
 
-from .errors import SelfCheckError
+from .errors import SelfCheckError, TruncationError
 from .simplicial import (
     MAX_STRATUM_CELLS,
     Simplex,
@@ -30,6 +30,7 @@ from .simplicial import (
     is_degenerate_word,
     simplex_text,
     sort_key,
+    stratum_size,
     stratum_words,
     surjective_words,
     word_text,
@@ -89,6 +90,12 @@ class Scope:
 
     def covers(self, x: Simplex) -> bool:
         return x.dim <= self.max_dim and x.length <= self.max_length
+
+    def strata(self) -> Iterator[tuple[int, int]]:
+        """(dim, length) of each stratum in order; dim 0 has length 0 only."""
+        for n in range(self.max_dim + 1):
+            for length in range(self.max_length + 1 if n else 1):
+                yield n, length
 
     def to_json_dict(self) -> dict:
         return {"max_dim": self.max_dim, "max_length": self.max_length}
@@ -365,19 +372,18 @@ class CriticalReport:
         self.flags = flags
         self.reasons = reasons
         self._unmatched = unmatched
+        self._fiat = flags.degenerate_policy == "critical"
 
     @cached_property
     def strata(self) -> dict[StratumKey, tuple[list[Simplex], list[Simplex]]]:
-        fiat = self.flags.degenerate_policy == "critical"
         out: dict[StratumKey, tuple[list[Simplex], list[Simplex]]] = {}
-        for n in range(self.scope.max_dim + 1):
-            for length in range(self.scope.max_length + 1 if n else 1):
-                key = StratumKey(n, length)
-                deg = [x for x in enumerate_stratum(n, length)
-                       if is_degenerate_word(n, x.word)] if fiat else []
-                unm = self._unmatched.get(key, [])
-                if deg or unm:
-                    out[key] = (deg, unm)
+        for n, length in self.scope.strata():
+            key = StratumKey(n, length)
+            deg = [x for x in enumerate_stratum(n, length)
+                   if is_degenerate_word(n, x.word)] if self._fiat else []
+            unm = self._unmatched.get(key, [])
+            if deg or unm:
+                out[key] = (deg, unm)
         return out
 
     def degenerate_by_fiat(self, dim: int, length: int) -> list[Simplex]:
@@ -386,19 +392,21 @@ class CriticalReport:
     def unmatched_nondegenerate(self, dim: int, length: int) -> list[Simplex]:
         return self._unmatched.get(StratumKey(dim, length), [])
 
+    def degenerate_words(self, dim: int, length: int) -> Iterator[tuple]:
+        """The words of degenerate_by_fiat(dim, length), in word order."""
+        if self._fiat:
+            yield from (w for w in stratum_words(dim, length)
+                        if is_degenerate_word(dim, w))
+
     def to_csv(self) -> str:
-        """The rows of strata, from words; each list is in word order."""
         lines = ["dim,length,simplex,degenerate,reason"]
-        for n in range(self.scope.max_dim + 1):
-            for length in range(self.scope.max_length + 1 if n else 1):
-                head = f"{n},{length},"
-                if self.flags.degenerate_policy == "critical":
-                    lines += [f"{head}{word_text(w)},true,degenerate"
-                              for w in stratum_words(n, length)
-                              if is_degenerate_word(n, w)]
-                for x in self.unmatched_nondegenerate(n, length):
-                    reason = self.reasons.get(x, "unmatched")
-                    lines.append(f"{head}{word_text(x.word)},false,{reason}")
+        for n, length in self.scope.strata():
+            head = f"{n},{length},"
+            lines += [f"{head}{word_text(w)},true,degenerate"
+                      for w in self.degenerate_words(n, length)]
+            for x in self.unmatched_nondegenerate(n, length):
+                reason = self.reasons.get(x, "unmatched")
+                lines.append(f"{head}{word_text(x.word)},false,{reason}")
         return "\n".join(lines) + "\n"
 
 
@@ -421,41 +429,39 @@ def build_matching(max_dim: int, max_length: int,
     """
     if max_dim < 1 or max_length < 1:
         raise ValueError("build_matching needs max_dim >= 1 and max_length >= 1")
-    for n in range(1, max_dim + 1):
-        for length in range(max_length + 1):
-            check_stratum_size(n, length, max_stratum_cells)
+    scope = Scope(max_dim, max_length)
+    for n, length in scope.strata():
+        check_stratum_size(n, length, max_stratum_cells)
 
     walk = surjective_words if flags.degenerate_policy == "critical" \
         else stratum_words
     pairs: list[tuple[Simplex, Simplex]] = []
     unmatched: dict[StratumKey, list[Simplex]] = {}
     reasons: dict[Simplex, str] = {}
-    below: set[tuple[int, ...]] = set()  # dim-n words matched from dim n-1
-    for n in range(max_dim + 1):
-        above: set[tuple[int, ...]] = set()
-        for length in range(max_length + 1 if n else 1):
-            cells = []
-            for word in walk(n, length):
-                # words matched from below get the rule too, so that a cell
-                # the rule would use twice reaches validate_matching
-                if n < max_dim:
-                    tw, reason = _steepness(n, word, flags)
-                    if tw is not None:
-                        pairs.append((Simplex(n, word), Simplex(n + 1, tw)))
-                        above.add(tw)
-                        continue
-                else:
-                    reason = "upward-undecided"
-                if word in below:
+    above: set[tuple[int, ...]] = set()  # dim-(n+1) words matched from dim n
+    for n, length in scope.strata():
+        if length == 0:  # each dimension starts at length 0
+            below, above = above, set()
+        cells = []
+        for word in walk(n, length):
+            # words matched from below get the rule too, so that a cell
+            # the rule would use twice reaches validate_matching
+            if n < max_dim:
+                tw, reason = _steepness(n, word, flags)
+                if tw is not None:
+                    pairs.append((Simplex(n, word), Simplex(n + 1, tw)))
+                    above.add(tw)
                     continue
-                x = Simplex(n, word)
-                cells.append(x)
-                reasons[x] = reason
-            if cells:
-                unmatched[StratumKey(n, length)] = cells
-        below = above
+            else:
+                reason = "upward-undecided"
+            if word in below:
+                continue
+            x = Simplex(n, word)
+            cells.append(x)
+            reasons[x] = reason
+        if cells:
+            unmatched[StratumKey(n, length)] = cells
 
-    scope = Scope(max_dim, max_length)
     matching = Matching(pairs, scope, flags)
     if validate:
         verdict = validate_matching(matching)
@@ -573,6 +579,18 @@ def _stratum_cycle(pairs: list[tuple[Simplex, Simplex]]) \
 
 
 # --- exports -------------------------------------------------------------------
+
+def check_dot_size(scope: Scope) -> None:
+    """Refuse a scope whose DOT diagram could pass MAX_STRATUM_CELLS lines:
+    (n, L) draws n^L + (n+1)^L nodes and (n+2)(n+1)^L edges if n < max_dim."""
+    drawn = 0
+    for n, k in scope.strata():
+        if n < scope.max_dim:
+            drawn += stratum_size(n, k) + (n + 3) * stratum_size(n + 1, k)
+            if drawn > MAX_STRATUM_CELLS:
+                raise TruncationError(f"the DOT diagram would draw over "
+                                      f"{MAX_STRATUM_CELLS} lines")
+
 
 def matching_to_dot(m: Matching) -> str:
     """Per-stratum modified Hasse diagrams; meant for small scopes only.

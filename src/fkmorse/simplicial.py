@@ -20,6 +20,7 @@ the only 0-simplex and is nondegenerate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Iterator
 
@@ -228,13 +229,7 @@ def surjective_words(dim: int, length: int) -> Iterator[tuple[int, ...]]:
 
 # --- text -------------------------------------------------------------------
 
-class _Letters(dict):
-    def __missing__(self, k: int) -> str:
-        self[k] = text = f"a{k}"
-        return text
-
-
-_letter_text = _Letters().__getitem__
+_letter_text = cache("a{}".format)  # the text of each letter, made once
 
 
 def word_text(word: tuple[int, ...]) -> str:

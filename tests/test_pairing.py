@@ -21,6 +21,7 @@ from fkmorse.pairing import (
     StratumKey,
     _coface_words,
     build_matching,
+    check_dot_size,
     coface_occurrences,
     matching_to_dot,
     regular_cofaces,
@@ -632,3 +633,36 @@ def _literal_dot(m):
 def test_dot_output_equals_the_literal_renderer(max_dim, max_length, flags):
     matching, _ = build_matching(max_dim, max_length, flags)
     assert matching_to_dot(matching) == _literal_dot(matching)
+
+
+@pytest.mark.parametrize("max_dim,max_length", [(3, 3), (4, 4), (5, 4)])
+def test_dot_size_bound_covers_every_drawn_line(monkeypatch, max_dim,
+                                                max_length):
+    matching, _ = build_matching(max_dim, max_length, ALLOW)
+    drawn = sum("[label=" in ln or " -> " in ln
+                for ln in matching_to_dot(matching).splitlines())
+    monkeypatch.setattr("fkmorse.pairing.MAX_STRATUM_CELLS", drawn - 1)
+    with pytest.raises(TruncationError):
+        check_dot_size(matching.scope)
+
+
+def test_dot_size_refuses_from_the_scope_alone():
+    for scope in (Scope(5, 5), Scope(6, 6), Scope(7, 6)):
+        check_dot_size(scope)
+    for scope in (Scope(6, 7), Scope(7, 7), Scope(6, 8), Scope(9, 10**6)):
+        with pytest.raises(TruncationError):
+            check_dot_size(scope)
+
+
+def test_scope_strata_give_dimension_zero_length_zero_only():
+    assert list(Scope(2, 2).strata()) == [
+        (0, 0), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
+
+
+@pytest.mark.parametrize("flags", FLAG_COMBOS,
+                         ids=lambda f: f.degenerate_policy)
+def test_degenerate_words_are_the_cells_degenerate_by_fiat(flags):
+    _, report = build_matching(4, 4, flags)
+    for n, length in report.scope.strata():
+        assert [S(n, w) for w in report.degenerate_words(n, length)] == \
+            report.degenerate_by_fiat(n, length)
