@@ -34,9 +34,9 @@ from .homology import (build_slice, compute_homology, morse_context,
 from .pairing import (Matching, PairingFlags, Scope, SteepnessRule,
                       build_matching, check_dot_size, matching_to_dot,
                       validate_matching)
-from .simplicial import (Simplex, StratumKey, check_stratum_size,
-                         enumerate_stratum, identity, is_degenerate,
-                         simplex_text)
+from .simplicial import (Simplex, StratumKey, check_stratum_size, identity,
+                         is_degenerate_word, simplex_text, stratum_words,
+                         word_text)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -165,26 +165,25 @@ def _flags_from(ns: argparse.Namespace) -> PairingFlags:
 def cmd_enumerate(ns: argparse.Namespace) -> int:
     StratumKey(ns.dim, ns.length)  # reject ill-formed strata up front
     check_stratum_size(ns.dim, ns.length)
-    cells = enumerate_stratum(ns.dim, ns.length)
-    rows = [(rank, cell, is_degenerate(cell))
-            for rank, cell in enumerate(cells)]
+    rows = [(rank, word_text(word), is_degenerate_word(ns.dim, word))
+            for rank, word in enumerate(stratum_words(ns.dim, ns.length))]
     nondeg = sum(1 for _, _, d in rows if not d)
     if ns.format == "json":
         payload = json.dumps(
             {"dim": ns.dim, "length": ns.length,
-             "cells": [{"rank": r, "word": simplex_text(c), "degenerate": d}
-                       for r, c, d in rows]},
+             "cells": [{"rank": r, "word": w, "degenerate": d}
+                       for r, w, d in rows]},
             separators=(",", ":"))
     elif ns.format == "csv":
         lines = ["rank,simplex,degenerate"]
-        lines += [f"{r},{simplex_text(c)},{str(d).lower()}" for r, c, d in rows]
+        lines += [f"{r},{w},{str(d).lower()}" for r, w, d in rows]
         payload = "\n".join(lines)
     else:
         lines = [f"# stratum dim={ns.dim} length={ns.length}: "
                  f"{len(rows)} cells, {nondeg} nondegenerate"]
-        for r, c, d in rows:
+        for r, w, d in rows:
             mark = "degenerate" if d else "nondegenerate"
-            lines.append(f"{r}\t{simplex_text(c)}\t{mark}")
+            lines.append(f"{r}\t{w}\t{mark}")
         payload = "\n".join(lines)
     _emit(ns, payload)
     return EXIT_OK

@@ -19,7 +19,7 @@ from typing import Optional
 from .errors import SelfCheckError
 from .flow import FlowContext
 from .pairing import (CriticalReport, DEFAULT_FLAGS, Matching, PairingFlags,
-                      Scope, build_matching)
+                      Scope, build_matching, check_bounds)
 from .simplicial import Simplex, simplex_text, sort_key
 
 Matrix = list[list[int]]
@@ -45,12 +45,12 @@ def smith_normal_form(matrix: Matrix, transforms: bool = False) -> SnfResult:
 
     Two routes give the same rank, factors and diagonal:
 
-    * transforms=False (sparse): peel off +-1 pivots from a row-dict form,
-      each chosen by least Markowitz cost and its column cleared by exact
-      integer row updates; only the residue left over goes through the
-      dense elimination.  Every peeled pivot contributes an invariant
-      factor 1.  Morse slices are sparse with +-1 entries, so the residue
-      is small.
+    * transforms=False (sparse): peel off +-1 pivots from a row-dict form
+      in sweeps over the columns, shortest first, each pivot in the
+      narrowest row and its column cleared by exact integer row updates;
+      only the residue left over goes through the dense elimination.
+      Every peeled pivot contributes an invariant factor 1.  Morse slices
+      are sparse with +-1 entries, so the residue is small.
     * transforms=True (dense, the certificate route): min-abs-pivot
       elimination on the whole matrix, carrying unimodular certificates
       with left * matrix * right equal to the diagonal, exactly.
@@ -86,48 +86,40 @@ def _peel_unit_pivots(matrix: Matrix) -> tuple[int, Matrix]:
             in_col.setdefault(j, set()).add(i)
     live = {i for i, row in enumerate(rows) if row}
     peeled = 0
-    while True:
-        # least Markowitz cost (other entries in row) * (others in column)
-        pivot = None
-        best = None
-        for i in live:
-            row = rows[i]
-            width = len(row) - 1
-            for j, v in row.items():
-                if v == 1 or v == -1:
-                    cost = width * (len(in_col[j]) - 1)
-                    if best is None or cost < best:
-                        best, pivot = cost, (i, j)
-                        if not cost:
-                            break
-            if best == 0:
-                break
-        if pivot is None:
-            break
-        p, q = pivot
-        prow = rows[p]
-        u = prow[q]
-        for i in in_col[q] - {p}:
-            row = rows[i]
-            f = row[q] * u  # u is its own inverse
-            for j, v in prow.items():
-                w = row.get(j, 0) - f * v
-                if w:
-                    if j not in row:
-                        in_col[j].add(i)
-                    row[j] = w
-                else:
-                    del row[j]
-                    in_col[j].discard(i)
-            if not row:
-                live.discard(i)
-        # column q is now the pivot alone, so column updates clear row p
-        # without touching any other row
-        for j in prow:
-            in_col[j].discard(p)
-        rows[p] = {}
-        live.discard(p)
-        peeled += 1
+    swept = -1
+    while swept != peeled:
+        # sweep the live columns, shortest first, until a sweep finds no
+        # +-1 pivot; in each, pivot on the narrowest row holding a +-1
+        swept = peeled
+        for q in sorted((j for j in in_col if in_col[j]),
+                        key=lambda j: (len(in_col[j]), j)):
+            units = [i for i in in_col[q] if rows[i][q] in (1, -1)]
+            if not units:
+                continue
+            p = min(units, key=lambda i: (len(rows[i]), i))
+            prow = rows[p]
+            u = prow[q]
+            for i in in_col[q] - {p}:
+                row = rows[i]
+                f = row[q] * u  # u is its own inverse
+                for j, v in prow.items():
+                    w = row.get(j, 0) - f * v
+                    if w:
+                        if j not in row:
+                            in_col[j].add(i)
+                        row[j] = w
+                    else:
+                        del row[j]
+                        in_col[j].discard(i)
+                if not row:
+                    live.discard(i)
+            # column q is now the pivot alone, so column updates clear row
+            # p without touching any other row
+            for j in prow:
+                in_col[j].discard(p)
+            rows[p] = {}
+            live.discard(p)
+            peeled += 1
     keep_cols = sorted(j for j, members in in_col.items() if members)
     residue = [[rows[i].get(j, 0) for j in keep_cols] for i in sorted(live)]
     return peeled, residue
@@ -373,20 +365,41 @@ class StabilityScan:
             separators=(",", ":"))
 
 
+def _leading_block(slc: MorseSlice, max_length: int) -> MorseSlice:
+    """The slice at a smaller bound: the cells of word length <= max_length
+    lead each basis, which is sorted by length."""
+    rows = sum(1 for x in slc.basis_hi if x.length <= max_length)
+    cols = sum(1 for x in slc.basis_lo if x.length <= max_length)
+    return MorseSlice(slc.degree, slc.basis_lo[:cols], slc.basis_hi[:rows],
+                      [row[:cols] for row in slc.matrix[:rows]],
+                      Scope(slc.scope.max_dim, max_length))
+
+
 def stability_scan(degree: int, length_lo: int, length_hi: int,
                    flags: PairingFlags = DEFAULT_FLAGS,
                    mode: str = "unnormalized") -> StabilityScan:
     """Homology at every bound in the range; smallest bound after which the
-    (betti, torsion) answer stays constant through the end of the range."""
-    results = [compute_homology(degree, L, flags, mode)
+    (betti, torsion) answer stays constant through the end of the range.
+
+    One matching and one pair of slices are built, at length_hi.  Faces
+    never raise word length and pairs stay inside a stratum, so the slices
+    at a bound L are their leading blocks of length <= L."""
+    if length_lo > length_hi:
+        return StabilityScan(degree=degree)
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    check_bounds(degree + 2, length_lo)  # before building at length_hi
+    ctx, report, _ = morse_context(degree, length_hi, flags, mode)
+    lo = build_slice(ctx, report, degree)
+    hi = build_slice(ctx, report, degree + 1)
+    del ctx, report
+    results = [homology_of_slices(_leading_block(lo, L), _leading_block(hi, L))
                for L in range(length_lo, length_hi + 1)]
-    stable_from: Optional[int] = None
-    if results:
-        last = (results[-1].betti, tuple(results[-1].torsion))
-        stable_from = length_hi
-        for k in range(len(results) - 1, -1, -1):
-            if (results[k].betti, tuple(results[k].torsion)) != last:
-                break
-            stable_from = length_lo + k
+    last = (results[-1].betti, results[-1].torsion)
+    stable_from = length_hi
+    for k in range(len(results) - 1, -1, -1):
+        if (results[k].betti, results[k].torsion) != last:
+            break
+        stable_from = length_lo + k
     return StabilityScan(degree=degree, results=results,
                          stable_from=stable_from)

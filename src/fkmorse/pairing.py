@@ -410,6 +410,12 @@ class CriticalReport:
         return "\n".join(lines) + "\n"
 
 
+def check_bounds(max_dim: int, max_length: int) -> None:
+    """The bounds build_matching accepts: both at least 1."""
+    if max_dim < 1 or max_length < 1:
+        raise ValueError("build_matching needs max_dim >= 1 and max_length >= 1")
+
+
 def build_matching(max_dim: int, max_length: int,
                    flags: PairingFlags = DEFAULT_FLAGS,
                    validate: bool = True,
@@ -427,8 +433,7 @@ def build_matching(max_dim: int, max_length: int,
     cofaces are unseen), with reason "upward-undecided".  The size limit
     counts every word of a stratum, walked or not.
     """
-    if max_dim < 1 or max_length < 1:
-        raise ValueError("build_matching needs max_dim >= 1 and max_length >= 1")
+    check_bounds(max_dim, max_length)
     scope = Scope(max_dim, max_length)
     for n, length in scope.strata():
         check_stratum_size(n, length, max_stratum_cells)

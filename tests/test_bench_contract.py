@@ -73,15 +73,26 @@ def test_a_traced_build_counts_what_an_untraced_one_returns(tracing):
     assert "pairing.build_s" in tracer.self_times()
 
 
-def test_pair_grid_jobs_print_their_recorded_bytes():
-    """The pair-grid jobs' exit codes and stdout digests, as recorded in
-    bench/reference.json, so a change to any pair export shows here and
-    not only when the benchmark runs."""
+def _check_recorded_bytes(grid):
     reference = json.loads((BENCH / "reference.json").read_text("utf-8"))
-    for row in reference["grids"]["pair-grid"]:
+    for row in reference["grids"][grid]:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = fkmorse.cli.main(row["argv"].split())
         assert code == row["exit"], row["argv"]
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
             row["stdout_sha256"], row["argv"]
+
+
+def test_pair_grid_jobs_print_their_recorded_bytes():
+    """The pair-grid jobs' exit codes and stdout digests, as recorded in
+    bench/reference.json, so a change to any pair export shows here and
+    not only when the benchmark runs."""
+    _check_recorded_bytes("pair-grid")
+
+
+@pytest.mark.parametrize("grid", ["homology-grid", "scan"])
+def test_homology_jobs_print_their_recorded_bytes(grid):
+    """The same for the homology and scan jobs, so a change in the
+    matching, the slices or the Smith normal form shows here too."""
+    _check_recorded_bytes(grid)

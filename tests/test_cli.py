@@ -27,7 +27,7 @@ from fkmorse.errors import SelfCheckError, StabilizationError
 from fkmorse.flow import (FlowContext, beta_cell, sigma_cell,
                           sigma_tilde_cell, tau_cell, tau_tilde_cell, y_power)
 from fkmorse.pairing import Matching, PairingFlags, Scope, build_matching
-from fkmorse.simplicial import Simplex
+from fkmorse.simplicial import Simplex, enumerate_stratum, is_degenerate
 
 S = Simplex
 
@@ -140,6 +140,38 @@ def test_enumerate_refuses_a_stratum_over_the_cell_limit(capsys):
     assert code == EXIT_SCOPE
     assert out == ""
     assert "387420489 cells, over the limit of 2000000" in err
+
+
+def _simplex_enumeration(dim, length, fmt):
+    """The former rendering of enumerate: one validated Simplex per word,
+    its degeneracy by is_degenerate and its text letter by letter."""
+    rows = [(r, ".".join(f"a{k}" for k in c.word) or "e", is_degenerate(c))
+            for r, c in enumerate(enumerate_stratum(dim, length))]
+    if fmt == "json":
+        return json.dumps(
+            {"dim": dim, "length": length,
+             "cells": [{"rank": r, "word": w, "degenerate": d}
+                       for r, w, d in rows]},
+            separators=(",", ":")) + "\n"
+    if fmt == "csv":
+        return "\n".join(["rank,simplex,degenerate"] + [
+            f"{r},{w},{str(d).lower()}" for r, w, d in rows]) + "\n"
+    nondeg = sum(1 for _, _, d in rows if not d)
+    return "\n".join(
+        [f"# stratum dim={dim} length={length}: {len(rows)} cells, "
+         f"{nondeg} nondegenerate"]
+        + [f"{r}\t{w}\t{'degenerate' if d else 'nondegenerate'}"
+           for r, w, d in rows]) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("dim,length", [(1, 1), (3, 3), (4, 4)])
+def test_enumerate_prints_what_the_simplex_rendering_printed(capsys, dim,
+                                                             length, fmt):
+    code, out, _ = run(capsys, "enumerate", "--dim", str(dim),
+                       "--length", str(length), "--format", fmt)
+    assert code == EXIT_OK
+    assert out == _simplex_enumeration(dim, length, fmt)
 
 
 # --- pair ----------------------------------------------------------------------------
@@ -472,6 +504,27 @@ def test_homology_scan_rejects_an_empty_range(capsys):
     assert code == EXIT_USAGE
     assert out == ""
     assert err == "error: --scan LO HI needs LO <= HI, got 5 > 2\n"
+
+
+def test_homology_scan_refuses_an_oversized_top_bound_at_once(capsys):
+    # the scan builds its one matching at the top bound, so the refusal
+    # comes before any lower bound is worked through
+    start = time.perf_counter()
+    code, out, err = run(capsys, "homology", "--degree", "5",
+                         "--scan", "2", "8")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_SCOPE
+    assert out == ""
+    assert "over the limit of 2000000" in err
+
+
+def test_homology_scan_rejects_a_bound_below_one(capsys):
+    code, out, err = run(capsys, "homology", "--degree", "1",
+                         "--scan", "0", "3")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == ("error: build_matching needs max_dim >= 1 and "
+                   "max_length >= 1\n")
 
 
 def test_output_flag_writes_the_payload_to_a_file(capsys, tmp_path):

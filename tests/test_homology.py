@@ -5,7 +5,10 @@ invariant factors against sympy's implementation, and its transform
 certificates by literal matrix multiplication plus unimodularity of the
 transforms. The sparse unit-pivot route (transforms=False) is also checked
 against the dense certificate route (transforms=True), on random sparse
-+-1 matrices with planted non-unit blocks and on real Morse slices. sympy
++-1 matrices with planted non-unit blocks and on real Morse slices, and its
+column-sweep pivot order against the former least-Markowitz-cost order.
+The stability scan, which reads every bound from the slices at its top
+bound, is checked against homology computed afresh at each bound. sympy
 is a test-only dependency; the package itself never imports it.
 """
 
@@ -18,9 +21,11 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from fkmorse.chains import Chain, boundary
 from fkmorse.errors import SelfCheckError
+from fkmorse import homology
 from fkmorse.flow import y_power
 from fkmorse.homology import (
     MorseSlice,
+    _leading_block,
     _peel_unit_pivots,
     build_slice,
     compute_homology,
@@ -201,6 +206,86 @@ def test_snf_sparse_route_on_empty_shapes():
             (dense.rank, dense.invariant_factors, dense.diagonal)
 
 
+def _markowitz_peel(matrix):
+    """The former pivot order of _peel_unit_pivots, kept as a reference:
+    each pivot is the +-1 entry of least Markowitz cost, (other entries in
+    its row) * (other entries in its column), over every live row."""
+    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
+    in_col = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            in_col.setdefault(j, set()).add(i)
+    live = {i for i, row in enumerate(rows) if row}
+    peeled = 0
+    while True:
+        pivot, best = None, None
+        for i in live:
+            width = len(rows[i]) - 1
+            for j, v in rows[i].items():
+                if v in (1, -1):
+                    cost = width * (len(in_col[j]) - 1)
+                    if best is None or cost < best:
+                        best, pivot = cost, (i, j)
+        if pivot is None:
+            break
+        p, q = pivot
+        prow = rows[p]
+        for i in in_col[q] - {p}:
+            row = rows[i]
+            f = row[q] * prow[q]
+            for j, v in prow.items():
+                w = row.get(j, 0) - f * v
+                if w:
+                    in_col[j].add(i)
+                    row[j] = w
+                else:
+                    del row[j]
+                    in_col[j].discard(i)
+            if not row:
+                live.discard(i)
+        for j in prow:
+            in_col[j].discard(p)
+        rows[p] = {}
+        live.discard(p)
+        peeled += 1
+    keep_cols = sorted(j for j, members in in_col.items() if members)
+    return peeled, [[rows[i].get(j, 0) for j in keep_cols]
+                    for i in sorted(live)]
+
+
+def _peeled_factors(peel, matrix):
+    peeled, residue = peel(matrix)
+    return [1] * peeled + smith_normal_form(residue).invariant_factors
+
+
+@pytest.mark.parametrize("degree,length,slice_degree",
+                         [(3, 6, 4), (4, 5, 4), (4, 5, 5)])
+def test_column_sweep_peel_on_real_slices(degree, length, slice_degree):
+    ctx, report, _ = morse_context(degree, length)
+    matrix = build_slice(ctx, report, slice_degree).matrix
+    peeled, residue = _peel_unit_pivots(matrix)
+    assert residue == []
+    assert [1] * peeled == _peeled_factors(_markowitz_peel, matrix)
+
+
+def test_column_sweep_peel_sweeps_until_no_unit_is_left():
+    # column 0 holds no unit when the first sweep passes it; the pivot in
+    # column 1 then leaves a -1 there, which a second sweep peels
+    assert _peel_unit_pivots([[3, 2], [2, 1]]) == (2, [])
+    assert _markowitz_peel([[3, 2], [2, 1]]) == (2, [])
+
+
+def test_column_sweep_peel_on_planted_blocks():
+    rng = random.Random(2001)
+    for _ in range(12):
+        matrix = _unit_sparse_with_planted_block(rng)
+        _, residue = _peel_unit_pivots(matrix)
+        assert all(v not in (1, -1) for row in residue for v in row)
+        assert _peeled_factors(_peel_unit_pivots, matrix) == \
+            _peeled_factors(_markowitz_peel, matrix) == \
+            _sympy_factors(matrix)
+
+
 @pytest.mark.parametrize("degree,length", [(4, 5), (3, 5)])
 def test_snf_routes_agree_on_real_slices(degree, length):
     ctx, report, _ = morse_context(degree, length)
@@ -354,6 +439,56 @@ def test_stability_scan_finds_the_stable_window():
     assert [r.max_length for r in scan.results] == [2, 3, 4, 5, 6, 7]
     assert all((r.betti, r.torsion) == (1, []) for r in scan.results)
     assert scan.stable_from == 2
+
+
+@pytest.mark.parametrize("mode", ["unnormalized", "normalized"])
+@pytest.mark.parametrize("policy", ["critical", "allow"])
+@pytest.mark.parametrize("degree,lo,hi",
+                         [(1, 1, 6), (2, 2, 6), (3, 2, 5), (2, 4, 4)])
+def test_stability_scan_equals_homology_at_each_bound(degree, lo, hi, policy,
+                                                     mode):
+    """The scan takes leading blocks of the slices at its top bound; the
+    oracle builds a matching and both slices at every bound."""
+    flags = PairingFlags(degenerate_policy=policy)
+    if (policy, mode) == ("allow", "normalized"):  # refused on both routes
+        with pytest.raises(ValueError) as scan_error:
+            stability_scan(degree, lo, hi, flags, mode)
+        with pytest.raises(ValueError) as per_bound_error:
+            compute_homology(degree, lo, flags, mode)
+        assert str(scan_error.value) == str(per_bound_error.value)
+        return
+    scan = stability_scan(degree, lo, hi, flags, mode)
+    per_bound = [compute_homology(degree, L, flags, mode)
+                 for L in range(lo, hi + 1)]
+    assert scan.results == per_bound
+    last = (per_bound[-1].betti, per_bound[-1].torsion)
+    changed = [r.max_length for r in per_bound if (r.betti, r.torsion) != last]
+    assert scan.stable_from == (max(changed) + 1 if changed else lo)
+
+
+@pytest.mark.parametrize("policy", ["critical", "allow"])
+def test_leading_blocks_are_the_slices_at_smaller_bounds(policy):
+    flags = PairingFlags(degenerate_policy=policy)
+    ctx, report, _ = morse_context(2, 5, flags)
+    top = [build_slice(ctx, report, d) for d in (2, 3)]
+    for length in range(1, 5):
+        ctx, report, _ = morse_context(2, length, flags)
+        for slc in top:
+            assert _leading_block(slc, length) == \
+                build_slice(ctx, report, slc.degree)
+
+
+def test_stability_scan_checks_its_bounds_before_building(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a matching was built")
+
+    monkeypatch.setattr(homology, "build_matching", no_build)
+    with pytest.raises(ValueError, match="build_matching needs max_dim >= 1 "
+                                         "and max_length >= 1"):
+        stability_scan(1, 0, 3)
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        stability_scan(-1, 0, 3)
+    assert stability_scan(-1, 0, -1).results == []
 
 
 def test_stability_scan_empty_range():
