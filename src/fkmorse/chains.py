@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 from typing import Iterable, Iterator
 
-from .simplicial import Simplex, face, is_degenerate, sort_key
+from .simplicial import (Simplex, Word, face, face_word, is_degenerate,
+                         is_degenerate_word, sort_key)
 
 Mode = str
 MODES = ("unnormalized", "normalized")
@@ -145,18 +146,17 @@ def _join_terms(items: list[tuple[Simplex, int]]) -> str:
     return " ".join(parts)
 
 
-def boundary_simplex(x: Simplex, mode: Mode = "unnormalized") -> Chain:
-    if mode not in MODES:
-        raise ValueError(f"unknown boundary mode {mode!r}")
-    if x.dim == 0:
-        raise ValueError("dimension-0 chains have no boundary")
-    terms = []
-    for i in range(x.dim + 1):
-        fx = face(x, i)
-        if mode == "normalized" and is_degenerate(fx):
+def face_sum(dim: int, word: Word, mode: Mode = "unnormalized") -> dict[Word, int]:
+    """sum_i (-1)^i d_i of a dimension-dim word, dim >= 1, as the nonzero
+    coefficient of each face word; "normalized" drops degenerate faces.
+    The caller checks the arguments."""
+    out: dict[Word, int] = {}
+    for i in range(dim + 1):
+        f = face_word(dim, word, i)
+        if mode == "normalized" and is_degenerate_word(dim - 1, f):
             continue
-        terms.append((fx, -1 if i % 2 else 1))
-    return Chain(x.dim - 1, terms)
+        out[f] = out.get(f, 0) + (-1 if i % 2 else 1)
+    return {f: v for f, v in out.items() if v}
 
 
 def boundary(c: Chain, mode: Mode = "unnormalized") -> Chain:
@@ -182,8 +182,10 @@ def inner(c: Chain, x: Simplex) -> int:
 
 
 def incidence(tau: Simplex, sigma: Simplex, mode: Mode = "unnormalized") -> int:
-    """<boundary of tau, sigma>."""
+    """<boundary of tau, sigma>, read off the face sum of tau."""
     if tau.dim != sigma.dim + 1:
         raise ValueError(
             f"incidence needs dimensions to differ by 1, got {tau.dim} and {sigma.dim}")
-    return inner(boundary_simplex(tau, mode), sigma)
+    if mode not in MODES:
+        raise ValueError(f"unknown boundary mode {mode!r}")
+    return face_sum(tau.dim, tau.word, mode).get(sigma.word, 0)

@@ -17,14 +17,15 @@ paths run up from each basis cell through all of its cofaces.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Callable, Container, Optional, Union
 
-from .chains import Chain, boundary, boundary_simplex, incidence
+from .chains import MODES, Chain, boundary, face_sum, incidence
 from .errors import SelfCheckError, StabilizationError, TruncationError
-from .pairing import (Matching, Scope, SteepnessRule, _coface_words_within,
-                      validate_matching)
-from .simplicial import (Simplex, identity, is_degenerate, sort_key,
-                         stratum_size)
+from .pairing import (Matching, PairingFlags, Scope, SteepnessRule,
+                      _coface_words_within, validate_matching)
+from .simplicial import (Simplex, Word, identity, is_degenerate_word,
+                         sort_key, stratum_size, word_text)
 
 Pairing = Union[Matching, SteepnessRule]
 
@@ -78,22 +79,32 @@ def y_power(r: int) -> Simplex:
 
 # --- the flow -------------------------------------------------------------------
 
-def _postorder(root: Simplex, successors: Callable[[Simplex], list[Simplex]],
-               known: Container[Simplex]) -> list[Simplex]:
-    """The cells reachable from root through successors and not in known,
-    each after all of its successors.  A cell reached again while the walk
+def check_mode(mode: str, flags: PairingFlags) -> None:
+    """Refuse a mode the flow cannot run under flags, before any work."""
+    if mode not in MODES:
+        raise ValueError(f"unknown chain mode {mode!r}")
+    if mode == "normalized" and flags.degenerate_policy == "allow":
+        raise ValueError(
+            "normalized chains drop degenerate cells; the allow policy "
+            "pairs them, so the combination is incoherent")
+
+
+def _postorder(root: Word, successors: Callable[[Word], list[Word]],
+               known: Container[Word]) -> list[Word]:
+    """The words reachable from root through successors and not in known,
+    each after all of its successors.  A word reached again while the walk
     is still inside it is a cycle, which an acyclic matching never has."""
-    order: list[Simplex] = []
+    order: list[Word] = []
     walking = {root}
-    done: set[Simplex] = set()
+    done: set[Word] = set()
     stack = [(root, iter(successors(root)))]
     while stack:
         cell, rest = stack[-1]
         for y in rest:
             if y in walking:
                 raise SelfCheckError(
-                    f"gradient path from {cell} returns to {y}: the "
-                    f"matching has a cycle")
+                    f"gradient path from {word_text(cell)} returns to "
+                    f"{word_text(y)}: the matching has a cycle")
             if y not in done and y not in known:
                 walking.add(y)
                 stack.append((y, iter(successors(y))))
@@ -118,12 +129,7 @@ class FlowContext:
     def __init__(self, pairing: Pairing, scope: Scope,
                  mode: str = "unnormalized", validate: bool = True,
                  iteration_cap: Optional[int] = None) -> None:
-        if mode not in ("unnormalized", "normalized"):
-            raise ValueError(f"unknown chain mode {mode!r}")
-        if mode == "normalized" and pairing.flags.degenerate_policy == "allow":
-            raise ValueError(
-                "normalized chains drop degenerate cells; the allow policy "
-                "pairs them, so the combination is incoherent")
+        check_mode(mode, pairing.flags)
         if isinstance(pairing, Matching):
             if scope.max_dim > pairing.scope.max_dim or \
                     scope.max_length > pairing.scope.max_length:
@@ -139,17 +145,15 @@ class FlowContext:
         self.scope = scope
         self.mode = mode
         self.dual_route_checks = 0
-        # <boundary tau, x> of each matched x met so far (_pair_incidence)
-        self._incidence: dict[Simplex, int] = {}
-        # the forward and backward reductions of boundary_row: G of each
-        # cell, the coface edges of each cell and the column of each basis
-        # cell, plus the last basis and its columns as sparse rows
-        self._gradient: dict[Simplex, dict[Simplex, int]] = {}
-        self._edges: dict[Simplex, tuple[list, list]] = {}
-        self._columns: dict[Simplex, dict[tuple[int, ...], int]] = {}
+        # the word-level memos of boundary_row's reductions, by dimension,
+        # and the last basis with its columns as sparse rows by word
+        self._incidence: dict[int, dict[Word, int]] = defaultdict(dict)
+        self._gradient: dict[int, dict] = defaultdict(dict)
+        self._edges: dict[int, dict] = defaultdict(dict)
+        self._columns: dict[int, dict] = defaultdict(dict)
         self._basis: list[Simplex] = []
-        self._index: dict[Simplex, list[int]] = {}
-        self._rows: dict[tuple[int, ...], dict[int, int]] = {}
+        self._index: dict[Word, list[int]] = {}
+        self._rows: dict[Word, dict[int, int]] = {}
         if iteration_cap is None:
             iteration_cap = max(
                 64,
@@ -180,7 +184,8 @@ class FlowContext:
             tau = self.pairing.pair_up(x)
             if tau is None:
                 continue
-            terms.append((tau, -self._pair_incidence(x, tau) * coef))
+            inc = self._pair_incidence(x.dim, x.word, tau.word)
+            terms.append((tau, -inc * coef))
         return Chain._sum(c.dim + 1, terms)
 
     def apply_flow(self, c: Chain) -> Chain:
@@ -207,89 +212,85 @@ class FlowContext:
 
     # --- Morse boundary rows ----------------------------------------------------
 
-    def _pair_incidence(self, x: Simplex, tau: Simplex) -> int:
-        """<boundary tau, x> of the pair (x, tau), checked to be +-1 when
-        first computed; the pairing is fixed, so it never changes."""
-        inc = self._incidence.get(x)
+    def _pair_incidence(self, n: int, x: Word, tau: Word) -> int:
+        """<boundary tau, x> of the dimension-n word x and its partner tau,
+        checked to be +-1 when first computed; the pairing is fixed."""
+        inc = self._incidence[n].get(x)
         if inc is None:
-            inc = incidence(tau, x)
+            inc = incidence(Simplex(n + 1, tau), Simplex(n, x))
             if abs(inc) != 1:
                 raise SelfCheckError(
-                    f"matched pair ({x}, {tau}) has incidence {inc}, "
-                    f"not a regular pair")
-            self._incidence[x] = inc
+                    f"matched pair ({word_text(x)}, {word_text(tau)}) has "
+                    f"incidence {inc}, not a regular pair")
+            self._incidence[n][x] = inc
         return inc
 
-    def _projection(self, x: Simplex) -> dict[Simplex, int]:
-        """G(x): the critical cells of the stable value of x under the flow.
+    def _projection(self, n: int, x: Word) -> dict[Word, int]:
+        """G(x): the critical words of the stable value of x under the flow.
 
         G(x) = x for a critical x, 0 for an upper cell, and
         -inc * sum over the other faces y of its partner tau of
         <boundary tau, y> G(y) for a cell that pairs up.  Memoized per
         context.
         """
-        memo = self._gradient
+        memo = self._gradient[n]
         if x in memo:
             return memo[x]
         pairing = self.pairing
-        partners: dict[Simplex, tuple[int, list[tuple[Simplex, int]]]] = {}
+        partners: dict[Word, tuple[int, list[tuple[Word, int]]]] = {}
 
-        def faces(cell: Simplex) -> list[Simplex]:
-            tau = pairing.pair_up(cell)
+        def faces(cell: Word) -> list[Word]:
+            tau = pairing.up_word(n, cell)
             if tau is None:
                 return []
-            other = [(y, v) for y, v in
-                     boundary_simplex(tau, self.mode)._terms.items()
+            other = [(y, v) for y, v in face_sum(n + 1, tau, self.mode).items()
                      if y != cell]
-            partners[cell] = (-self._pair_incidence(cell, tau), other)
+            partners[cell] = (-self._pair_incidence(n, cell, tau), other)
             return [y for y, _ in other]
 
         for cell in _postorder(x, faces, memo):
             if cell not in partners:
-                memo[cell] = {} if pairing.pair_down(cell) is not None \
+                memo[cell] = {} if pairing.down_word(n, cell) is not None \
                     else {cell: 1}
                 continue
             scale, other = partners.pop(cell)
-            acc: dict[Simplex, int] = {}
+            acc: dict[Word, int] = {}
             for y, v in other:
                 for z, u in memo[y].items():
                     acc[z] = acc.get(z, 0) + scale * v * u
             memo[cell] = {z: u for z, u in acc.items() if u}
         return memo[x]
 
-    def _coface_edges(self, z: Simplex) -> tuple[
-            list[tuple[Simplex, int]], list[tuple[tuple[int, ...], int]]]:
-        """The cofaces tau of z within the scope, split by pair_down alone.
+    def _coface_edges(self, n: int, z: Word) -> tuple[
+            list[tuple[Word, int]], list[tuple[Word, int]]]:
+        """The cofaces tau of z within the scope, split by down_word alone.
 
         First, for each upper tau whose partner y is not z, the gradient
-        edge (y, -<boundary tau, y> <boundary tau, z>); then the word of
-        every other tau with <boundary tau, z>.  Memoized per context.
+        edge (y, -<boundary tau, y> <boundary tau, z>); then every other
+        tau with <boundary tau, z>.  Memoized per context.
         """
-        edges = self._edges.get(z)
+        edges = self._edges[n].get(z)
         if edges is not None:
             return edges
-        up: list[tuple[Simplex, int]] = []
-        rest: list[tuple[tuple[int, ...], int]] = []
+        up: list[tuple[Word, int]] = []
+        rest: list[tuple[Word, int]] = []
         # a normalized boundary drops every degenerate face
-        if self.mode == "unnormalized" or not is_degenerate(z):
-            n = z.dim
-            inc: dict[tuple[int, ...], int] = {}
-            for i, w in _coface_words_within(n, z.word,
-                                             self.scope.max_length):
+        if self.mode == "unnormalized" or not is_degenerate_word(n, z):
+            inc: dict[Word, int] = {}
+            for i, w in _coface_words_within(n, z, self.scope.max_length):
                 inc[w] = inc.get(w, 0) + (-1 if i % 2 else 1)
             for w, v in inc.items():
                 if not v:
                     continue
-                tau = Simplex(n + 1, w)
-                y = self.pairing.pair_down(tau)
+                y = self.pairing.down_word(n + 1, w)
                 if y is None:
                     rest.append((w, v))
                 elif y != z:
-                    up.append((y, -self._pair_incidence(y, tau) * v))
-        edges = self._edges[z] = (up, rest)
+                    up.append((y, -self._pair_incidence(n, y, w) * v))
+        edges = self._edges[n][z] = (up, rest)
         return edges
 
-    def _column(self, sigma: Simplex) -> dict[tuple[int, ...], int]:
+    def _column(self, n: int, sigma: Word) -> dict[Word, int]:
         """<boundary-tilde c, sigma> by the word of every non-upper cell c
         it is nonzero on, by walking gradient paths upward from sigma.
 
@@ -297,37 +298,37 @@ class FlowContext:
         cell z adds w times the weight of z to y; the walk's post-order,
         reversed, puts every cell after all cells with an edge into it.
         """
-        column = self._columns.get(sigma)
+        column = self._columns[n].get(sigma)
         if column is not None:
             return column
         order = _postorder(
-            sigma, lambda z: [y for y, _ in self._coface_edges(z)[0]], {})
+            sigma, lambda z: [y for y, _ in self._coface_edges(n, z)[0]], {})
         weight = {sigma: 1}
         column = {}
         for z in reversed(order):
             h = weight.pop(z, 0)
             if not h:
                 continue
-            up, rest = self._coface_edges(z)
+            up, rest = self._coface_edges(n, z)
             for y, w in up:
                 weight[y] = weight.get(y, 0) + w * h
             for w, v in rest:
                 column[w] = column.get(w, 0) + v * h
-        column = self._columns[sigma] = {w: v for w, v in column.items() if v}
+        column = self._columns[n][sigma] = {w: v for w, v in column.items() if v}
         return column
 
     def _transposed(self, basis: list[Simplex]) -> tuple[
-            dict[Simplex, list[int]], dict[tuple[int, ...], dict[int, int]]]:
-        """The basis positions of each cell, and the backward columns of the
+            dict[Word, list[int]], dict[Word, dict[int, int]]]:
+        """The basis positions of each word, and the backward columns of the
         basis as sparse rows by word; kept for the last basis asked for."""
         if basis != self._basis:
             if len({b.dim for b in basis}) > 1:
                 raise ValueError("basis cells must share one dimension")
-            index: dict[Simplex, list[int]] = {}
-            rows: dict[tuple[int, ...], dict[int, int]] = {}
+            index: dict[Word, list[int]] = {}
+            rows: dict[Word, dict[int, int]] = {}
             for j, sigma in enumerate(basis):
-                index.setdefault(sigma, []).append(j)
-                for w, v in self._column(sigma).items():
+                index.setdefault(sigma.word, []).append(j)
+                for w, v in self._column(sigma.dim, sigma.word).items():
                     rows.setdefault(w, {})[j] = v
             self._basis, self._index, self._rows = list(basis), index, rows
         return self._index, self._rows
@@ -344,14 +345,16 @@ class FlowContext:
             raise TruncationError(
                 f"cell {cell} lies outside the flow scope {self.scope}",
                 dim=cell.dim, length=cell.length)
+        if cell.dim == 0:
+            raise ValueError("dimension-0 chains have no boundary")
         if basis and basis[0].dim != cell.dim - 1:
             raise ValueError(
                 f"a row of dimension-{cell.dim} cell {cell} reads "
                 f"dimension-{cell.dim - 1} cells, not {basis[0]}")
         index, rows = self._transposed(basis)
-        forward: dict[Simplex, int] = {}
-        for y, v in boundary_simplex(cell, self.mode)._terms.items():
-            for z, u in self._projection(y).items():
+        forward: dict[Word, int] = {}
+        for y, v in face_sum(cell.dim, cell.word, self.mode).items():
+            for z, u in self._projection(cell.dim - 1, y).items():
                 forward[z] = forward.get(z, 0) + v * u
         row = {j: u for z, u in forward.items() if u
                for j in index.get(z, ())}

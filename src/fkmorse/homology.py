@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import SelfCheckError
-from .flow import FlowContext
+from .flow import FlowContext, check_mode
 from .pairing import (CriticalReport, DEFAULT_FLAGS, Matching, PairingFlags,
                       Scope, build_matching, check_bounds)
 from .simplicial import Simplex, simplex_text, sort_key
@@ -332,6 +332,7 @@ def morse_context(degree: int, max_length: int,
         -> tuple[FlowContext, CriticalReport, Matching]:
     """Matching plus flow context wide enough for degree-d homology."""
     max_dim = degree + 2
+    check_mode(mode, flags)  # before the matching is built
     matching, report = build_matching(max_dim, max_length, flags)
     ctx = FlowContext(matching, Scope(max_dim, max_length), mode,
                       validate=False)  # build_matching validated already

@@ -14,6 +14,7 @@ validate_matching records that reduction in its verdict.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
@@ -32,6 +33,7 @@ from .simplicial import (
     sort_key,
     stratum_size,
     stratum_words,
+    Word,
     surjective_words,
     word_text,
 )
@@ -216,37 +218,26 @@ def _steepness(n: int, word: tuple[int, ...], flags: PairingFlags) \
     return tw, "paired"
 
 
-def steepness_pair_reason(
-        sigma: Simplex,
-        flags: PairingFlags = DEFAULT_FLAGS) -> tuple[Optional[Simplex], str]:
-    """The partner of sigma, or None with the reason it stays unmatched."""
-    tw, reason = _steepness(sigma.dim, sigma.word, flags)
-    return (None if tw is None else Simplex(sigma.dim + 1, tw)), reason
-
-
-def steepness_pair(sigma: Simplex,
-                   flags: PairingFlags = DEFAULT_FLAGS) -> Optional[Simplex]:
-    return steepness_pair_reason(sigma, flags)[0]
-
-
-def _pair_down(tau: Simplex, flags: PairingFlags) -> Optional[Simplex]:
-    """The sigma with steepness_pair(sigma) = tau, computed from tau's side."""
-    if tau.dim == 0:
+def _pair_down(dim: int, word: Word, flags: PairingFlags) -> Optional[Word]:
+    """The word w with _steepness(dim - 1, w) = word, from word's side."""
+    if dim == 0:
         return None
-    faces = _same_length_face_words(tau.dim, tau.word)
+    faces = _same_length_face_words(dim, word)
     if not faces:
         return None
     sw = max(faces)
     # only a regular face can pair: it must occupy a single face index
     if faces.count(sw) != 1:
         return None
-    if _steepness(tau.dim - 1, sw, flags)[0] == tau.word:
-        return Simplex(tau.dim - 1, sw)
-    return None
+    return sw if _steepness(dim - 1, sw, flags)[0] == word else None
+
+
+def _cell(dim: int, word: Optional[Word]) -> Optional[Simplex]:
+    return None if word is None else Simplex(dim, word)
 
 
 class SteepnessRule:
-    """Lazy, memoized pairing oracle; needs no global enumeration.
+    """Lazy pairing oracle, memoized by word; needs no global enumeration.
 
     Equivalent on every stratum to build_matching (tested), but usable at
     dimensions where enumerating strata is infeasible.
@@ -254,18 +245,28 @@ class SteepnessRule:
 
     def __init__(self, flags: PairingFlags = DEFAULT_FLAGS) -> None:
         self.flags = flags
-        self._up: dict[Simplex, Optional[Simplex]] = {}
-        self._down: dict[Simplex, Optional[Simplex]] = {}
+        self._up: dict[int, dict[Word, Optional[Word]]] = defaultdict(dict)
+        self._down: dict[int, dict[Word, Optional[Word]]] = defaultdict(dict)
+
+    def up_word(self, dim: int, word: Word) -> Optional[Word]:
+        """The partner's word if the dimension-dim word pairs up, else None."""
+        memo = self._up[dim]
+        if word not in memo:
+            memo[word] = _steepness(dim, word, self.flags)[0]
+        return memo[word]
+
+    def down_word(self, dim: int, word: Word) -> Optional[Word]:
+        """The partner's word if the dimension-dim word pairs down."""
+        memo = self._down[dim]
+        if word not in memo:
+            memo[word] = _pair_down(dim, word, self.flags)
+        return memo[word]
 
     def pair_up(self, x: Simplex) -> Optional[Simplex]:
-        if x not in self._up:
-            self._up[x] = steepness_pair(x, self.flags)
-        return self._up[x]
+        return _cell(x.dim + 1, self.up_word(x.dim, x.word))
 
     def pair_down(self, x: Simplex) -> Optional[Simplex]:
-        if x not in self._down:
-            self._down[x] = _pair_down(x, self.flags)
-        return self._down[x]
+        return _cell(x.dim - 1, self.down_word(x.dim, x.word))
 
     def is_matched(self, x: Simplex) -> bool:
         return self.pair_up(x) is not None or self.pair_down(x) is not None
@@ -285,8 +286,9 @@ class Matching:
         self.flags = flags
         self.pairs: list[tuple[Simplex, Simplex]] = sorted(
             pairs, key=lambda p: (p[0].dim, sort_key(p[0])))
-        self._up: dict[Simplex, Simplex] = {}
-        self._down: dict[Simplex, Simplex] = {}
+        # the pairs by dimension, as sigma word -> tau word and back
+        self._up: dict[int, dict[Word, Word]] = defaultdict(dict)
+        self._down: dict[int, dict[Word, Word]] = defaultdict(dict)
         for sigma, tau in self.pairs:
             if tau.dim != sigma.dim + 1:
                 raise ValueError(
@@ -294,26 +296,34 @@ class Matching:
             if tau.length != sigma.length:
                 raise ValueError(
                     f"pair ({sigma}, {tau}) crosses word-length strata")
-            self._up[sigma] = tau
-            self._down[tau] = sigma
+            self._up[sigma.dim][sigma.word] = tau.word
+            self._down[tau.dim][tau.word] = sigma.word
 
     def __len__(self) -> int:
         return len(self.pairs)
 
+    def up_word(self, dim: int, word: Word) -> Optional[Word]:
+        """As SteepnessRule.up_word, within the pairs."""
+        return self._up[dim].get(word)
+
+    def down_word(self, dim: int, word: Word) -> Optional[Word]:
+        """As SteepnessRule.down_word, within the pairs."""
+        return self._down[dim].get(word)
+
     def pair_up(self, x: Simplex) -> Optional[Simplex]:
-        return self._up.get(x)
+        return _cell(x.dim + 1, self.up_word(x.dim, x.word))
 
     def pair_down(self, x: Simplex) -> Optional[Simplex]:
-        return self._down.get(x)
+        return _cell(x.dim - 1, self.down_word(x.dim, x.word))
 
     def is_matched(self, x: Simplex) -> bool:
-        return x in self._up or x in self._down
+        return x.word in self._up[x.dim] or x.word in self._down[x.dim]
 
     def is_critical(self, x: Simplex) -> bool:
         """Unmatched within scope; undecidable at dim = max_dim (no coface data)."""
         if not self.scope.covers(x):
             raise ValueError(f"{x} (dim {x.dim}) lies outside {self.scope}")
-        if x.dim >= self.scope.max_dim and x not in self._down:
+        if x.dim >= self.scope.max_dim and x.word not in self._down[x.dim]:
             raise ValueError(
                 f"criticality of {x} at dim {x.dim} is undecided: the scope "
                 f"holds no dimension-{x.dim + 1} cofaces")

@@ -45,6 +45,9 @@ class Generator:
         return f"a{self.index}"
 
 
+Word = tuple[int, ...]  # generator indices, as in Simplex.word
+
+
 @dataclass(frozen=True, slots=True)
 class Simplex:
     """A word of generator indices in a fixed dimension.

@@ -96,3 +96,30 @@ def test_homology_jobs_print_their_recorded_bytes(grid):
     """The same for the homology and scan jobs, so a change in the
     matching, the slices or the Smith normal form shows here too."""
     _check_recorded_bytes(grid)
+
+
+def test_a_traced_homology_job_counts_no_chain_boundary_or_flow(tracing):
+    """The counts a traced homology job reports for the flow layers: both
+    slices come from the gradient-path reductions, which check every entry
+    by two routes and neither take Chain boundaries nor stabilize."""
+    homology = importlib.import_module("fkmorse.homology")
+    ctx, report, _ = homology.morse_context(3, 6)
+    entries = 0
+    for degree in (3, 4):
+        slc = homology.build_slice(ctx, report, degree)
+        entries += len(slc.basis_hi) * len(slc.basis_lo)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_job(0)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = fkmorse.cli.main(
+                "homology --degree 3 --max-length 6".split())
+        tracer.end_job()
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.counts["chains.boundary_calls"] == 0
+    assert tracer.counts["flow.stabilize_calls"] == 0
+    assert tracer.counts["flow.dual_route_checks"] == entries > 0
+    assert tracer.counts["homology.slice_calls"] == 2

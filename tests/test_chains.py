@@ -12,8 +12,7 @@ import random
 
 import pytest
 
-from fkmorse.chains import (Chain, boundary, boundary_simplex, incidence,
-                            inner)
+from fkmorse.chains import Chain, boundary, face_sum, incidence, inner
 from fkmorse.flow import sigma_cell, sigma_tilde_cell, tau_cell, y_power
 from fkmorse.simplicial import Simplex, enumerate_stratum, face, identity
 
@@ -74,7 +73,7 @@ def test_boundary_of_dimension_one_vanishes():
 
 def test_boundary_of_dimension_zero_rejected():
     with pytest.raises(ValueError):
-        boundary_simplex(identity(0))
+        boundary(Chain.unit(identity(0)))
 
 
 def test_boundary_sigma_2():
@@ -146,6 +145,18 @@ def test_boundary_linear():
     c = _chain(3, (2, (3, 2, 1)), (-1, (3, 2, 2)))
     assert boundary(c) == 2 * boundary(Chain.unit(Simplex(3, (3, 2, 1)))) \
         - boundary(Chain.unit(Simplex(3, (3, 2, 2))))
+
+
+@pytest.mark.parametrize("mode", ["unnormalized", "normalized"])
+def test_face_sum_is_the_boundary_of_one_word(mode):
+    # every word of dimension 1..4 and length <= 3, some faces of which
+    # cancel or are degenerate
+    for dim in range(1, 5):
+        for length in range(4):
+            for x in enumerate_stratum(dim, length):
+                expected = boundary(Chain.unit(x), mode)
+                got = face_sum(dim, x.word, mode)
+                assert got == {y.word: v for y, v in expected.items()}, x
 
 
 # --- incidence ----------------------------------------------------------------------

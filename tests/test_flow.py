@@ -5,7 +5,7 @@ unit inner products on matched pairs) are checked both on hand-picked cells
 and on randomized chains; stable values of the named families are frozen
 from independent hand computation of the small cases. The one-dict
 accumulators behind boundary, V and the flow are checked against a
-term-by-term reference built from boundary_simplex and Chain addition.
+term-by-term reference built from faces and Chain addition.
 Morse boundary rows, which the library computes by two gradient-path
 reductions, are checked against the iterated flow, kept here as the
 oracle for whole slices.
@@ -15,8 +15,7 @@ import random
 
 import pytest
 
-from fkmorse.chains import (Chain, boundary, boundary_simplex, incidence,
-                            inner)
+from fkmorse.chains import Chain, boundary, incidence, inner
 from fkmorse.errors import (SelfCheckError, StabilizationError,
                             TruncationError)
 from fkmorse.flow import (
@@ -31,7 +30,8 @@ from fkmorse.flow import (
 from fkmorse.homology import build_slice, morse_context
 from fkmorse.pairing import (Matching, PairingFlags, Scope, SteepnessRule,
                              build_matching)
-from fkmorse.simplicial import Simplex, enumerate_stratum, face, identity
+from fkmorse.simplicial import (Simplex, enumerate_stratum, face, identity,
+                                is_degenerate)
 
 S = Simplex
 ALLOW = PairingFlags(degenerate_policy="allow")
@@ -265,7 +265,10 @@ def test_flow_commutes_with_boundary_randomized(ctx):
 def _reference_boundary(c, mode):
     out = Chain.zero(c.dim - 1)
     for x, coef in c.items():
-        out = out + coef * boundary_simplex(x, mode)
+        for i in range(x.dim + 1):
+            y = face(x, i)
+            if mode == "unnormalized" or not is_degenerate(y):
+                out = out + (-coef if i % 2 else coef) * _unit(y)
     return out
 
 
@@ -411,8 +414,9 @@ def _tamper_columns(monkeypatch, flow, cell, shifts):
     cell in the column of each basis cell sigma."""
     honest = flow._column
 
-    def column(sigma):
-        out = dict(honest(sigma))
+    def column(dim, word):
+        out = dict(honest(dim, word))
+        sigma = S(dim, word)
         if sigma in shifts:
             out[cell.word] = out.get(cell.word, 0) + shifts[sigma]
         return out

@@ -22,6 +22,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from fkmorse.chains import Chain, boundary
 from fkmorse.errors import SelfCheckError
 from fkmorse import homology
+from fkmorse.cli import main
 from fkmorse.flow import y_power
 from fkmorse.homology import (
     MorseSlice,
@@ -489,6 +490,29 @@ def test_stability_scan_checks_its_bounds_before_building(monkeypatch):
     with pytest.raises(ValueError, match="degree must be >= 0"):
         stability_scan(-1, 0, 3)
     assert stability_scan(-1, 0, -1).results == []
+
+
+def test_allow_with_normalized_is_refused_before_building(monkeypatch,
+                                                          capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a matching was built")
+
+    monkeypatch.setattr(homology, "build_matching", no_build)
+    allow = PairingFlags("allow")
+    refusal = "normalized chains drop degenerate cells"
+    with pytest.raises(ValueError, match=refusal):
+        compute_homology(5, 7, allow, "normalized")
+    with pytest.raises(ValueError, match=refusal):
+        stability_scan(5, 2, 7, allow, "normalized")
+    with pytest.raises(ValueError, match=refusal):
+        morse_context(5, 7, allow, "normalized")
+    with pytest.raises(ValueError, match="unknown chain mode"):
+        compute_homology(1, 3, mode="reduced")
+    for command in ("morse --degree 5", "homology --degree 5"):
+        argv = (command + " --max-length 7 --degenerate-policy allow "
+                "--mode normalized").split()
+        assert main(argv) == 2, command
+        assert refusal in capsys.readouterr().err, command
 
 
 def test_stability_scan_empty_range():

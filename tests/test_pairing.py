@@ -20,13 +20,12 @@ from fkmorse.pairing import (
     SteepnessRule,
     StratumKey,
     _coface_words,
+    _steepness,
     build_matching,
     check_dot_size,
     coface_occurrences,
     matching_to_dot,
     regular_cofaces,
-    steepness_pair,
-    steepness_pair_reason,
     validate_matching,
 )
 from fkmorse.simplicial import (Simplex, enumerate_stratum, face,
@@ -118,6 +117,16 @@ def test_regular_cofaces_examples():
 
 
 # --- the steepness rule on worked cells ---------------------------------------
+
+def steepness_pair_reason(sigma, flags=PairingFlags()):
+    """The rule on one cell: its partner or None, with the reason."""
+    tw, reason = _steepness(sigma.dim, sigma.word, flags)
+    return (None if tw is None else S(sigma.dim + 1, tw)), reason
+
+
+def steepness_pair(sigma, flags=PairingFlags()):
+    return steepness_pair_reason(sigma, flags)[0]
+
 
 def test_square_of_the_generator_pairs_upward():
     assert steepness_pair(S(1, (1, 1))) == S(2, (1, 2))
@@ -450,6 +459,34 @@ def test_lazy_rule_agrees_with_the_literal_definition(
                 if n < max_dim:
                     assert rule.pair_up(x) == up.get(x)
                 assert rule.pair_down(x) == down.get(x)
+
+
+@pytest.mark.parametrize("flags", [PairingFlags(), ALLOW],
+                         ids=["critical", "allow"])
+@pytest.mark.parametrize("max_dim,max_length", [(4, 4), (3, 5)])
+def test_word_lookups_agree_with_the_cell_api(max_dim, max_length, flags):
+    matching, _ = build_matching(max_dim, max_length, flags)
+    rule = SteepnessRule(flags)
+    for n, length in Scope(max_dim, max_length).strata():
+        for x in enumerate_stratum(n, length):
+            for pairing in (matching, rule):
+                up = pairing.up_word(n, x.word)
+                down = pairing.down_word(n, x.word)
+                assert pairing.pair_up(x) == \
+                    (None if up is None else S(n + 1, up))
+                assert pairing.pair_down(x) == \
+                    (None if down is None else S(n - 1, down))
+                if up is not None:
+                    assert pairing.down_word(n + 1, up) == x.word
+                if pairing is matching and n == max_dim and down is None:
+                    with pytest.raises(ValueError, match="undecided"):
+                        matching.is_critical(x)
+                else:
+                    assert pairing.is_critical(x) == \
+                        (up is None and down is None)
+            if n < max_dim:
+                assert matching.up_word(n, x.word) == rule.up_word(n, x.word)
+            assert matching.down_word(n, x.word) == rule.down_word(n, x.word)
 
 
 def test_report_keeps_what_it_builds_on_first_read(built_3_3):
