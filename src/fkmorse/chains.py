@@ -14,46 +14,48 @@ from __future__ import annotations
 import json
 from typing import Iterable, Iterator
 
-from .simplicial import (Simplex, Word, face, face_word, is_degenerate,
-                         is_degenerate_word, sort_key)
+from .simplicial import Simplex, Word, face_word, is_degenerate_word
 
 Mode = str
 MODES = ("unnormalized", "normalized")
 
 
 class Chain:
-    """Immutable integer combination of same-dimension simplices."""
+    """Immutable integer combination of same-dimension simplices, held as
+    word -> coefficient; a Simplex is built only when a term is read."""
 
     __slots__ = ("dim", "_terms")
 
     def __init__(self, dim: int, terms: Iterable[tuple[Simplex, int]] = ()) -> None:
-        merged: dict[Simplex, int] = {}
+        merged: dict[Word, int] = {}
         for x, c in terms:
             if x.dim != dim:
                 raise ValueError(
                     f"term {x} has dimension {x.dim}, chain has {dim}")
-            c = int(c)
+            if not isinstance(c, int):
+                raise TypeError(f"coefficient {c!r} of {x} is not an integer")
             if c:
-                merged[x] = merged.get(x, 0) + c
+                merged[x.word] = merged.get(x.word, 0) + c
         object.__setattr__(self, "dim", dim)
         object.__setattr__(
             self, "_terms",
-            {x: c for x, c in merged.items() if c})
+            {w: c for w, c in merged.items() if c})
 
     @classmethod
-    def _sum(cls, dim: int, terms: Iterable[tuple[Simplex, int]]) -> "Chain":
-        """The chain sum of the terms, built without the checks of __init__.
+    def _sum(cls, dim: int, terms: Iterable[tuple[Word, int]]) -> "Chain":
+        """The chain sum of (word, coefficient) terms, built without the
+        checks of __init__.
 
-        Callers guarantee that every simplex has dimension dim and every
+        Callers guarantee that every word is a dimension-dim word and every
         coefficient is an int.
         """
-        merged: dict[Simplex, int] = {}
-        for x, c in terms:
-            v = merged.get(x, 0) + c
+        merged: dict[Word, int] = {}
+        for w, c in terms:
+            v = merged.get(w, 0) + c
             if v:
-                merged[x] = v
+                merged[w] = v
             else:
-                merged.pop(x, None)
+                merged.pop(w, None)
         chain = object.__new__(cls)
         object.__setattr__(chain, "dim", dim)
         object.__setattr__(chain, "_terms", merged)
@@ -72,13 +74,14 @@ class Chain:
 
     def items(self) -> list[tuple[Simplex, int]]:
         """Terms sorted by (length, word)."""
-        return sorted(self._terms.items(), key=lambda t: sort_key(t[0]))
+        return [(Simplex(self.dim, w), c) for w, c in
+                sorted(self._terms.items(), key=lambda t: (len(t[0]), t[0]))]
 
     def support(self) -> list[Simplex]:
         return [x for x, _ in self.items()]
 
     def coefficient(self, x: Simplex) -> int:
-        return self._terms.get(x, 0)
+        return self._terms.get(x.word, 0) if x.dim == self.dim else 0
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -116,12 +119,10 @@ class Chain:
         if not isinstance(scalar, int):
             return NotImplemented
         return Chain._sum(self.dim,
-                          [(x, scalar * c) for x, c in self._terms.items()])
+                          [(w, scalar * c) for w, c in self._terms.items()])
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        return _join_terms(self.items())
+        return join_terms([(str(x), c) for x, c in self.items()], "*")
 
     def __repr__(self) -> str:
         return f"Chain({self.dim}, {self.items()!r})"
@@ -134,16 +135,19 @@ class Chain:
             separators=(",", ":"))
 
 
-def _join_terms(items: list[tuple[Simplex, int]]) -> str:
+def join_terms(terms: Iterable[tuple[str, int]], times: str) -> str:
+    """Signed terms joined as "x - 2*y + z", each a cell text and a nonzero
+    coefficient, with times between a magnitude above 1 and its cell; no
+    terms give "0"."""
     parts: list[str] = []
-    for x, c in items:
+    for text, c in terms:
         mag = abs(c)
-        body = str(x) if mag == 1 else f"{mag}*{x}"
+        body = text if mag == 1 else f"{mag}{times}{text}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
             parts.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(parts)
+    return " ".join(parts) or "0"
 
 
 def face_sum(dim: int, word: Word, mode: Mode = "unnormalized") -> dict[Word, int]:
@@ -165,11 +169,8 @@ def boundary(c: Chain, mode: Mode = "unnormalized") -> Chain:
     if c.dim == 0:
         raise ValueError("dimension-0 chains have no boundary")
     n = c.dim
-    faces = ((face(x, i), -coef if i % 2 else coef)
-             for x, coef in c._terms.items() for i in range(n + 1))
-    if mode == "normalized":
-        faces = ((fx, v) for fx, v in faces if not is_degenerate(fx))
-    return Chain._sum(n - 1, faces)
+    return Chain._sum(n - 1, ((f, coef * v) for w, coef in c._terms.items()
+                              for f, v in face_sum(n, w, mode).items()))
 
 
 def inner(c: Chain, x: Simplex) -> int:

@@ -24,7 +24,7 @@ import re
 import sys
 from typing import Optional, Sequence
 
-from .chains import Chain
+from .chains import Chain, join_terms
 from .errors import (ChainParseError, SelfCheckError, StabilizationError,
                      TruncationError)
 from .flow import (FlowContext, beta_cell, sigma_cell, sigma_tilde_cell,
@@ -124,17 +124,7 @@ def render_cell(cell: Simplex) -> str:
 
 def render_chain(chain: Chain) -> str:
     """Deterministic text for a chain; round-trips through parse_chain."""
-    if chain.is_zero():
-        return "0"
-    parts = []
-    for cell, coef in chain.items():
-        mag = abs(coef)
-        txt = render_cell(cell) if mag == 1 else f"{mag}·{render_cell(cell)}"
-        if not parts:
-            parts.append(txt if coef > 0 else "-" + txt)
-        else:
-            parts.append(("+ " if coef > 0 else "- ") + txt)
-    return " ".join(parts)
+    return join_terms([(render_cell(x), c) for x, c in chain.items()], "·")
 
 
 # --- output plumbing --------------------------------------------------------------

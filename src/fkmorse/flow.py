@@ -23,7 +23,7 @@ from typing import Callable, Container, Optional, Union
 from .chains import MODES, Chain, boundary, face_sum, incidence
 from .errors import SelfCheckError, StabilizationError, TruncationError
 from .pairing import (Matching, PairingFlags, Scope, SteepnessRule,
-                      _coface_words_within, validate_matching)
+                      _coface_words_within, _postorder, validate_matching)
 from .simplicial import (Simplex, Word, identity, is_degenerate_word,
                          sort_key, stratum_size, word_text)
 
@@ -89,31 +89,15 @@ def check_mode(mode: str, flags: PairingFlags) -> None:
             "pairs them, so the combination is incoherent")
 
 
-def _postorder(root: Word, successors: Callable[[Word], list[Word]],
-               known: Container[Word]) -> list[Word]:
-    """The words reachable from root through successors and not in known,
-    each after all of its successors.  A word reached again while the walk
-    is still inside it is a cycle, which an acyclic matching never has."""
-    order: list[Word] = []
-    walking = {root}
-    done: set[Word] = set()
-    stack = [(root, iter(successors(root)))]
-    while stack:
-        cell, rest = stack[-1]
-        for y in rest:
-            if y in walking:
-                raise SelfCheckError(
-                    f"gradient path from {word_text(cell)} returns to "
-                    f"{word_text(y)}: the matching has a cycle")
-            if y not in done and y not in known:
-                walking.add(y)
-                stack.append((y, iter(successors(y))))
-                break
-        else:
-            stack.pop()
-            walking.discard(cell)
-            done.add(cell)
-            order.append(cell)
+def _gradient_order(root: Word, successors: Callable[[Word], list[Word]],
+                    known: Container[Word]) -> list[Word]:
+    """The post-order of _postorder; a cycle, which an acyclic matching
+    never has, is a failed self-check."""
+    order, cycle = _postorder(root, successors, known)
+    if cycle:
+        raise SelfCheckError(
+            f"gradient path from {word_text(cycle[-2])} returns to "
+            f"{word_text(cycle[-1])}: the matching has a cycle")
     return order
 
 
@@ -168,24 +152,24 @@ class FlowContext:
                 f"{c.dim + 1} cells, beyond max_dim {self.scope.max_dim}",
                 dim=c.dim + 1)
         max_length = self.scope.max_length
-        beyond = [x for x in c._terms if len(x.word) > max_length]
+        beyond = [w for w in c._terms if len(w) > max_length]
         if beyond:
             # name the least offender, so the message does not depend on
             # the order the chain's terms were added in
-            x = min(beyond, key=sort_key)
+            w = min(beyond, key=lambda w: (len(w), w))
             raise TruncationError(
-                f"cell {x} has word length {x.length}, beyond max_length "
-                f"{max_length}", length=x.length)
+                f"cell {word_text(w)} has word length {len(w)}, beyond "
+                f"max_length {max_length}", length=len(w))
 
     def apply_V(self, c: Chain) -> Chain:
         self._guard(c)
         terms = []
-        for x, coef in c._terms.items():
-            tau = self.pairing.pair_up(x)
+        for w, coef in c._terms.items():
+            tau = self.pairing.pair_up(Simplex(c.dim, w))
             if tau is None:
                 continue
-            inc = self._pair_incidence(x.dim, x.word, tau.word)
-            terms.append((tau, -inc * coef))
+            inc = self._pair_incidence(c.dim, w, tau.word)
+            terms.append((tau.word, -inc * coef))
         return Chain._sum(c.dim + 1, terms)
 
     def apply_flow(self, c: Chain) -> Chain:
@@ -248,7 +232,7 @@ class FlowContext:
             partners[cell] = (-self._pair_incidence(n, cell, tau), other)
             return [y for y, _ in other]
 
-        for cell in _postorder(x, faces, memo):
+        for cell in _gradient_order(x, faces, memo):
             if cell not in partners:
                 memo[cell] = {} if pairing.down_word(n, cell) is not None \
                     else {cell: 1}
@@ -301,7 +285,7 @@ class FlowContext:
         column = self._columns[n].get(sigma)
         if column is not None:
             return column
-        order = _postorder(
+        order = _gradient_order(
             sigma, lambda z: [y for y, _ in self._coface_edges(n, z)[0]], {})
         weight = {sigma: 1}
         column = {}

@@ -339,17 +339,20 @@ def morse_context(degree: int, max_length: int,
     return ctx, report, matching
 
 
-def compute_homology(degree: int, max_length: int,
-                     flags: PairingFlags = DEFAULT_FLAGS,
-                     mode: str = "unnormalized") -> HomologyResult:
+def _morse_slices(degree: int, max_length: int, flags: PairingFlags,
+                  mode: str) -> tuple[MorseSlice, MorseSlice]:
+    """The slices of degrees d and d+1 at one bound.  The matching and the
+    flow's memos are freed on return: the Smith normal form needs neither."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     ctx, report, _ = morse_context(degree, max_length, flags, mode)
-    lo = build_slice(ctx, report, degree)
-    hi = build_slice(ctx, report, degree + 1)
-    # the Smith normal form needs neither the matching nor the flow's memos
-    del ctx, report
-    return homology_of_slices(lo, hi)
+    return build_slice(ctx, report, degree), build_slice(ctx, report, degree + 1)
+
+
+def compute_homology(degree: int, max_length: int,
+                     flags: PairingFlags = DEFAULT_FLAGS,
+                     mode: str = "unnormalized") -> HomologyResult:
+    return homology_of_slices(*_morse_slices(degree, max_length, flags, mode))
 
 
 @dataclass(frozen=True)
@@ -385,15 +388,12 @@ def stability_scan(degree: int, length_lo: int, length_hi: int,
     One matching and one pair of slices are built, at length_hi.  Faces
     never raise word length and pairs stay inside a stratum, so the slices
     at a bound L are their leading blocks of length <= L."""
-    if length_lo > length_hi:
-        return StabilityScan(degree=degree)
     if degree < 0:
         raise ValueError("degree must be >= 0")
+    if length_lo > length_hi:
+        return StabilityScan(degree=degree)
     check_bounds(degree + 2, length_lo)  # before building at length_hi
-    ctx, report, _ = morse_context(degree, length_hi, flags, mode)
-    lo = build_slice(ctx, report, degree)
-    hi = build_slice(ctx, report, degree + 1)
-    del ctx, report
+    lo, hi = _morse_slices(degree, length_hi, flags, mode)
     results = [homology_of_slices(_leading_block(lo, L), _leading_block(hi, L))
                for L in range(length_lo, length_hi + 1)]
     last = (results[-1].betti, results[-1].torsion)

@@ -18,7 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Container, Iterable, Iterator, Optional
 
 from .errors import SelfCheckError, TruncationError
 from .simplicial import (
@@ -105,7 +105,7 @@ class Scope:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Scope":
         _json_object(data, ("max_dim", "max_length"), "matching scope")
-        return cls(int(data["max_dim"]), int(data["max_length"]))
+        return cls(_json_int(data["max_dim"]), _json_int(data["max_length"]))
 
 
 def _json_object(data: object, keys: tuple[str, ...], what: str) -> dict:
@@ -117,6 +117,14 @@ def _json_object(data: object, keys: tuple[str, ...], what: str) -> dict:
         if key not in data:
             raise ValueError(f"{what} has no {key!r} key")
     return data
+
+
+def _json_int(value: object) -> int:
+    """value, checked to be a JSON integer; a float or a string is refused,
+    not truncated or parsed."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
 
 
 # --- coface inversion --------------------------------------------------------
@@ -354,9 +362,10 @@ class Matching:
                 _json_object(entry, ("sigma", "tau"), "matching pair")
                 s, t = (_json_object(entry[role], ("dim", "word"), role)
                         for role in ("sigma", "tau"))
-                pairs.append(
-                    (Simplex(int(s["dim"]), tuple(int(k) for k in s["word"])),
-                     Simplex(int(t["dim"]), tuple(int(k) for k in t["word"]))))
+                pairs.append(tuple(
+                    Simplex(_json_int(x["dim"]),
+                            tuple(_json_int(k) for k in x["word"]))
+                    for x in (s, t)))
             scope = Scope.from_json_dict(data["scope"])
         except TypeError as exc:
             raise ValueError(f"matching export holds a value of the wrong "
@@ -552,44 +561,49 @@ def validate_matching(m: Matching) -> Verdict:
                    strata_checked=checked, note=_REDUCTION_NOTE)
 
 
+def _postorder(root: Word, successors: Callable[[Word], list[Word]],
+               known: Container[Word]) \
+        -> tuple[list[Word], Optional[list[Word]]]:
+    """The words reachable from root through successors and not in known,
+    each after all of its successors, and None; or, once the walk reaches a
+    word it is still inside, the walk so far and that cycle w, ..., w."""
+    order: list[Word] = []
+    walking = {root}
+    done: set[Word] = set()
+    stack = [(root, iter(successors(root)))]
+    while stack:
+        cell, rest = stack[-1]
+        for y in rest:
+            if y in walking:
+                path = [z for z, _ in stack]
+                return order, path[path.index(y):] + [y]
+            if y not in done and y not in known:
+                walking.add(y)
+                stack.append((y, iter(successors(y))))
+                break
+        else:
+            stack.pop()
+            walking.discard(cell)
+            done.add(cell)
+            order.append(cell)
+    return order, None
+
+
 def _stratum_cycle(pairs: list[tuple[Simplex, Simplex]]) \
         -> Optional[list[Simplex]]:
     """A cycle sigma_0, tau_0, sigma_1, ..., sigma_0 if one exists; the
     search runs on words, which tell the cells of one stratum apart."""
-    cell = {s.word: s for s, _ in pairs}
-    partner = {s.word: t for s, t in pairs}
+    pair = {s.word: (s, t) for s, t in pairs}
     succ = {s.word: [f for f in _same_length_face_words(t.dim, t.word)
-                     if f != s.word and f in partner] for s, t in pairs}
-
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {s: WHITE for s in partner}
-    for root in partner:
-        if color[root] != WHITE:
-            continue
-        stack: list[tuple[tuple[int, ...], int]] = [(root, 0)]
-        trail: list[tuple[int, ...]] = [root]
-        color[root] = GRAY
-        while stack:
-            node, idx = stack[-1]
-            if idx < len(succ[node]):
-                stack[-1] = (node, idx + 1)
-                nxt = succ[node][idx]
-                if color[nxt] == GRAY:
-                    at = trail.index(nxt)
-                    loop = trail[at:] + [nxt]
-                    out: list[Simplex] = []
-                    for s in loop[:-1]:
-                        out.extend((cell[s], partner[s]))
-                    out.append(cell[loop[-1]])
-                    return out
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, 0))
-                    trail.append(nxt)
-            else:
-                color[node] = BLACK
-                stack.pop()
-                trail.pop()
+                     if f != s.word and f in pair] for s, t in pairs}
+    seen: set[Word] = set()
+    for root in pair:
+        if succ[root] and root not in seen:  # no cycle starts at a sink
+            order, loop = _postorder(root, succ.__getitem__, seen)
+            if loop:
+                return [x for w in loop[:-1] for x in pair[w]] + \
+                    [pair[loop[-1]][0]]
+            seen.update(order)
     return None
 
 

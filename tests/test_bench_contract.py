@@ -123,3 +123,39 @@ def test_a_traced_homology_job_counts_no_chain_boundary_or_flow(tracing):
     assert tracer.counts["flow.stabilize_calls"] == 0
     assert tracer.counts["flow.dual_route_checks"] == entries > 0
     assert tracer.counts["homology.slice_calls"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "flow --chain y^4",
+    "flow --chain=a3.a1.a2.a2-2*a2.a2.a3.a1 --dim 3 "
+    "--degenerate-policy allow",
+], ids=["y4", "allow"])
+def test_a_traced_flow_job_counts_its_rule_boundary_and_flow_calls(tracing,
+                                                                    argv):
+    """The counts a traced flow job reports: the flow asks the lazy rule
+    for partners and takes Chain boundaries through the names the tracer
+    wraps, and stabilizes once, in as many iterations as untraced."""
+    ns = fkmorse.cli.build_parser().parse_args(argv.split())
+    chain = fkmorse.cli.parse_chain(ns.chain, ns.dim)
+    flow = importlib.import_module("fkmorse.flow")
+    pairing = importlib.import_module("fkmorse.pairing")
+    # the scope cmd_flow takes when no bounds are given
+    longest = max(len(x.word) for x in chain.support())
+    ctx = flow.FlowContext(
+        pairing.SteepnessRule(pairing.PairingFlags(ns.degenerate_policy)),
+        pairing.Scope(chain.dim + 1, longest))
+    _, iterations = ctx.stabilize(chain)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_job(0)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = fkmorse.cli.main(argv.split())
+        tracer.end_job()
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.counts["pairing.rule_calls"] > 0
+    assert tracer.counts["chains.boundary_calls"] > 0
+    assert tracer.counts["flow.stabilize_calls"] == 1
+    assert tracer.counts["flow.iterations"] == iterations > 0

@@ -14,7 +14,8 @@ import pytest
 
 from fkmorse.chains import Chain, boundary, face_sum, incidence, inner
 from fkmorse.flow import sigma_cell, sigma_tilde_cell, tau_cell, y_power
-from fkmorse.simplicial import Simplex, enumerate_stratum, face, identity
+from fkmorse.simplicial import (Simplex, enumerate_stratum, face, identity,
+                                is_degenerate)
 
 
 def _chain(dim, *terms):
@@ -33,6 +34,8 @@ def test_chain_algebra_basics():
     assert c.coefficient(Simplex(2, (1, 2))) == 2
     assert c.coefficient(Simplex(2, (2, 1))) == -3
     assert c.coefficient(Simplex(2, (2, 2))) == 0
+    # a cell of another dimension is not a term, even with a term's word
+    assert c.coefficient(Simplex(3, (1, 2))) == 0
     assert (c - c).is_zero()
     assert -(c - c) == Chain.zero(2)
     assert 0 * a == Chain.zero(2)
@@ -53,8 +56,18 @@ def test_chain_terms_cancel_and_sort():
 def test_chain_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         Chain.unit(Simplex(1, (1,))) + Chain.unit(Simplex(2, (1,)))
+    # the same words in two dimensions are two different chains
+    assert Chain.unit(Simplex(2, (1,))) != Chain.unit(Simplex(3, (1,)))
+    assert _chain(2, (1, (1, 2)), (-1, ())) != _chain(3, (1, (1, 2)), (-1, ()))
     with pytest.raises(ValueError):
         inner(Chain.unit(Simplex(2, (1,))), Simplex(1, (1,)))
+
+
+@pytest.mark.parametrize("coef", [1.5, 1.0, "1", None])
+def test_chain_refuses_a_coefficient_that_is_not_an_integer(coef):
+    # refused rather than truncated: int(1.5) would be a silent 1
+    with pytest.raises(TypeError, match="is not an integer"):
+        Chain(2, [(Simplex(2, (1, 2)), coef)])
 
 
 def test_chain_str():
@@ -147,6 +160,18 @@ def test_boundary_linear():
         - boundary(Chain.unit(Simplex(3, (3, 2, 2))))
 
 
+def _faces_one_by_one(c, mode):
+    """The boundary of c as {face cell: coefficient}, from face and
+    is_degenerate one face at a time, without face_sum or Chain sums."""
+    out = {}
+    for x, coef in c.items():
+        for i in range(x.dim + 1):
+            y = face(x, i)
+            if mode == "unnormalized" or not is_degenerate(y):
+                out[y] = out.get(y, 0) + (-coef if i % 2 else coef)
+    return {y: v for y, v in out.items() if v}
+
+
 @pytest.mark.parametrize("mode", ["unnormalized", "normalized"])
 def test_face_sum_is_the_boundary_of_one_word(mode):
     # every word of dimension 1..4 and length <= 3, some faces of which
@@ -154,9 +179,26 @@ def test_face_sum_is_the_boundary_of_one_word(mode):
     for dim in range(1, 5):
         for length in range(4):
             for x in enumerate_stratum(dim, length):
-                expected = boundary(Chain.unit(x), mode)
+                expected = _faces_one_by_one(Chain.unit(x), mode)
                 got = face_sum(dim, x.word, mode)
                 assert got == {y.word: v for y, v in expected.items()}, x
+                assert dict(boundary(Chain.unit(x), mode).items()) == \
+                    expected, x
+
+
+@pytest.mark.parametrize("mode", ["unnormalized", "normalized"])
+def test_boundary_of_random_chains_is_the_face_by_face_sum(mode):
+    # several terms, some on one word, so that terms of different words
+    # meet on a common face and cancel or add
+    rng = random.Random(1998)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        words = [tuple(rng.randint(1, n) for _ in range(rng.randint(0, 5)))
+                 for _ in range(rng.randint(1, 4))]
+        words += rng.choices(words, k=2)
+        c = Chain(n, [(Simplex(n, w), rng.choice((-3, -2, -1, 1, 2, 3)))
+                      for w in words])
+        assert dict(boundary(c, mode).items()) == _faces_one_by_one(c, mode)
 
 
 # --- incidence ----------------------------------------------------------------------

@@ -371,7 +371,20 @@ def test_validate_rejects_a_removed_quantifier_scope(capsys, tmp_path,
      "matching flags has no 'degenerate_policy' key"),
     (lambda data: data["pairs"][0]["sigma"].update(word=3),
      "matching export holds a value of the wrong type"),
-], ids=["no-flags", "no-scope", "no-tau", "no-policy", "word-not-a-list"])
+    # numbers that are not JSON integers are refused, not truncated
+    (lambda data: data["pairs"][0]["sigma"]["word"].__setitem__(0, 1.7),
+     "matching export holds a value of the wrong type"),
+    (lambda data: data["pairs"][0]["tau"].update(dim=3.0),
+     "matching export holds a value of the wrong type"),
+    (lambda data: data["scope"].update(max_length=2.9),
+     "matching export holds a value of the wrong type"),
+    (lambda data: data["scope"].update(max_dim="3"),
+     "matching export holds a value of the wrong type"),
+    (lambda data: data["pairs"][0]["tau"]["word"].__setitem__(0, True),
+     "matching export holds a value of the wrong type"),
+], ids=["no-flags", "no-scope", "no-tau", "no-policy", "word-not-a-list",
+        "float-letter", "float-dim", "float-bound", "string-bound",
+        "bool-letter"])
 def test_validate_rejects_a_malformed_export(capsys, tmp_path, edit,
                                              message):
     data = json.loads(build_matching(3, 3)[0].to_json())

@@ -489,7 +489,11 @@ def test_stability_scan_checks_its_bounds_before_building(monkeypatch):
         stability_scan(1, 0, 3)
     with pytest.raises(ValueError, match="degree must be >= 0"):
         stability_scan(-1, 0, 3)
-    assert stability_scan(-1, 0, -1).results == []
+    # the degree is checked before the range, so an empty range does not
+    # hide a negative degree
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        stability_scan(-1, 5, 3)
+    assert stability_scan(1, 5, 3).results == []
 
 
 def test_allow_with_normalized_is_refused_before_building(monkeypatch,
