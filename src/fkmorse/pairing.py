@@ -207,36 +207,41 @@ def _steepness(n: int, word: tuple[int, ...], flags: PairingFlags) \
     The partner is the lex-least regular same-length coface, kept only if
     it passes the policy gate and the word is the largest of all its
     same-length faces.  Shorter faces and cofaces are always smaller, so
-    only same-length ones matter.
+    only same-length ones matter, and the rule has a closed form: the word
+    pairs exactly when its top letter n occurs at least twice, and its
+    partner raises the last n to n + 1.
+
+    Derivation.  With m = n + 1 - i, the same-length cofaces tau with
+    d_i(tau) = word keep every letter below m, raise every letter above m,
+    and take m or m + 1 at each copy of m (_coface_words).  For m' < m, a
+    coface lies in both index sets iff the word has no letter strictly
+    between m' and m and the coface keeps every m' and raises every m.
+    Applied to the neighbours m - 1 and m + 1, this makes the coface from
+    index i regular iff it raises some, not all, copies of m; so m must
+    repeat, and the end indices (m = 0, n + 1) give none.  The lex-least
+    regular coface comes from the largest repeated letter m and raises
+    only its last copy.  If m < n, its face d_1 exceeds the word at that
+    copy; if m = n, every other same-length face is smaller.  A
+    nondegenerate word holds all of 1..n, so its partner holds all of
+    1..n + 1 and is nondegenerate too.
     """
-    critical = flags.degenerate_policy == "critical"
-    if critical and is_degenerate_word(n, word):
+    if flags.degenerate_policy == "critical" and is_degenerate_word(n, word):
         return None, "degenerate"
-    counts: dict[tuple[int, ...], int] = {}
-    for _, w in _coface_words(n, word):
-        counts[w] = counts.get(w, 0) + 1
-    candidates = [w for w, c in counts.items() if c == 1]
-    if not candidates:
+    if word.count(n) >= 2:
+        p = len(word) - 1 - word[::-1].index(n)
+        return word[:p] + (n + 1,) + word[p + 1:], "paired"
+    if len(set(word)) == len(word):
         return None, "no-regular-coface"
-    tw = min(candidates)
-    if critical and is_degenerate_word(n + 1, tw):
-        return None, "coface-degenerate"
-    if any(f > word for f in _same_length_face_words(n + 1, tw)):
-        return None, "not-max-in-min-coface"
-    return tw, "paired"
+    return None, "not-max-in-min-coface"
 
 
 def _pair_down(dim: int, word: Word, flags: PairingFlags) -> Optional[Word]:
-    """The word w with _steepness(dim - 1, w) = word, from word's side."""
-    if dim == 0:
+    """The word w with _steepness(dim - 1, w) = word, from word's side: a
+    partner holds the letter dim once, and lowering it gives w back."""
+    if dim < 2 or word.count(dim) != 1:
         return None
-    faces = _same_length_face_words(dim, word)
-    if not faces:
-        return None
-    sw = max(faces)
-    # only a regular face can pair: it must occupy a single face index
-    if faces.count(sw) != 1:
-        return None
+    p = word.index(dim)
+    sw = word[:p] + (dim - 1,) + word[p + 1:]
     return sw if _steepness(dim - 1, sw, flags)[0] == word else None
 
 
@@ -245,7 +250,8 @@ def _cell(dim: int, word: Optional[Word]) -> Optional[Simplex]:
 
 
 class SteepnessRule:
-    """Lazy pairing oracle, memoized by word; needs no global enumeration.
+    """Lazy pairing oracle that decides each word from its own letters;
+    needs no global enumeration.
 
     Equivalent on every stratum to build_matching (tested), but usable at
     dimensions where enumerating strata is infeasible.
@@ -253,22 +259,14 @@ class SteepnessRule:
 
     def __init__(self, flags: PairingFlags = DEFAULT_FLAGS) -> None:
         self.flags = flags
-        self._up: dict[int, dict[Word, Optional[Word]]] = defaultdict(dict)
-        self._down: dict[int, dict[Word, Optional[Word]]] = defaultdict(dict)
 
     def up_word(self, dim: int, word: Word) -> Optional[Word]:
         """The partner's word if the dimension-dim word pairs up, else None."""
-        memo = self._up[dim]
-        if word not in memo:
-            memo[word] = _steepness(dim, word, self.flags)[0]
-        return memo[word]
+        return _steepness(dim, word, self.flags)[0]
 
     def down_word(self, dim: int, word: Word) -> Optional[Word]:
         """The partner's word if the dimension-dim word pairs down."""
-        memo = self._down[dim]
-        if word not in memo:
-            memo[word] = _pair_down(dim, word, self.flags)
-        return memo[word]
+        return _pair_down(dim, word, self.flags)
 
     def pair_up(self, x: Simplex) -> Optional[Simplex]:
         return _cell(x.dim + 1, self.up_word(x.dim, x.word))

@@ -23,14 +23,19 @@ from fkmorse.simplicial import StratumKey
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 TRACING = BENCH / "tracing.py"
+WORKLOADS = BENCH / "workloads.py"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("bench_tracing", TRACING)
 
 
 def test_every_traced_entry_point_resolves(tracing):
@@ -96,6 +101,22 @@ def test_homology_jobs_print_their_recorded_bytes(grid):
     """The same for the homology and scan jobs, so a change in the
     matching, the slices or the Smith normal form shows here too."""
     _check_recorded_bytes(grid)
+
+
+def test_flow_requests_print_their_recorded_bytes():
+    """The first 300 flow-requests jobs of recorded seed 0, so a change in
+    the lazy rule or the flow, which only that workload runs, shows here
+    too."""
+    workloads = _load("bench_workloads", WORKLOADS)
+    jobs = workloads.flow_requests(0)[:300]
+    expected = workloads.recorded("flow-requests", 0)[:300]
+    for job, (want_code, want) in zip(jobs, expected):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = fkmorse.cli.main(list(job))
+        assert code == want_code, job
+        assert workloads.digest(out.getvalue()).startswith(want), job
 
 
 def test_a_traced_homology_job_counts_no_chain_boundary_or_flow(tracing):

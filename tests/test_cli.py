@@ -26,7 +26,8 @@ from fkmorse.cli import (
 from fkmorse.errors import SelfCheckError, StabilizationError
 from fkmorse.flow import (FlowContext, beta_cell, sigma_cell,
                           sigma_tilde_cell, tau_cell, tau_tilde_cell, y_power)
-from fkmorse.pairing import Matching, PairingFlags, Scope, build_matching
+from fkmorse.pairing import (Matching, PairingFlags, Scope, SteepnessRule,
+                             build_matching)
 from fkmorse.simplicial import Simplex, enumerate_stratum, is_degenerate
 
 S = Simplex
@@ -412,6 +413,22 @@ def test_flow_collapses_generator_powers(capsys):
     code, out, _ = run(capsys, "flow", "--chain", "y^4")
     assert code == EXIT_OK
     assert out == "4·y\n"
+
+
+@pytest.mark.parametrize("r", [14, 16, 18, 40])
+def test_flow_collapses_long_generator_powers(capsys, r):
+    # the rule reads a word's letters, so y^r costs no 2^r coface listing
+    code, out, _ = run(capsys, "flow", "--chain", f"y^{r}")
+    assert code == EXIT_OK
+    assert out == f"{r}·y\n"
+
+
+def test_a_long_edge_power_pairs_with_its_last_letter_raised():
+    rule = SteepnessRule()
+    raised = (1,) * 63 + (2,)
+    assert rule.up_word(1, (1,) * 64) == raised
+    assert rule.down_word(2, raised) == (1,) * 64
+    assert rule.down_word(2, (2,) + (1,) * 63) is None
 
 
 def test_flow_json_output(capsys):

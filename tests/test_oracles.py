@@ -9,14 +9,26 @@
   nondegenerate words of length L: sum_n (-1)^n n! S(L, n) = (-1)^L for
   L >= 1, counting the surjections onto n letters (dimension 0 has only
   the empty word).
+* Under the default policy the critical collection has a closed form,
+  read off the paper's rule by hand: a nondegenerate word of dimension
+  n >= 1 is critical exactly when its top letter n occurs once, unless
+  an n - 1 stands before that n and none after it (then it pairs down
+  with the word whose n is lowered to n - 1).  The staircases sigma(r)
+  are in it; the doubled-tail staircases tau(r) miss the letter 1, so
+  they are critical by fiat, and they stay critical when degenerate
+  words may pair; the twisted staircases sigma~(r) pair down with the
+  doubled-head staircase.
 """
 
 import math
+from itertools import product
 
 import pytest
 
+from fkmorse.flow import sigma_cell, sigma_tilde_cell, tau_cell
 from fkmorse.homology import compute_homology
-from fkmorse.pairing import build_matching
+from fkmorse.pairing import PairingFlags, SteepnessRule, build_matching
+from fkmorse.simplicial import Simplex
 
 
 @pytest.mark.parametrize(
@@ -42,3 +54,44 @@ def test_critical_cells_of_one_length_have_euler_characteristic_sign(length):
     assert euler == (-1) ** length
     assert euler == sum((-1) ** n * _surjections(length, n)
                         for n in range(1, length + 1))
+
+
+def _in_critical_collection(n, word):
+    """Surjective onto 1..n, one letter n, and not (an n - 1 before that n
+    and none after it)."""
+    if set(word) != set(range(1, n + 1)) or word.count(n) != 1:
+        return False
+    top = word.index(n)
+    return not (n - 1 in word[:top] and n - 1 not in word[top + 1:])
+
+
+@pytest.mark.parametrize("max_dim,max_length", [(5, 5), (4, 6), (3, 7)])
+def test_critical_cells_are_the_words_with_a_lone_top_letter(max_dim,
+                                                             max_length):
+    _, report = build_matching(max_dim, max_length)
+    assert [x.word for x in report.unmatched_nondegenerate(0, 0)] == [()]
+    for n in range(1, max_dim):
+        for length in range(max_length + 1):
+            expected = [w for w in product(range(1, n + 1), repeat=length)
+                        if _in_critical_collection(n, w)]
+            assert [x.word for x in
+                    report.unmatched_nondegenerate(n, length)] == expected
+
+
+def test_named_staircases_in_and_out_of_the_critical_collection():
+    rule, allow = SteepnessRule(), SteepnessRule(PairingFlags("allow"))
+    for r in range(3, 12):
+        assert _in_critical_collection(r, sigma_cell(r).word)
+        assert rule.is_critical(sigma_cell(r))
+        assert 1 not in tau_cell(r).word
+        assert rule.is_critical(tau_cell(r)) and allow.is_critical(tau_cell(r))
+        twisted = sigma_tilde_cell(r)
+        assert not _in_critical_collection(r, twisted.word)
+        assert rule.pair_down(twisted) == \
+            Simplex(r - 1, (r - 1,) + tuple(range(r - 1, 0, -1)))
+    # inside a built scope the report agrees
+    _, report = build_matching(5, 5)
+    for r in (3, 4):
+        assert sigma_cell(r) in report.unmatched_nondegenerate(r, r)
+        assert tau_cell(r) in report.degenerate_by_fiat(r, r)
+        assert sigma_tilde_cell(r) not in report.unmatched_nondegenerate(r, r)

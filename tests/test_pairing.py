@@ -8,6 +8,7 @@ that each failure mode is witnessed by a distinct error class.
 
 import csv
 import io
+from typing import Optional
 
 import pytest
 
@@ -20,6 +21,8 @@ from fkmorse.pairing import (
     SteepnessRule,
     StratumKey,
     _coface_words,
+    _pair_down,
+    _same_length_face_words,
     _steepness,
     build_matching,
     check_dot_size,
@@ -28,8 +31,9 @@ from fkmorse.pairing import (
     regular_cofaces,
     validate_matching,
 )
-from fkmorse.simplicial import (Simplex, enumerate_stratum, face,
-                                is_degenerate, sort_key)
+from fkmorse.simplicial import (Simplex, Word, enumerate_stratum, face,
+                                is_degenerate, is_degenerate_word, sort_key,
+                                stratum_words)
 
 S = Simplex
 ALLOW = PairingFlags(degenerate_policy="allow")
@@ -190,6 +194,89 @@ def test_allow_policy_keeps_nondegenerate_decisions():
         if is_degenerate(sigma):
             continue
         assert steepness_pair(sigma, ALLOW) == steepness_pair(sigma)
+
+
+# --- the counted rule, as the reference route --------------------------------
+#
+# The steepness rule as it was computed before its closed form: list every
+# same-length coface, count the indices each comes from to find the regular
+# ones, and compare the word with all faces of the lex-least of them.
+
+def _counted_steepness(n: int, word: tuple[int, ...], flags: PairingFlags) \
+        -> tuple[Optional[tuple[int, ...]], str]:
+    """The steepness rule on a dimension-n word: its partner's word, or
+    None with the reason it stays unmatched.
+
+    The partner is the lex-least regular same-length coface, kept only if
+    it passes the policy gate and the word is the largest of all its
+    same-length faces.  Shorter faces and cofaces are always smaller, so
+    only same-length ones matter.
+    """
+    critical = flags.degenerate_policy == "critical"
+    if critical and is_degenerate_word(n, word):
+        return None, "degenerate"
+    counts: dict[tuple[int, ...], int] = {}
+    for _, w in _coface_words(n, word):
+        counts[w] = counts.get(w, 0) + 1
+    candidates = [w for w, c in counts.items() if c == 1]
+    if not candidates:
+        return None, "no-regular-coface"
+    tw = min(candidates)
+    if critical and is_degenerate_word(n + 1, tw):
+        return None, "coface-degenerate"
+    if any(f > word for f in _same_length_face_words(n + 1, tw)):
+        return None, "not-max-in-min-coface"
+    return tw, "paired"
+
+
+def _counted_pair_down(dim: int, word: Word, flags: PairingFlags) \
+        -> Optional[Word]:
+    """The word w with _steepness(dim - 1, w) = word, from word's side."""
+    if dim == 0:
+        return None
+    faces = _same_length_face_words(dim, word)
+    if not faces:
+        return None
+    sw = max(faces)
+    # only a regular face can pair: it must occupy a single face index
+    if faces.count(sw) != 1:
+        return None
+    return sw if _counted_steepness(dim - 1, sw, flags)[0] == word else None
+
+
+@pytest.mark.parametrize("flags", [PairingFlags(), ALLOW],
+                         ids=["critical", "allow"])
+def test_closed_form_rule_agrees_with_the_counted_rule(flags):
+    """Partner, reason and down-partner of every word of every stratum
+    with n <= 6, L <= 7 and n**L <= 5000."""
+    checked = 0
+    for n, length in Scope(6, 7).strata():
+        if n ** length > 5000:
+            continue
+        for word in stratum_words(n, length):
+            assert _steepness(n, word, flags) == \
+                _counted_steepness(n, word, flags), (n, word)
+            assert _pair_down(n, word, flags) == \
+                _counted_pair_down(n, word, flags), (n, word)
+            checked += 1
+    assert checked == 14_466
+
+
+def test_the_down_rule_asks_the_up_rule_only_about_words(monkeypatch):
+    # a word of dimension 0 or 1 holds no letter it could lower into a word
+    asked = []
+    up_rule = _steepness
+
+    def recording(n, word, flags):
+        asked.append((n, word))
+        return up_rule(n, word, flags)
+
+    monkeypatch.setattr("fkmorse.pairing._steepness", recording)
+    for n, length in Scope(3, 4).strata():
+        for word in stratum_words(n, length):
+            _pair_down(n, word, ALLOW)
+    assert asked
+    assert all(set(word) <= set(range(1, n + 1)) for n, word in asked)
 
 
 # --- build_matching and the critical report -----------------------------------
