@@ -88,8 +88,11 @@ def parse_chain(text: str, dim: Optional[int] = None) -> Chain:
         if dim is None:
             raise ChainParseError("the zero chain needs an explicit --dim")
         return Chain.zero(dim)
+    terms = _TERM.findall(compact)
+    if "".join(terms) != compact:  # findall skips a sign with no term
+        raise ChainParseError(f"stray sign in chain expression {text!r}")
     total: Optional[Chain] = None
-    for term in _TERM.findall(compact):
+    for term in terms:
         sign = 1
         if term[0] in "+-":
             sign = -1 if term[0] == "-" else 1
@@ -111,7 +114,6 @@ def parse_chain(text: str, dim: Optional[int] = None) -> Chain:
             raise
         except ValueError as exc:
             raise ChainParseError(str(exc)) from exc
-    assert total is not None
     return total
 
 
@@ -285,8 +287,6 @@ def cmd_homology(ns: argparse.Namespace) -> int:
             lines.append(f"stable_from: {scan.stable_from}")
             payload = "\n".join(lines)
     else:
-        if ns.max_length is None:
-            raise ValueError("--max-length (or --scan) is required")
         result = compute_homology(ns.degree, ns.max_length, flags, ns.mode)
         payload = result.to_json()
     _emit(ns, payload)
@@ -365,8 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="integer homology of the truncated Morse "
                                 "complex")
     p_hom.add_argument("--degree", type=int, required=True)
-    p_hom.add_argument("--max-length", type=int)
-    p_hom.add_argument("--scan", type=int, nargs=2, metavar=("LO", "HI"),
+    bound = p_hom.add_mutually_exclusive_group(required=True)
+    bound.add_argument("--max-length", type=int)
+    bound.add_argument("--scan", type=int, nargs=2, metavar=("LO", "HI"),
                        help="compute homology at every bound in LO..HI")
     p_hom.add_argument("--format", choices=("text", "json"), default="text")
     p_hom.set_defaults(func=cmd_homology)

@@ -20,7 +20,7 @@ from .errors import SelfCheckError
 from .flow import FlowContext, check_mode
 from .pairing import (CriticalReport, DEFAULT_FLAGS, Matching, PairingFlags,
                       Scope, build_matching, check_bounds)
-from .simplicial import Simplex, simplex_text, sort_key
+from .simplicial import Simplex, simplex_text
 
 Matrix = list[list[int]]
 
@@ -252,13 +252,10 @@ class MorseSlice:
 
 def critical_basis(report: CriticalReport, dim: int, max_length: int) \
         -> list[Simplex]:
-    """Nondegenerate critical cells of one dimension, in stratum order."""
-    cells: list[Simplex] = []
-    for length in range(max_length + 1):
-        if dim == 0 and length > 0:
-            break
-        cells.extend(report.unmatched_nondegenerate(dim, length))
-    return sorted(cells, key=sort_key)
+    """Nondegenerate critical cells of one dimension, in stratum order,
+    which is (length, word) order."""
+    return [x for length in range(max_length + 1 if dim else 1)
+            for x in report.unmatched_nondegenerate(dim, length)]
 
 
 def build_slice(ctx: FlowContext, report: CriticalReport, degree: int) \

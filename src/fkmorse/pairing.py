@@ -372,42 +372,54 @@ class Matching:
 
 
 class CriticalReport:
-    """Critical cells per stratum, split degenerate-by-fiat vs unmatched.
-
-    reasons maps each unmatched cell that is not degenerate by fiat to why
-    the rule skipped it; build_matching fills it and the per-stratum lists
-    of those cells as it walks.  strata adds the degenerate-by-fiat cells
-    (every degenerate word, under the critical policy); it enumerates whole
-    strata, so it is built on first read and kept, and the homology path
-    does not read it.
+    """Critical cells per stratum, read off a matching: the walked words
+    in no pair, and (strata) the degenerate-by-fiat cells, which it takes
+    whole strata to list.  Each list is built on first read and kept, so
+    the homology path walks only the dimensions of its slices.
     """
 
-    def __init__(self, scope: Scope, flags: PairingFlags,
-                 unmatched: dict[StratumKey, list[Simplex]],
-                 reasons: dict[Simplex, str]) -> None:
-        self.scope = scope
-        self.flags = flags
-        self.reasons = reasons
-        self._unmatched = unmatched
-        self._fiat = flags.degenerate_policy == "critical"
+    def __init__(self, matching: Matching) -> None:
+        self.matching = matching
+        self.scope = matching.scope
+        self.flags = matching.flags
+        self._unmatched: dict[StratumKey, list[Simplex]] = {}
+        self._fiat = self.flags.degenerate_policy == "critical"
 
     @cached_property
     def strata(self) -> dict[StratumKey, tuple[list[Simplex], list[Simplex]]]:
         out: dict[StratumKey, tuple[list[Simplex], list[Simplex]]] = {}
         for n, length in self.scope.strata():
-            key = StratumKey(n, length)
             deg = [x for x in enumerate_stratum(n, length)
                    if is_degenerate_word(n, x.word)] if self._fiat else []
-            unm = self._unmatched.get(key, [])
+            unm = self.unmatched_nondegenerate(n, length)
             if deg or unm:
-                out[key] = (deg, unm)
+                out[StratumKey(n, length)] = (deg, unm)
         return out
+
+    @cached_property
+    def reasons(self) -> dict[Simplex, str]:
+        """Why each unmatched cell is unmatched, in stratum order; a cell
+        at max_dim is "upward-undecided", since its cofaces are unseen."""
+        top = self.scope.max_dim
+        return {x: "upward-undecided" if n == top
+                else _steepness(n, x.word, self.flags)[1]
+                for n, length in self.scope.strata()
+                for x in self.unmatched_nondegenerate(n, length)}
 
     def degenerate_by_fiat(self, dim: int, length: int) -> list[Simplex]:
         return self.strata.get(StratumKey(dim, length), ([], []))[0]
 
     def unmatched_nondegenerate(self, dim: int, length: int) -> list[Simplex]:
-        return self._unmatched.get(StratumKey(dim, length), [])
+        key = StratumKey(dim, length)
+        if key not in self._unmatched:
+            cells = []
+            if dim <= self.scope.max_dim and length <= self.scope.max_length:
+                up, down = self.matching._up[dim], self.matching._down[dim]
+                cells = [Simplex(dim, w)
+                         for w in _walked_words(dim, length, self.flags)
+                         if w not in up and w not in down]
+            self._unmatched[key] = cells
+        return self._unmatched[key]
 
     def degenerate_words(self, dim: int, length: int) -> Iterator[tuple]:
         """The words of degenerate_by_fiat(dim, length), in word order."""
@@ -421,9 +433,8 @@ class CriticalReport:
             head = f"{n},{length},"
             lines += [f"{head}{word_text(w)},true,degenerate"
                       for w in self.degenerate_words(n, length)]
-            for x in self.unmatched_nondegenerate(n, length):
-                reason = self.reasons.get(x, "unmatched")
-                lines.append(f"{head}{word_text(x.word)},false,{reason}")
+            lines += [f"{head}{word_text(x.word)},false,{self.reasons[x]}"
+                      for x in self.unmatched_nondegenerate(n, length)]
         return "\n".join(lines) + "\n"
 
 
@@ -433,6 +444,16 @@ def check_bounds(max_dim: int, max_length: int) -> None:
         raise ValueError("build_matching needs max_dim >= 1 and max_length >= 1")
 
 
+def _walked_words(n: int, length: int, flags: PairingFlags) \
+        -> Iterator[Word]:
+    """The words of stratum (n, L) the rule can pair: under critical, the
+    n! * S(L, n) surjective ones, since pairs are nondegenerate; all under
+    allow."""
+    if flags.degenerate_policy == "critical":
+        return surjective_words(n, length)
+    return stratum_words(n, length)
+
+
 def build_matching(max_dim: int, max_length: int,
                    flags: PairingFlags = DEFAULT_FLAGS,
                    validate: bool = True,
@@ -440,49 +461,22 @@ def build_matching(max_dim: int, max_length: int,
         -> tuple[Matching, CriticalReport]:
     """Steepness pairs for every stratum with sigma.dim < max_dim.
 
-    Walks the strata dimension by dimension and applies the steepness rule
-    to each walked word on its own, from its local cofaces and faces.  Under
-    the critical policy both cells of a pair are nondegenerate, so only the
-    surjective words are walked: n! * S(L, n) of the n**L words of stratum
-    (n, L); under allow, every word.  Each walked word pairs upward, is
-    matched from below, or is recorded with the reason it stays unmatched.
-    Cells at max_dim are classified only by their downward status (their
-    cofaces are unseen), with reason "upward-undecided".  The size limit
-    counts every word of a stratum, walked or not.
+    Applies the steepness rule to every walked word below max_dim, also to
+    one matched from below, so that a cell used twice reaches
+    validate_matching.  The size limit counts every word of the scope.
     """
     check_bounds(max_dim, max_length)
     scope = Scope(max_dim, max_length)
     for n, length in scope.strata():
         check_stratum_size(n, length, max_stratum_cells)
 
-    walk = surjective_words if flags.degenerate_policy == "critical" \
-        else stratum_words
     pairs: list[tuple[Simplex, Simplex]] = []
-    unmatched: dict[StratumKey, list[Simplex]] = {}
-    reasons: dict[Simplex, str] = {}
-    above: set[tuple[int, ...]] = set()  # dim-(n+1) words matched from dim n
     for n, length in scope.strata():
-        if length == 0:  # each dimension starts at length 0
-            below, above = above, set()
-        cells = []
-        for word in walk(n, length):
-            # words matched from below get the rule too, so that a cell
-            # the rule would use twice reaches validate_matching
-            if n < max_dim:
-                tw, reason = _steepness(n, word, flags)
+        if n < max_dim:
+            for word in _walked_words(n, length, flags):
+                tw = _steepness(n, word, flags)[0]
                 if tw is not None:
                     pairs.append((Simplex(n, word), Simplex(n + 1, tw)))
-                    above.add(tw)
-                    continue
-            else:
-                reason = "upward-undecided"
-            if word in below:
-                continue
-            x = Simplex(n, word)
-            cells.append(x)
-            reasons[x] = reason
-        if cells:
-            unmatched[StratumKey(n, length)] = cells
 
     matching = Matching(pairs, scope, flags)
     if validate:
@@ -491,7 +485,7 @@ def build_matching(max_dim: int, max_length: int,
             raise SelfCheckError(
                 "build_matching produced an invalid matching: "
                 + "; ".join(verdict.errors))
-    return matching, CriticalReport(scope, flags, unmatched, reasons)
+    return matching, CriticalReport(matching)
 
 
 # --- validation ---------------------------------------------------------------

@@ -71,6 +71,12 @@ def test_parse_scalars_signs_and_whitespace():
     ("y^", "unrecognized"),
     ("zeta(3)", "unrecognized"),
     ("", "empty"),
+    ("y--y", "stray sign"),
+    ("y-", "stray sign"),
+    ("++y", "stray sign"),
+    ("--y", "stray sign"),
+    ("-", "stray sign"),
+    ("+", "stray sign"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ChainParseError, match=fragment):
@@ -477,6 +483,15 @@ def test_flow_parse_error_exit_code(capsys):
     assert "unrecognized cell" in err
 
 
+@pytest.mark.parametrize("chain", ["y--y", "-", "+"])
+def test_flow_refuses_a_stray_sign(capsys, chain):
+    # once printed 0 for y--y; a lone sign failed an assert with exit 1
+    code, out, err = run(capsys, "flow", f"--chain={chain}")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == f"error: stray sign in chain expression {chain!r}\n"
+
+
 # --- morse ---------------------------------------------------------------------------
 
 def test_morse_text_report(capsys):
@@ -526,6 +541,19 @@ def test_homology_scan(capsys):
     assert len(lines) == 4
     assert all(json.loads(line)["betti"] == 1 for line in lines[:3])
     assert lines[3] == "stable_from: 2"
+
+
+@pytest.mark.parametrize("bounds,fragment", [
+    (("--max-length", "3", "--scan", "2", "3"),
+     "argument --scan: not allowed with argument --max-length"),
+    ((), "one of the arguments --max-length --scan is required"),
+])
+def test_homology_takes_exactly_one_of_max_length_and_scan(capsys, bounds,
+                                                           fragment):
+    code, out, err = run(capsys, "homology", "--degree", "1", *bounds)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert fragment in err
 
 
 def test_homology_scan_rejects_an_empty_range(capsys):

@@ -21,7 +21,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from fkmorse.chains import Chain, boundary
 from fkmorse.errors import SelfCheckError
-from fkmorse import homology
+from fkmorse import homology, pairing
 from fkmorse.cli import main
 from fkmorse.flow import y_power
 from fkmorse.homology import (
@@ -37,7 +37,7 @@ from fkmorse.homology import (
     stability_scan,
 )
 from fkmorse.pairing import PairingFlags, Scope
-from fkmorse.simplicial import Simplex
+from fkmorse.simplicial import Simplex, surjective_words
 
 S = Simplex
 
@@ -332,6 +332,25 @@ def test_slice_shapes_and_entries(context_1_4):
     assert len(hi.basis_hi) == 6
     assert hi.matrix == [[0]] * 6
     assert ctx.dual_route_checks == 7  # one dual-route check per matrix entry
+
+
+@pytest.mark.parametrize("degree,length", [(1, 6), (2, 5), (3, 4)])
+def test_the_homology_path_walks_no_stratum_of_dimension_degree_plus_two(
+        monkeypatch, degree, length):
+    # the matching reaches dimension d + 2 only to decide which (d+1)-cells
+    # pair upward, which the builder does from the (d+1)-words alone
+    walked = []
+
+    def recording(dim, length):
+        walked.append((dim, length))
+        return surjective_words(dim, length)
+
+    monkeypatch.setattr(pairing, "surjective_words", recording)
+    ctx, report, _ = morse_context(degree, length)
+    build_slice(ctx, report, degree)
+    build_slice(ctx, report, degree + 1)
+    assert {dim for dim, _ in walked} == set(range(degree + 2))
+    assert all(dim < degree + 2 for dim, _ in walked)
 
 
 def test_slice_serialization(context_1_4):

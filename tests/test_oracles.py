@@ -18,17 +18,23 @@
   they are critical by fiat, and they stay critical when degenerate
   words may pair; the twisted staircases sigma~(r) pair down with the
   doubled-head staircase.
+* H_*(Omega S^2; Z) is the polynomial ring Z[x_1] under the Pontryagin
+  product (Bott-Samelson), and the edge y = a1 gives x_1.  So the n-th
+  shuffle power of y, the Eilenberg-Zilber product in the simplicial
+  monoid, projected onto the critical cells, generates H_n: it is a Morse
+  cycle, and it is no multiple of anything modulo the Morse boundaries.
 """
 
 import math
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from fkmorse.flow import sigma_cell, sigma_tilde_cell, tau_cell
-from fkmorse.homology import compute_homology
+from fkmorse.homology import (build_slice, compute_homology, morse_context,
+                              smith_normal_form)
 from fkmorse.pairing import PairingFlags, SteepnessRule, build_matching
-from fkmorse.simplicial import Simplex
+from fkmorse.simplicial import Simplex, degeneracy
 
 
 @pytest.mark.parametrize(
@@ -95,3 +101,61 @@ def test_named_staircases_in_and_out_of_the_critical_collection():
         assert sigma_cell(r) in report.unmatched_nondegenerate(r, r)
         assert tau_cell(r) in report.degenerate_by_fiat(r, r)
         assert sigma_tilde_cell(r) not in report.unmatched_nondegenerate(r, r)
+
+
+def _degenerate(x, indices):
+    """s_{j_k} ... s_{j_1} x for the increasing indices j_1 < ... < j_k."""
+    for j in indices:
+        x = degeneracy(x, j)
+    return x
+
+
+def _shuffle(p, x, q, y):
+    """The Eilenberg-Zilber product of a p-chain x and a q-chain y, both
+    {word: coefficient}: the sum over (p, q)-shuffles (mu, nu) of
+    (-1)^inversions (s_nu a) * (s_mu b), with * word concatenation."""
+    out = {}
+    for mu in combinations(range(p + q), p):
+        nu = [k for k in range(p + q) if k not in mu]
+        sign = (-1) ** sum(1 for i in mu for j in nu if i > j)
+        for a, u in x.items():
+            for b, v in y.items():
+                word = _degenerate(Simplex(p, a), nu).word + \
+                    _degenerate(Simplex(q, b), mu).word
+                out[word] = out.get(word, 0) + sign * u * v
+    return {w: c for w, c in out.items() if c}
+
+
+def _shuffle_power_of_the_edge(n):
+    power = {(1,): 1}
+    for k in range(1, n):
+        power = _shuffle(k, power, 1, {(1,): 1})
+    return power
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_shuffle_powers_of_the_edge_generate_homology(n):
+    power = _shuffle_power_of_the_edge(n)
+    assert len(power) == math.factorial(n)  # one word per shuffle
+    ctx, report, _ = morse_context(n, n + 1)
+    lo, hi = build_slice(ctx, report, n), build_slice(ctx, report, n + 1)
+    projected = {}
+    for word, c in power.items():
+        for z, u in ctx._projection(n, word).items():
+            projected[z] = projected.get(z, 0) + c * u
+    basis = [x.word for x in hi.basis_lo]
+    assert set(projected) <= set(basis)
+    row = [projected.get(w, 0) for w in basis]
+    assert any(row)
+    # a Morse cycle: zero against the degree-n slice
+    assert all(sum(u * r[j] for u, r in zip(row, lo.matrix)) == 0
+               for j in range(len(lo.basis_lo)))
+    # a generator: the rank rises by one with no factor above 1, and
+    # twice it leaves the factor 2
+    rank = smith_normal_form(hi.matrix).rank
+    grown = smith_normal_form(hi.matrix + [row])
+    assert grown.rank == rank + 1
+    assert set(grown.invariant_factors) == {1}
+    doubled = smith_normal_form(hi.matrix + [[2 * u for u in row]])
+    assert doubled.rank == rank + 1
+    assert doubled.invariant_factors[-1] == 2

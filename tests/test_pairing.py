@@ -576,11 +576,23 @@ def test_word_lookups_agree_with_the_cell_api(max_dim, max_length, flags):
             assert matching.down_word(n, x.word) == rule.down_word(n, x.word)
 
 
-def test_report_keeps_what_it_builds_on_first_read(built_3_3):
-    _, report = built_3_3
-    assert report.strata is report.strata
-    deg, _ = report.strata[StratumKey(2, 3)]
-    assert report.degenerate_by_fiat(2, 3) is deg
+@pytest.mark.parametrize("top_first", [False, True],
+                         ids=["strata-first", "top-dimension-first"])
+def test_report_keeps_what_it_builds_on_first_read(top_first):
+    # a fresh report, so that the read order is the one under test
+    _, report = build_matching(3, 3)
+    top = [report.unmatched_nondegenerate(3, length) for length in range(4)] \
+        if top_first else None
+    strata, reasons, csv = report.strata, report.reasons, report.to_csv()
+    assert report.strata is strata and report.reasons is reasons
+    for key, (deg, unm) in strata.items():
+        assert report.degenerate_by_fiat(key.dim, key.length) is deg
+        assert report.unmatched_nondegenerate(key.dim, key.length) is unm
+    if top_first:
+        for length, cells in enumerate(top):
+            assert report.unmatched_nondegenerate(3, length) is cells
+        assert strata[StratumKey(3, 3)][1] is top[3]
+    assert csv == build_matching(3, 3)[1].to_csv()
 
 
 # --- Matching container semantics ----------------------------------------------
