@@ -19,7 +19,7 @@ from typing import Optional
 from .errors import SelfCheckError
 from .flow import FlowContext, check_mode
 from .pairing import (CriticalReport, DEFAULT_FLAGS, Matching, PairingFlags,
-                      Scope, build_matching, check_bounds)
+                      Scope, build_matching)
 from .simplicial import Simplex, simplex_text
 
 Matrix = list[list[int]]
@@ -31,7 +31,7 @@ Matrix = list[list[int]]
 class SnfResult:
     rank: int
     invariant_factors: list[int]
-    diagonal: Matrix
+    diagonal: Optional[Matrix] = None
     left: Optional[Matrix] = None
     right: Optional[Matrix] = None
 
@@ -40,10 +40,20 @@ def _identity_matrix(n: int) -> Matrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _integer(i: int, j: int, v: object) -> int:
+    """Entry (i, j) as an int: refused unless it is one, not truncated; a
+    bool counts as 0 or 1."""
+    if not isinstance(v, int):
+        raise TypeError(f"matrix entry {v!r} at ({i}, {j}) is not an integer")
+    return int(v)
+
+
 def smith_normal_form(matrix: Matrix, transforms: bool = False) -> SnfResult:
     """Diagonalize over the integers; factors form a divisibility chain.
 
-    Two routes give the same rank, factors and diagonal:
+    Both routes give the same rank and factors and refuse a non-integer
+    entry with TypeError (the sparse one checks the entries it keeps, the
+    nonzero ones); only transforms=True builds the diagonal:
 
     * transforms=False (sparse): peel off +-1 pivots from a row-dict form
       in sweeps over the columns, shortest first, each pivot in the
@@ -55,20 +65,15 @@ def smith_normal_form(matrix: Matrix, transforms: bool = False) -> SnfResult:
       elimination on the whole matrix, carrying unimodular certificates
       with left * matrix * right equal to the diagonal, exactly.
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
+    cols = len(matrix[0]) if matrix else 0
     if any(len(r) != cols for r in matrix):
         raise ValueError("ragged matrix")
     if transforms:
-        return _dense_snf([[int(v) for v in row] for row in matrix],
-                          transforms=True)
+        return _dense_snf([[_integer(i, j, v) for j, v in enumerate(row)]
+                           for i, row in enumerate(matrix)], transforms=True)
     peeled, residue = _peel_unit_pivots(matrix)
     factors = [1] * peeled + _dense_snf(residue).invariant_factors
-    diagonal = [[0] * cols for _ in range(rows)]
-    for k, f in enumerate(factors):
-        diagonal[k][k] = f
-    return SnfResult(rank=len(factors), invariant_factors=factors,
-                     diagonal=diagonal)
+    return SnfResult(rank=len(factors), invariant_factors=factors)
 
 
 def _peel_unit_pivots(matrix: Matrix) -> tuple[int, Matrix]:
@@ -78,8 +83,8 @@ def _peel_unit_pivots(matrix: Matrix) -> tuple[int, Matrix]:
     a nonzero entry, so matrix is equivalent to the block-diagonal matrix of
     one 1 per pivot and the residue.  matrix itself is left as it is.
     """
-    rows = [{j: v for j, v in enumerate(map(int, row)) if v}
-            for row in matrix]
+    rows = [{j: _integer(i, j, v) for j, v in enumerate(row) if v}
+            for i, row in enumerate(matrix)]
     in_col: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:
@@ -290,14 +295,13 @@ class HomologyResult:
 
 
 def _compose_is_zero(lo: MorseSlice, hi: MorseSlice) -> bool:
-    # rows of hi are (d+1)-cells; composing means boundary twice
-    row_of = {x: lo.matrix[k] for k, x in enumerate(lo.basis_hi)}
+    # rows of hi are (d+1)-cells; composing means boundary twice.  The
+    # middle bases are equal, so column k of hi meets row k of lo
     for row in hi.matrix:
         acc = [0] * len(lo.basis_lo)
-        for mid, coef in zip(hi.basis_lo, row):
-            if not coef:
-                continue
-            acc = [x + coef * y for x, y in zip(acc, row_of[mid])]
+        for coef, lo_row in zip(row, lo.matrix):
+            if coef:
+                acc = [x + coef * y for x, y in zip(acc, lo_row)]
         if any(acc):
             return False
     return True
@@ -389,7 +393,7 @@ def stability_scan(degree: int, length_lo: int, length_hi: int,
         raise ValueError("degree must be >= 0")
     if length_lo > length_hi:
         return StabilityScan(degree=degree)
-    check_bounds(degree + 2, length_lo)  # before building at length_hi
+    Scope(degree + 2, length_lo)  # refuses a bound below 1 before building
     lo, hi = _morse_slices(degree, length_hi, flags, mode)
     results = [homology_of_slices(_leading_block(lo, L), _leading_block(hi, L))
                for L in range(length_lo, length_hi + 1)]

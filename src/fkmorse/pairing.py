@@ -438,12 +438,6 @@ class CriticalReport:
         return "\n".join(lines) + "\n"
 
 
-def check_bounds(max_dim: int, max_length: int) -> None:
-    """The bounds build_matching accepts: both at least 1."""
-    if max_dim < 1 or max_length < 1:
-        raise ValueError("build_matching needs max_dim >= 1 and max_length >= 1")
-
-
 def _walked_words(n: int, length: int, flags: PairingFlags) \
         -> Iterator[Word]:
     """The words of stratum (n, L) the rule can pair: under critical, the
@@ -456,19 +450,16 @@ def _walked_words(n: int, length: int, flags: PairingFlags) \
 
 def build_matching(max_dim: int, max_length: int,
                    flags: PairingFlags = DEFAULT_FLAGS,
-                   validate: bool = True,
-                   max_stratum_cells: int = MAX_STRATUM_CELLS) \
-        -> tuple[Matching, CriticalReport]:
+                   validate: bool = True) -> tuple[Matching, CriticalReport]:
     """Steepness pairs for every stratum with sigma.dim < max_dim.
 
     Applies the steepness rule to every walked word below max_dim, also to
     one matched from below, so that a cell used twice reaches
     validate_matching.  The size limit counts every word of the scope.
     """
-    check_bounds(max_dim, max_length)
     scope = Scope(max_dim, max_length)
     for n, length in scope.strata():
-        check_stratum_size(n, length, max_stratum_cells)
+        check_stratum_size(n, length)
 
     pairs: list[tuple[Simplex, Simplex]] = []
     for n, length in scope.strata():
@@ -508,17 +499,19 @@ _REDUCTION_NOTE = (
 
 
 def validate_matching(m: Matching) -> Verdict:
-    """Regularity, injectivity, and per-stratum acyclicity with witnesses."""
+    """Regularity, injectivity, and per-stratum acyclicity with witnesses;
+    the regularity hits and the stratum digraph read one list of faces."""
     errors: list[str] = []
-    seen: dict[Simplex, str] = {}
-    strata: dict[tuple[int, int], list[tuple[Simplex, Simplex]]] = {}
+    seen: dict[tuple[int, Word], str] = {}
+    strata: dict[tuple[int, int], dict[Word, tuple]] = {}
 
     for sigma, tau in m.pairs:
         if not m.scope.covers(sigma) or not m.scope.covers(tau):
             raise ValueError(
                 f"pair ({sigma}, {tau}) lies outside scope {m.scope}")
         n, sw, tw = tau.dim, sigma.word, tau.word
-        hits = [i for i in range(n + 1) if face_word(n, tw, i) == sw]
+        faces = [face_word(n, tw, i) for i in range(n + 1)]
+        hits = [i for i, f in enumerate(faces) if f == sw]
         if len(hits) != 1:
             errors.append(
                 f"regularity: {simplex_text(sigma)} occurs in faces of "
@@ -529,13 +522,15 @@ def validate_matching(m: Matching) -> Verdict:
                     f"policy: pair ({simplex_text(sigma)}, {simplex_text(tau)}) "
                     f"contains a degenerate cell under the critical policy")
         for cell, role in ((sigma, "lower"), (tau, "upper")):
-            if cell in seen:
+            key = (cell.dim, cell.word)
+            if key in seen:
                 errors.append(
                     f"injectivity: {simplex_text(cell)} used as {role} after "
-                    f"already appearing as {seen[cell]}")
+                    f"already appearing as {seen[key]}")
             else:
-                seen[cell] = role
-        strata.setdefault((sigma.dim, sigma.length), []).append((sigma, tau))
+                seen[key] = role
+        strata.setdefault((sigma.dim, sigma.length), {})[sw] = (
+            sigma, tau, [f for f in faces if len(f) == len(tw) and f != sw])
 
     cycle: Optional[list[Simplex]] = None
     checked: list[StratumKey] = []
@@ -581,19 +576,19 @@ def _postorder(root: Word, successors: Callable[[Word], list[Word]],
     return order, None
 
 
-def _stratum_cycle(pairs: list[tuple[Simplex, Simplex]]) \
+def _stratum_cycle(pair: dict[Word, tuple[Simplex, Simplex, list[Word]]]) \
         -> Optional[list[Simplex]]:
-    """A cycle sigma_0, tau_0, sigma_1, ..., sigma_0 if one exists; the
-    search runs on words, which tell the cells of one stratum apart."""
-    pair = {s.word: (s, t) for s, t in pairs}
-    succ = {s.word: [f for f in _same_length_face_words(t.dim, t.word)
-                     if f != s.word and f in pair] for s, t in pairs}
+    """A cycle sigma_0, tau_0, sigma_1, ..., sigma_0 if one exists, from
+    sigma word -> (sigma, tau, tau's other same-length faces); the search
+    runs on words, which tell the cells of one stratum apart."""
+    succ = {sw: [f for f in others if f in pair]
+            for sw, (_, _, others) in pair.items()}
     seen: set[Word] = set()
     for root in pair:
         if succ[root] and root not in seen:  # no cycle starts at a sink
             order, loop = _postorder(root, succ.__getitem__, seen)
             if loop:
-                return [x for w in loop[:-1] for x in pair[w]] + \
+                return [x for w in loop[:-1] for x in pair[w][:2]] + \
                     [pair[loop[-1]][0]]
             seen.update(order)
     return None

@@ -173,15 +173,14 @@ def stratum_size(dim: int, length: int) -> int:
 MAX_STRATUM_CELLS = 2_000_000
 
 
-def check_stratum_size(dim: int, length: int,
-                       limit: int = MAX_STRATUM_CELLS) -> None:
+def check_stratum_size(dim: int, length: int) -> None:
     """Raise TruncationError when stratum (dim, length) holds more than
-    limit cells."""
+    MAX_STRATUM_CELLS cells."""
     size = stratum_size(dim, length)
-    if size > limit:
+    if size > MAX_STRATUM_CELLS:
         raise TruncationError(
             f"stratum (dim {dim}, length {length}) holds {size} cells, "
-            f"over the limit of {limit}", dim=dim, length=length)
+            f"over the limit of {MAX_STRATUM_CELLS}", dim=dim, length=length)
 
 
 def enumerate_stratum(dim: int, length: int) -> Iterator[Simplex]:

@@ -581,8 +581,19 @@ def test_homology_scan_rejects_a_bound_below_one(capsys):
                          "--scan", "0", "3")
     assert code == EXIT_USAGE
     assert out == ""
-    assert err == ("error: build_matching needs max_dim >= 1 and "
-                   "max_length >= 1\n")
+    assert err == "error: scope bounds must be >= 1\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv", "dot"])
+@pytest.mark.parametrize("bound", ["--max-dim", "--max-length"])
+def test_pair_refuses_a_bound_below_one_in_every_format(capsys, fmt, bound):
+    # the text, JSON and CSV formats once gave a second wording
+    argv = {"--max-dim": "3", "--max-length": "3", bound: "0"}
+    code, out, err = run(capsys, "pair", "--format", fmt,
+                         *[x for kv in argv.items() for x in kv])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: scope bounds must be >= 1\n"
 
 
 def test_output_flag_writes_the_payload_to_a_file(capsys, tmp_path):

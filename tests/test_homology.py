@@ -14,6 +14,7 @@ is a test-only dependency; the package itself never imports it.
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from sympy import Matrix, ZZ
@@ -83,16 +84,35 @@ def test_snf_empty_shapes():
     empty = smith_normal_form([])
     assert empty.rank == 0
     assert empty.invariant_factors == []
-    assert empty.diagonal == []
+    assert empty.diagonal is None
     assert empty.left is None and empty.right is None
     row_of_nothing = smith_normal_form([[]])
     assert row_of_nothing.rank == 0
-    assert row_of_nothing.diagonal == [[]]
+    assert row_of_nothing.diagonal is None
 
 
 def test_snf_rejects_ragged_input():
     with pytest.raises(ValueError, match="ragged"):
         smith_normal_form([[1, 2], [3]])
+
+
+@pytest.mark.parametrize("transforms", [False, True],
+                         ids=["sparse", "dense"])
+def test_snf_refuses_non_integer_entries(transforms):
+    # both routes once truncated these, to the factors [2] and [1, 3]
+    with pytest.raises(TypeError, match=r"^matrix entry 2\.5 at \(0, 0\) "
+                                        r"is not an integer$"):
+        smith_normal_form([[2.5]], transforms=transforms)
+    with pytest.raises(TypeError, match=r"entry 3\.9 at \(1, 1\)"):
+        smith_normal_form([[True, 0], [0, 3.9]], transforms=transforms)
+    with pytest.raises(TypeError, match=r"entry Fraction\(1, 2\) at \(0, 1\)"):
+        smith_normal_form([[1, Fraction(1, 2)]], transforms=transforms)
+    # integers and bools keep their factors, as ints
+    factors = smith_normal_form([[True, 0], [0, 3]],
+                                transforms=transforms).invariant_factors
+    assert factors == [1, 3] and all(type(f) is int for f in factors)
+    assert smith_normal_form([[2, 4], [6, 8]],
+                             transforms=transforms).invariant_factors == [2, 4]
 
 
 def test_snf_factors_are_positive_and_form_a_divisibility_chain():
@@ -137,6 +157,12 @@ def _sympy_factors(matrix):
                   if theirs[i, i] != 0)
 
 
+def _diagonal(factors, rows, cols):
+    """The rows x cols Smith form with the given invariant factors."""
+    return [[factors[i] if i == j and i < len(factors) else 0
+             for j in range(cols)] for i in range(rows)]
+
+
 def _unit_sparse_with_planted_block(rng):
     """A sparse matrix, mostly +-1 with a few entries 2 or -3, with the block
     [[2, 4], [4, 14]] (factors 2, 6) planted in two extra rows and columns,
@@ -171,7 +197,9 @@ def test_snf_sparse_route_matches_sympy_and_dense_route():
         assert sparse.invariant_factors == _sympy_factors(matrix)
         assert sparse.invariant_factors == dense.invariant_factors
         assert sparse.rank == dense.rank
-        assert sparse.diagonal == dense.diagonal
+        assert sparse.diagonal is None
+        assert dense.diagonal == _diagonal(sparse.invariant_factors,
+                                           len(matrix), len(matrix[0]))
         assert sparse.left is None and sparse.right is None
         torsion = [f for f in sparse.invariant_factors if f != 1]
         assert len(torsion) >= 2 and torsion[-1] % 6 == 0
@@ -183,8 +211,9 @@ def test_snf_planted_block_alone():
     assert _peel_unit_pivots(matrix) == \
         (1, [[2, 4], [4, 14]])
     assert smith_normal_form(matrix).invariant_factors == [1, 2, 6]
-    assert smith_normal_form(matrix).diagonal == \
-        smith_normal_form(matrix, transforms=True).diagonal
+    assert smith_normal_form(matrix).diagonal is None
+    assert smith_normal_form(matrix, transforms=True).diagonal == \
+        _diagonal([1, 2, 6], 3, 3)
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (2, 5), (4, 4)])
@@ -194,17 +223,18 @@ def test_snf_sparse_route_on_zero_matrices(shape):
     result = smith_normal_form(matrix)
     assert result.rank == 0
     assert result.invariant_factors == []
-    assert result.diagonal == matrix
-    assert result.diagonal == \
-        smith_normal_form(matrix, transforms=True).diagonal
+    assert result.diagonal is None
+    assert smith_normal_form(matrix, transforms=True).diagonal == matrix
 
 
 def test_snf_sparse_route_on_empty_shapes():
     for matrix in ([], [[]]):
         sparse = smith_normal_form(matrix)
         dense = smith_normal_form(matrix, transforms=True)
-        assert (sparse.rank, sparse.invariant_factors, sparse.diagonal) == \
-            (dense.rank, dense.invariant_factors, dense.diagonal)
+        assert (sparse.rank, sparse.invariant_factors) == \
+            (dense.rank, dense.invariant_factors)
+        assert sparse.diagonal is None
+        assert dense.diagonal == matrix
 
 
 def _markowitz_peel(matrix):
@@ -296,7 +326,9 @@ def test_snf_routes_agree_on_real_slices(degree, length):
         dense = smith_normal_form(matrix, transforms=True)
         assert sparse.rank == dense.rank
         assert sparse.invariant_factors == dense.invariant_factors
-        assert sparse.diagonal == dense.diagonal
+        assert sparse.diagonal is None
+        assert dense.diagonal == _diagonal(sparse.invariant_factors,
+                                           len(matrix), len(matrix[0]))
 
 
 # --- critical bases and slices -------------------------------------------------------
@@ -503,8 +535,7 @@ def test_stability_scan_checks_its_bounds_before_building(monkeypatch):
         raise AssertionError("a matching was built")
 
     monkeypatch.setattr(homology, "build_matching", no_build)
-    with pytest.raises(ValueError, match="build_matching needs max_dim >= 1 "
-                                         "and max_length >= 1"):
+    with pytest.raises(ValueError, match="scope bounds must be >= 1"):
         stability_scan(1, 0, 3)
     with pytest.raises(ValueError, match="degree must be >= 0"):
         stability_scan(-1, 0, 3)

@@ -23,6 +23,8 @@
   shuffle power of y, the Eilenberg-Zilber product in the simplicial
   monoid, projected onto the critical cells, generates H_n: it is a Morse
   cycle, and it is no multiple of anything modulo the Morse boundaries.
+  Lifting the generators of H_p and H_q back to simplicial cycles with the
+  flow and shuffle-multiplying them generates H_{p+q} in the same way.
 """
 
 import math
@@ -30,6 +32,7 @@ from itertools import combinations, product
 
 import pytest
 
+from fkmorse.chains import Chain, boundary
 from fkmorse.flow import sigma_cell, sigma_tilde_cell, tau_cell
 from fkmorse.homology import (build_slice, compute_homology, morse_context,
                               smith_normal_form)
@@ -133,16 +136,24 @@ def _shuffle_power_of_the_edge(n):
     return power
 
 
-@pytest.mark.parametrize("n", range(1, 5))
-def test_shuffle_powers_of_the_edge_generate_homology(n):
-    power = _shuffle_power_of_the_edge(n)
-    assert len(power) == math.factorial(n)  # one word per shuffle
-    ctx, report, _ = morse_context(n, n + 1)
-    lo, hi = build_slice(ctx, report, n), build_slice(ctx, report, n + 1)
+def _project(ctx, n, chain):
+    """The critical words of the stable value of an n-chain {word: coef},
+    by the forward projection of the gradient-path reduction."""
     projected = {}
-    for word, c in power.items():
+    for word, c in chain.items():
         for z, u in ctx._projection(n, word).items():
             projected[z] = projected.get(z, 0) + c * u
+    return projected
+
+
+def _certify_generator(n, chain):
+    """Project an n-cycle onto the critical cells of morse_context(n, n + 1)
+    and check that it generates H_n: a Morse cycle whose row raises the
+    rank of the degree-(n + 1) slice by one with no factor above 1.
+    Returns that slice's matrix, its rank and the row."""
+    ctx, report, _ = morse_context(n, n + 1)
+    lo, hi = build_slice(ctx, report, n), build_slice(ctx, report, n + 1)
+    projected = _project(ctx, n, chain)
     basis = [x.word for x in hi.basis_lo]
     assert set(projected) <= set(basis)
     row = [projected.get(w, 0) for w in basis]
@@ -150,12 +161,44 @@ def test_shuffle_powers_of_the_edge_generate_homology(n):
     # a Morse cycle: zero against the degree-n slice
     assert all(sum(u * r[j] for u, r in zip(row, lo.matrix)) == 0
                for j in range(len(lo.basis_lo)))
-    # a generator: the rank rises by one with no factor above 1, and
-    # twice it leaves the factor 2
     rank = smith_normal_form(hi.matrix).rank
     grown = smith_normal_form(hi.matrix + [row])
     assert grown.rank == rank + 1
     assert set(grown.invariant_factors) == {1}
-    doubled = smith_normal_form(hi.matrix + [[2 * u for u in row]])
+    return hi.matrix, rank, row
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_shuffle_powers_of_the_edge_generate_homology(n):
+    power = _shuffle_power_of_the_edge(n)
+    assert len(power) == math.factorial(n)  # one word per shuffle
+    matrix, rank, row = _certify_generator(n, power)
+    # twice it leaves the factor 2
+    doubled = smith_normal_form(matrix + [[2 * u for u in row]])
     assert doubled.rank == rank + 1
     assert doubled.invariant_factors[-1] == 2
+
+
+def _lifted_generator(n):
+    """The projection of y^{nabla n} onto the critical cells, lifted back
+    to a simplicial cycle: its stable value under the flow, {word: coef}."""
+    ctx, _, _ = morse_context(n, n + 1)
+    projected = _project(ctx, n, _shuffle_power_of_the_edge(n))
+    lift, _ = ctx.stabilize(Chain(n, [(Simplex(n, w), c)
+                                      for w, c in projected.items()]))
+    assert boundary(lift).is_zero()
+    lift = {x.word: c for x, c in lift}
+    # the lift's critical part is the chain it lifts
+    assert {z: u for z, u in _project(ctx, n, lift).items() if u} == \
+        {z: u for z, u in projected.items() if u}
+    return lift
+
+
+@pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 4)
+                                 for q in range(1, 5 - p)])
+def test_shuffle_products_of_lifted_generators_generate_homology(p, q):
+    # H_p x H_q -> H_{p+q} is x^p x^q = x^{p+q} in Z[x_1]: the inclusion
+    # half of the Morse chain equivalence carries generators to cycles
+    # whose product generates again
+    product = _shuffle(p, _lifted_generator(p), q, _lifted_generator(q))
+    _certify_generator(p + q, product)

@@ -8,10 +8,12 @@ that each failure mode is witnessed by a distinct error class.
 
 import csv
 import io
+import random
 from typing import Optional
 
 import pytest
 
+from fkmorse import pairing
 from fkmorse.errors import TruncationError
 from fkmorse.pairing import (
     CriticalReport,
@@ -335,9 +337,16 @@ def test_report_csv_shape(built_3_3):
     assert by_cell[("3", "3", "a3.a2.a1")]["reason"] == "upward-undecided"
 
 
-def test_truncation_limit():
-    with pytest.raises(TruncationError):
-        build_matching(3, 3, max_stratum_cells=5)
+def test_truncation_limit(monkeypatch):
+    # stratum (2, 21) holds 2^21 > 2,000,000 words: the scope is refused
+    # from its size alone, before any stratum is walked
+    def no_walk(*args):
+        raise AssertionError("a stratum was walked")
+
+    monkeypatch.setattr(pairing, "surjective_words", no_walk)
+    monkeypatch.setattr(pairing, "stratum_words", no_walk)
+    with pytest.raises(TruncationError, match=r"stratum \(dim 2, length 21\)"):
+        build_matching(2, 22)
 
 
 def test_scope_growth_preserves_shared_strata(built_3_3):
@@ -668,17 +677,20 @@ def test_validator_rejects_irregular_pair():
     assert any("policy" in e and "degenerate" in e for e in verdict.errors)
 
 
+# Six individually regular, policy-clean pairs in stratum (2, 3) whose
+# up/down alternation closes into a cycle.
+CYCLIC_PAIRS = [
+    (S(2, (1, 2, 2)), S(3, (1, 3, 2))),
+    (S(2, (1, 2, 1)), S(3, (2, 3, 1))),
+    (S(2, (2, 2, 1)), S(3, (3, 2, 1))),
+    (S(2, (2, 1, 1)), S(3, (3, 1, 2))),
+    (S(2, (2, 1, 2)), S(3, (2, 1, 3))),
+    (S(2, (1, 1, 2)), S(3, (1, 2, 3))),
+]
+
+
 def test_validator_rejects_alternating_cycle():
-    # Six individually regular, policy-clean pairs in stratum (2, 3) whose
-    # up/down alternation closes into a cycle.
-    pairs = [
-        (S(2, (1, 2, 2)), S(3, (1, 3, 2))),
-        (S(2, (1, 2, 1)), S(3, (2, 3, 1))),
-        (S(2, (2, 2, 1)), S(3, (3, 2, 1))),
-        (S(2, (2, 1, 1)), S(3, (3, 1, 2))),
-        (S(2, (2, 1, 2)), S(3, (2, 1, 3))),
-        (S(2, (1, 1, 2)), S(3, (1, 2, 3))),
-    ]
+    pairs = CYCLIC_PAIRS
     for sigma, tau in pairs:
         occurrences = [i for i in range(tau.dim + 1) if face(tau, i) == sigma]
         assert len(occurrences) == 1
@@ -698,6 +710,145 @@ def test_validator_rejects_alternating_cycle():
     declared = set(pairs)
     ups = [(a, b) for a, b in zip(witness, witness[1:]) if b.dim == a.dim + 1]
     assert ups and all(step in declared for step in ups)
+
+
+def test_validator_lists_each_upper_words_faces_once(monkeypatch):
+    matching, _ = build_matching(4, 5, validate=False)
+    cyclic = Matching(CYCLIC_PAIRS, Scope(3, 3), PairingFlags())
+    real = pairing.face_word
+    calls = []
+
+    def counted(dim, word, i):
+        calls.append((dim, word, i))
+        return real(dim, word, i)
+
+    monkeypatch.setattr(pairing, "face_word", counted)
+    for m, ok in ((matching, True), (cyclic, False)):
+        calls.clear()
+        assert validate_matching(m).ok is ok
+        assert len(calls) == sum(tau.dim + 1 for _, tau in m.pairs)
+
+
+def _reference_cycle(up: dict) -> Optional[list]:
+    """The first alternating cycle of one stratum, {sigma: tau} in pair
+    order, by a recursive depth-first search from each sigma in turn; the
+    faces of each tau are listed afresh, from face, at every visit."""
+    state: dict = {}
+    path: list = []
+
+    def visit(sigma):
+        state[sigma] = "open"
+        path.append(sigma)
+        tau = up[sigma]
+        for f in (face(tau, i) for i in range(tau.dim + 1)):
+            if f.length != tau.length or f == sigma or f not in up:
+                continue
+            if state.get(f) == "open":
+                return path[path.index(f):] + [f]
+            if f not in state:
+                loop = visit(f)
+                if loop:
+                    return loop
+        state[sigma] = "done"
+        path.pop()
+        return None
+
+    for root in up:
+        if root not in state:
+            loop = visit(root)
+            if loop:
+                return [x for s in loop[:-1] for x in (s, up[s])] + [loop[-1]]
+    return None
+
+
+def _reference_verdict(m: Matching) -> tuple:
+    """(ok, errors, cycle, strata_checked) of validate_matching, written
+    check by check: the regularity check and the stratum digraph each list
+    the faces of tau for themselves."""
+    errors: list = []
+    seen: dict = {}
+    strata: dict = {}
+    for sigma, tau in m.pairs:
+        hits = [i for i in range(tau.dim + 1) if face(tau, i) == sigma]
+        if len(hits) != 1:
+            errors.append(f"regularity: {sigma} occurs in faces of {tau} at "
+                          f"indices {hits}, not exactly once")
+        if m.flags.degenerate_policy == "critical" and (
+                is_degenerate(sigma) or is_degenerate(tau)):
+            errors.append(f"policy: pair ({sigma}, {tau}) contains a "
+                          f"degenerate cell under the critical policy")
+        for cell, role in ((sigma, "lower"), (tau, "upper")):
+            if cell in seen:
+                errors.append(f"injectivity: {cell} used as {role} after "
+                              f"already appearing as {seen[cell]}")
+            else:
+                seen[cell] = role
+        strata.setdefault((sigma.dim, sigma.length), {})[sigma] = tau
+    cycle = None
+    for dim, length in sorted(strata):
+        found = _reference_cycle(strata[(dim, length)])
+        if found and cycle is None:
+            cycle = found
+            errors.append(f"acyclicity: stratum (dim {dim}, length {length}) "
+                          f"carries an alternating cycle "
+                          + " > ".join(str(x) for x in found))
+    return (not errors, errors, cycle,
+            [StratumKey(dim, length) for dim, length in sorted(strata)])
+
+
+def _random_matching(rng: random.Random) -> Matching:
+    """Pairs in one to three strata of dimension <= 3 and length <= 4.  One
+    in five is a subset of the rule's own pairs; the rest mix those with
+    pairs of a random word and one of its same-length faces (often
+    irregular, degenerate or closing a cycle), unrelated words, and
+    repeats of a pair's lower or upper cell."""
+    flags = rng.choice((PairingFlags(), ALLOW))
+    strata = [(0, 0)] + [(n, k) for n in range(1, 4) for k in range(1, 5)]
+    pairs: list = []
+    for n, length in rng.sample(strata, rng.randint(1, 3)):
+        lower = list(stratum_words(n, length))
+        upper = list(stratum_words(n + 1, length))
+        if rng.random() < 0.2:
+            rule = [(S(n, w), S(n + 1, tw)) for w in lower
+                    if (tw := _steepness(n, w, flags)[0]) is not None]
+            pairs += rng.sample(rule, rng.randint(0, len(rule)))
+            continue
+        first = len(pairs)
+        for _ in range(rng.randint(1, 10)):
+            kind = rng.random()
+            tw = rng.choice(upper)
+            if kind < 0.25:
+                sw = rng.choice(lower)
+                tw = _steepness(n, sw, flags)[0] or tw
+            elif kind < 0.85:
+                faces = [f for f in (face(S(n + 1, tw), i).word
+                                     for i in range(n + 2))
+                         if len(f) == length]
+                sw = rng.choice(faces) if faces else rng.choice(lower)
+            else:
+                sw = rng.choice(lower)
+            pairs.append((S(n, sw), S(n + 1, tw)))
+        if rng.random() < 0.3:
+            s, t = rng.choice(pairs[first:])
+            pairs.append((s, S(n + 1, rng.choice(upper))) if rng.random() < 0.5
+                         else (S(n, rng.choice(lower)), t))
+    return Matching(pairs, Scope(4, 4), flags)
+
+
+def test_validator_agrees_with_a_reference_on_random_matchings():
+    rng = random.Random(14)
+    kinds = {"ok": 0, "regularity": 0, "policy": 0, "injectivity": 0,
+             "acyclicity": 0}
+    for _ in range(400):
+        m = _random_matching(rng)
+        verdict = validate_matching(m)
+        assert (verdict.ok, verdict.errors, verdict.cycle,
+                verdict.strata_checked) == _reference_verdict(m)
+        kinds["ok"] += verdict.ok
+        for kind in kinds:
+            kinds[kind] += any(e.startswith(kind) for e in verdict.errors)
+    # every verdict kind is exercised, not only the clean one
+    assert min(kinds.values()) >= 20, kinds
 
 
 def test_validator_scope_override_rejects_uncovered_pairs(built_3_3):
