@@ -34,9 +34,9 @@ from .homology import (build_slice, compute_homology, morse_context,
 from .pairing import (Matching, PairingFlags, Scope, SteepnessRule,
                       build_matching, check_dot_size, matching_to_dot,
                       validate_matching)
-from .simplicial import (Simplex, StratumKey, check_stratum_size, identity,
-                         is_degenerate_word, simplex_text, stratum_words,
-                         word_text)
+from .simplicial import (Simplex, StratumKey, check_stratum_size,
+                         degenerate_size, identity, is_degenerate_word,
+                         simplex_text, stratum_words, word_text)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -186,7 +186,7 @@ def cmd_pair(ns: argparse.Namespace) -> int:
         check_dot_size(Scope(ns.max_dim, ns.max_length))
     matching, report = build_matching(ns.max_dim, ns.max_length,
                                       _flags_from(ns))
-    _note(f"built {len(matching.pairs)} pairs")
+    _note(f"built {len(matching)} pairs")
     if ns.format == "json":
         payload = matching.to_json()
     elif ns.format == "dot":
@@ -198,9 +198,10 @@ def cmd_pair(ns: argparse.Namespace) -> int:
                  "flags: face={face_quantifier} coface={coface_quantifier} "
                  "degenerate={degenerate_policy}".format(
                      **matching.flags.to_json_dict()),
-                 f"pairs: {len(matching.pairs)}"]
+                 f"pairs: {len(matching)}"]
+        fiat = matching.flags.degenerate_policy == "critical"
         for n, length in matching.scope.strata():
-            deg = sum(1 for _ in report.degenerate_words(n, length))
+            deg = degenerate_size(n, length) if fiat else 0
             unmatched = len(report.unmatched_nondegenerate(n, length))
             if deg or unmatched:
                 lines.append(f"stratum dim={n} length={length}: "
@@ -215,7 +216,7 @@ def cmd_validate(ns: argparse.Namespace) -> int:
     with open(ns.matching, "r", encoding="utf-8") as fh:
         matching = Matching.from_json(fh.read())
     verdict = validate_matching(matching)
-    lines = [f"matching: {len(matching.pairs)} pairs, "
+    lines = [f"matching: {len(matching)} pairs, "
              f"scope max_dim={matching.scope.max_dim} "
              f"max_length={matching.scope.max_length}",
              "strata checked: " + " ".join(

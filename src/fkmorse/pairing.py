@@ -29,7 +29,6 @@ from .simplicial import (
     enumerate_stratum,
     face_word,
     is_degenerate_word,
-    simplex_text,
     sort_key,
     stratum_size,
     stratum_words,
@@ -284,29 +283,39 @@ class SteepnessRule:
 # --- explicit matchings over a truncation ------------------------------------
 
 class Matching:
-    """A finite set of steepness pairs built under a truncation scope."""
+    """Steepness pairs under a truncation scope, held as (sigma dim, sigma
+    word, tau word) triples; pairs lists them as cells, built on read."""
 
     def __init__(self, pairs: Iterable[tuple[Simplex, Simplex]], scope: Scope,
                  flags: PairingFlags) -> None:
-        self.scope = scope
-        self.flags = flags
-        self.pairs: list[tuple[Simplex, Simplex]] = sorted(
-            pairs, key=lambda p: (p[0].dim, sort_key(p[0])))
-        # the pairs by dimension, as sigma word -> tau word and back
-        self._up: dict[int, dict[Word, Word]] = defaultdict(dict)
-        self._down: dict[int, dict[Word, Word]] = defaultdict(dict)
-        for sigma, tau in self.pairs:
+        self.scope, self.flags = scope, flags
+        cells = sorted(pairs, key=lambda p: (p[0].dim, sort_key(p[0])))
+        for sigma, tau in cells:
             if tau.dim != sigma.dim + 1:
                 raise ValueError(
                     f"pair ({sigma}, {tau}) does not span adjacent dimensions")
             if tau.length != sigma.length:
                 raise ValueError(
                     f"pair ({sigma}, {tau}) crosses word-length strata")
-            self._up[sigma.dim][sigma.word] = tau.word
-            self._down[tau.dim][tau.word] = sigma.word
+        self._hold([(s.dim, s.word, t.word) for s, t in cells])
+
+    def _hold(self, word_pairs: list[tuple[int, Word, Word]]) -> None:
+        """Hold word_pairs, which are in (dim, length, word) order."""
+        self.word_pairs = word_pairs
+        # the pairs by dimension, as sigma word -> tau word and back
+        self._up: dict[int, dict[Word, Word]] = defaultdict(dict)
+        self._down: dict[int, dict[Word, Word]] = defaultdict(dict)
+        for n, sw, tw in word_pairs:
+            self._up[n][sw] = tw
+            self._down[n + 1][tw] = sw
+
+    @cached_property
+    def pairs(self) -> list[tuple[Simplex, Simplex]]:
+        return [(Simplex(n, sw), Simplex(n + 1, tw))
+                for n, sw, tw in self.word_pairs]
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.word_pairs)
 
     def up_word(self, dim: int, word: Word) -> Optional[Word]:
         """As SteepnessRule.up_word, within the pairs."""
@@ -344,10 +353,10 @@ class Matching:
         return json.dumps(
             {"scope": self.scope.to_json_dict(),
              "flags": self.flags.to_json_dict(),
-             "pairs": [{"sigma": {"dim": s.dim, "word": list(s.word)},
-                        "tau": {"dim": t.dim, "word": list(t.word)},
-                        "stratum": {"dim": s.dim, "length": s.length}}
-                       for s, t in self.pairs]},
+             "pairs": [{"sigma": {"dim": n, "word": list(sw)},
+                        "tau": {"dim": n + 1, "word": list(tw)},
+                        "stratum": {"dim": n, "length": len(sw)}}
+                       for n, sw, tw in self.word_pairs]},
             separators=(",", ":"))
 
     @classmethod
@@ -374,15 +383,15 @@ class Matching:
 class CriticalReport:
     """Critical cells per stratum, read off a matching: the walked words
     in no pair, and (strata) the degenerate-by-fiat cells, which it takes
-    whole strata to list.  Each list is built on first read and kept, so
-    the homology path walks only the dimensions of its slices.
-    """
+    whole strata to list.  Each list is built on first read and kept;
+    below max_dim, from the words build_matching's walk left unpaired."""
 
     def __init__(self, matching: Matching) -> None:
         self.matching = matching
         self.scope = matching.scope
         self.flags = matching.flags
         self._unmatched: dict[StratumKey, list[Simplex]] = {}
+        self._unpaired: dict[tuple[int, int], list[Word]] = {}
         self._fiat = self.flags.degenerate_policy == "critical"
 
     @cached_property
@@ -415,8 +424,10 @@ class CriticalReport:
             cells = []
             if dim <= self.scope.max_dim and length <= self.scope.max_length:
                 up, down = self.matching._up[dim], self.matching._down[dim]
-                cells = [Simplex(dim, w)
-                         for w in _walked_words(dim, length, self.flags)
+                words = self._unpaired.pop((dim, length), None)
+                if words is None:  # a stratum build_matching did not walk
+                    words = _walked_words(dim, length, self.flags)
+                cells = [Simplex(dim, w) for w in words
                          if w not in up and w not in down]
             self._unmatched[key] = cells
         return self._unmatched[key]
@@ -461,22 +472,27 @@ def build_matching(max_dim: int, max_length: int,
     for n, length in scope.strata():
         check_stratum_size(n, length)
 
-    pairs: list[tuple[Simplex, Simplex]] = []
+    matching = Matching((), scope, flags)
+    report = CriticalReport(matching)
+    pairs: list[tuple[int, Word, Word]] = []  # in (dim, length, word) order
     for n, length in scope.strata():
         if n < max_dim:
+            rest = report._unpaired[(n, length)] = []
             for word in _walked_words(n, length, flags):
                 tw = _steepness(n, word, flags)[0]
-                if tw is not None:
-                    pairs.append((Simplex(n, word), Simplex(n + 1, tw)))
+                if tw is None:
+                    rest.append(word)
+                else:
+                    pairs.append((n, word, tw))
 
-    matching = Matching(pairs, scope, flags)
+    matching._hold(pairs)
     if validate:
         verdict = validate_matching(matching)
         if not verdict.ok:
             raise SelfCheckError(
                 "build_matching produced an invalid matching: "
                 + "; ".join(verdict.errors))
-    return matching, CriticalReport(matching)
+    return matching, report
 
 
 # --- validation ---------------------------------------------------------------
@@ -499,38 +515,37 @@ _REDUCTION_NOTE = (
 
 
 def validate_matching(m: Matching) -> Verdict:
-    """Regularity, injectivity, and per-stratum acyclicity with witnesses;
-    the regularity hits and the stratum digraph read one list of faces."""
+    """Regularity, injectivity, and per-stratum acyclicity with witnesses,
+    on words; the hits and the stratum digraph read one list of faces."""
     errors: list[str] = []
     seen: dict[tuple[int, Word], str] = {}
     strata: dict[tuple[int, int], dict[Word, tuple]] = {}
 
-    for sigma, tau in m.pairs:
-        if not m.scope.covers(sigma) or not m.scope.covers(tau):
-            raise ValueError(
-                f"pair ({sigma}, {tau}) lies outside scope {m.scope}")
-        n, sw, tw = tau.dim, sigma.word, tau.word
+    for d, sw, tw in m.word_pairs:
+        n, length = d + 1, len(sw)
+        if n > m.scope.max_dim or length > m.scope.max_length:
+            raise ValueError(f"pair ({word_text(sw)}, {word_text(tw)}) lies "
+                             f"outside scope {m.scope}")
         faces = [face_word(n, tw, i) for i in range(n + 1)]
         hits = [i for i, f in enumerate(faces) if f == sw]
         if len(hits) != 1:
             errors.append(
-                f"regularity: {simplex_text(sigma)} occurs in faces of "
-                f"{simplex_text(tau)} at indices {hits}, not exactly once")
+                f"regularity: {word_text(sw)} occurs in faces of "
+                f"{word_text(tw)} at indices {hits}, not exactly once")
         if m.flags.degenerate_policy == "critical":
-            if is_degenerate_word(n - 1, sw) or is_degenerate_word(n, tw):
+            if is_degenerate_word(d, sw) or is_degenerate_word(n, tw):
                 errors.append(
-                    f"policy: pair ({simplex_text(sigma)}, {simplex_text(tau)}) "
+                    f"policy: pair ({word_text(sw)}, {word_text(tw)}) "
                     f"contains a degenerate cell under the critical policy")
-        for cell, role in ((sigma, "lower"), (tau, "upper")):
-            key = (cell.dim, cell.word)
+        for key, role in (((d, sw), "lower"), ((n, tw), "upper")):
             if key in seen:
                 errors.append(
-                    f"injectivity: {simplex_text(cell)} used as {role} after "
+                    f"injectivity: {word_text(key[1])} used as {role} after "
                     f"already appearing as {seen[key]}")
             else:
                 seen[key] = role
-        strata.setdefault((sigma.dim, sigma.length), {})[sw] = (
-            sigma, tau, [f for f in faces if len(f) == len(tw) and f != sw])
+        strata.setdefault((d, length), {})[sw] = (
+            tw, [f for f in faces if len(f) == length and f != sw])
 
     cycle: Optional[list[Simplex]] = None
     checked: list[StratumKey] = []
@@ -538,11 +553,11 @@ def validate_matching(m: Matching) -> Verdict:
         checked.append(StratumKey(dim, length))
         found = _stratum_cycle(strata[(dim, length)])
         if found and cycle is None:
-            cycle = found
+            cycle = [Simplex(dim + i % 2, w) for i, w in enumerate(found)]
             errors.append(
                 f"acyclicity: stratum (dim {dim}, length {length}) carries an "
                 f"alternating cycle "
-                + " > ".join(simplex_text(x) for x in found))
+                + " > ".join(map(word_text, found)))
 
     return Verdict(ok=not errors, errors=errors, cycle=cycle,
                    strata_checked=checked, note=_REDUCTION_NOTE)
@@ -576,20 +591,19 @@ def _postorder(root: Word, successors: Callable[[Word], list[Word]],
     return order, None
 
 
-def _stratum_cycle(pair: dict[Word, tuple[Simplex, Simplex, list[Word]]]) \
-        -> Optional[list[Simplex]]:
-    """A cycle sigma_0, tau_0, sigma_1, ..., sigma_0 if one exists, from
-    sigma word -> (sigma, tau, tau's other same-length faces); the search
-    runs on words, which tell the cells of one stratum apart."""
+def _stratum_cycle(pair: dict[Word, tuple[Word, list[Word]]]) \
+        -> Optional[list[Word]]:
+    """The words sigma_0, tau_0, sigma_1, ..., sigma_0 of a cycle, if one
+    exists, from sigma word -> (tau word, tau's other same-length faces)."""
     succ = {sw: [f for f in others if f in pair]
-            for sw, (_, _, others) in pair.items()}
+            for sw, (_, others) in pair.items()}
     seen: set[Word] = set()
     for root in pair:
         if succ[root] and root not in seen:  # no cycle starts at a sink
             order, loop = _postorder(root, succ.__getitem__, seen)
             if loop:
-                return [x for w in loop[:-1] for x in pair[w][:2]] + \
-                    [pair[loop[-1]][0]]
+                return [x for w in loop[:-1] for x in (w, pair[w][0])] + \
+                    loop[-1:]
             seen.update(order)
     return None
 
@@ -617,8 +631,8 @@ def matching_to_dot(m: Matching) -> str:
     lines = ["digraph steepness {", "  rankdir=BT;",
              '  node [shape=box, fontname="monospace"];']
     strata: dict[tuple[int, int], dict[tuple[int, ...], tuple[int, ...]]] = {}
-    for s, t in m.pairs:
-        strata.setdefault((s.dim, s.length), {})[s.word] = t.word
+    for n, sw, tw in m.word_pairs:
+        strata.setdefault((n, len(sw)), {})[sw] = tw
     for (dim, length), up in sorted(strata.items()):
         lines.append(f"  subgraph cluster_{dim}_{length} {{")
         lines.append(f'    label="stratum (dim {dim}, length {length})";')

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
+from math import comb
 from typing import Iterator
 
 from .errors import TruncationError
@@ -163,9 +164,13 @@ class StratumKey:
 
 
 def stratum_size(dim: int, length: int) -> int:
-    if dim == 0:
-        return 1 if length == 0 else 0
-    return dim ** length
+    return dim ** length  # dimension 0 holds the identity only: 0 ** 0 = 1
+
+
+def degenerate_size(dim: int, length: int) -> int:
+    """stratum_size less the dim! * S(length, dim) surjective words."""
+    return sum((-1) ** (k + 1) * comb(dim, k) * (dim - k) ** length
+               for k in range(1, dim + 1))
 
 
 # The most cells of one stratum that the package lists or walks; a larger

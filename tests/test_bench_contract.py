@@ -18,8 +18,8 @@ import pathlib
 import pytest
 
 import fkmorse.cli  # the tracer needs every layer imported
-from fkmorse.pairing import build_matching
-from fkmorse.simplicial import StratumKey
+from fkmorse.pairing import PairingFlags, build_matching
+from fkmorse.simplicial import StratumKey, stratum_size
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 TRACING = BENCH / "tracing.py"
@@ -76,6 +76,29 @@ def test_a_traced_build_counts_what_an_untraced_one_returns(tracing):
     assert tracer.counts["pairing.critical_cells"] == critical
     assert tracer.counts["simplicial.cells_enumerated"] > 0
     assert "pairing.build_s" in tracer.self_times()
+
+
+@pytest.mark.parametrize("policy", ["critical", "allow"])
+def test_a_traced_word_built_matching_counts_its_pairs_and_critical_cells(
+        tracing, policy):
+    """build_matching hands its pairs over as words and the report reads
+    its critical cells off the build walk; the tracer's counts still equal
+    len(matching) and the strata sum.  Every cell of the scope is in one
+    pair or critical, so that sum is the scope's cells less two per pair."""
+    flags = PairingFlags(degenerate_policy=policy)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        pairing = importlib.import_module("fkmorse.pairing")
+        matching, report = pairing.build_matching(4, 5, flags)
+    finally:
+        tracer.uninstall()
+    cells = sum(stratum_size(n, k) for n, k in matching.scope.strata())
+    assert tracer.counts["pairing.pairs"] == len(matching) == \
+        len(matching.pairs) > 0
+    assert tracer.counts["pairing.critical_cells"] == sum(
+        len(deg) + len(unm) for deg, unm in report.strata.values()) == \
+        cells - 2 * len(matching)
 
 
 def _check_recorded_bytes(grid):

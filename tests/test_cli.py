@@ -28,7 +28,8 @@ from fkmorse.flow import (FlowContext, beta_cell, sigma_cell,
                           sigma_tilde_cell, tau_cell, tau_tilde_cell, y_power)
 from fkmorse.pairing import (Matching, PairingFlags, Scope, SteepnessRule,
                              build_matching)
-from fkmorse.simplicial import Simplex, enumerate_stratum, is_degenerate
+from fkmorse.simplicial import (Simplex, degenerate_size, enumerate_stratum,
+                                is_degenerate)
 
 S = Simplex
 
@@ -234,6 +235,19 @@ def test_pair_text_summary_counts_what_the_report_lists(capsys, max_dim,
                     report.strata.items(),
                     key=lambda item: (item[0].dim, item[0].length))]
     assert out.splitlines()[3:] == expected
+
+
+@pytest.mark.parametrize("policy", ["critical", "allow"])
+def test_pair_summary_degenerate_count_equals_the_walked_count(policy):
+    # the summary counts n^L - n! S(L, n) under critical, and 0 under allow,
+    # where the report lists the degenerate words by walking each stratum
+    _, report = build_matching(1, 1, PairingFlags(degenerate_policy=policy))
+    for n in range(7):
+        for length in range(8 if n else 1):
+            walked = sum(1 for _ in report.degenerate_words(n, length))
+            counted = degenerate_size(n, length) if policy == "critical" \
+                else 0
+            assert counted == walked, (n, length)
 
 
 def test_pair_dot_output_is_unchanged(capsys):

@@ -383,6 +383,9 @@ def test_the_homology_path_walks_no_stratum_of_dimension_degree_plus_two(
     build_slice(ctx, report, degree + 1)
     assert {dim for dim, _ in walked} == set(range(degree + 2))
     assert all(dim < degree + 2 for dim, _ in walked)
+    # the slices take the critical cells below dimension d + 2 from the
+    # words the build walk left unpaired, so no stratum is walked twice
+    assert len(walked) == len(set(walked))
 
 
 def test_slice_serialization(context_1_4):

@@ -35,7 +35,7 @@ from fkmorse.pairing import (
 )
 from fkmorse.simplicial import (Simplex, Word, enumerate_stratum, face,
                                 is_degenerate, is_degenerate_word, sort_key,
-                                stratum_words)
+                                stratum_words, surjective_words)
 
 S = Simplex
 ALLOW = PairingFlags(degenerate_policy="allow")
@@ -604,6 +604,43 @@ def test_report_keeps_what_it_builds_on_first_read(top_first):
     assert csv == build_matching(3, 3)[1].to_csv()
 
 
+def test_build_and_validation_make_no_cell_until_pairs_are_read(
+        monkeypatch):
+    made = []
+
+    def counted(dim, word):
+        made.append((dim, word))
+        return Simplex(dim, word)
+
+    monkeypatch.setattr(pairing, "Simplex", counted)
+    matching, _ = build_matching(5, 6)
+    assert validate_matching(matching).ok
+    assert made == []
+    monkeypatch.undo()
+    # the rule's pairs as cells, in no particular order
+    cells = [(S(n, w), S(n + 1, tw)) for n, length in Scope(5, 6).strata()
+             if n < 5 for w in stratum_words(n, length)
+             if (tw := _steepness(n, w, PairingFlags())[0]) is not None]
+    random.Random(15).shuffle(cells)
+    assert matching.pairs == Matching(cells, Scope(5, 6), PairingFlags()).pairs
+    assert matching.pairs is matching.pairs
+    assert len(matching) == len(cells)
+
+
+def test_the_pair_csv_walks_each_stratum_once(monkeypatch):
+    walked = []
+
+    def recording(dim, length):
+        walked.append((dim, length))
+        return surjective_words(dim, length)
+
+    monkeypatch.setattr(pairing, "surjective_words", recording)
+    _, report = build_matching(4, 4)
+    report.to_csv()
+    assert sorted(walked) == sorted(set(walked)) == \
+        list(Scope(4, 4).strata())
+
+
 # --- Matching container semantics ----------------------------------------------
 
 def test_matching_rejects_non_adjacent_dimensions():
@@ -849,6 +886,38 @@ def test_validator_agrees_with_a_reference_on_random_matchings():
             kinds[kind] += any(e.startswith(kind) for e in verdict.errors)
     # every verdict kind is exercised, not only the clean one
     assert min(kinds.values()) >= 20, kinds
+
+
+def _from_words(cells: list, scope: Scope, flags: PairingFlags) -> Matching:
+    """The matching of cells, handed over as word triples in (dim, length,
+    word) order, the way build_matching hands over its walk's pairs."""
+    matching = Matching((), scope, flags)
+    matching._hold(sorted(((s.dim, s.word, t.word) for s, t in cells),
+                          key=lambda p: (p[0], len(p[1]), p[1])))
+    return matching
+
+
+@pytest.mark.parametrize("cells,policy,kind", [
+    ([(S(2, (1, 2, 2)), S(3, (1, 2, 3))), (S(2, (1, 2, 2)), S(3, (1, 3, 2)))],
+     "critical", "injectivity"),
+    ([(S(2, (1, 2, 2)), S(3, (1, 2, 3))), (S(2, (1, 1, 2)), S(3, (1, 2, 3)))],
+     "critical", "injectivity"),
+    ([(S(2, (2, 1)), S(3, (3, 1)))], "allow", "regularity"),
+    ([(S(2, (2, 2)), S(3, (2, 3)))], "critical", "policy"),
+    (CYCLIC_PAIRS, "critical", "acyclicity"),
+], ids=["duplicate-lower", "duplicate-upper", "irregular", "degenerate",
+        "cyclic"])
+def test_validator_verdicts_agree_from_cells_and_from_words(cells, policy,
+                                                             kind):
+    flags = PairingFlags(degenerate_policy=policy)
+    by_cells = validate_matching(Matching(cells, Scope(3, 3), flags))
+    by_words = validate_matching(_from_words(cells, Scope(3, 3), flags))
+    verdict = (by_cells.ok, by_cells.errors, by_cells.cycle,
+               by_cells.strata_checked)
+    assert verdict == (by_words.ok, by_words.errors, by_words.cycle,
+                       by_words.strata_checked)
+    assert verdict == _reference_verdict(Matching(cells, Scope(3, 3), flags))
+    assert any(e.startswith(kind) for e in by_words.errors)
 
 
 def test_validator_scope_override_rejects_uncovered_pairs(built_3_3):
