@@ -265,7 +265,7 @@ def cmd_morse(ns: argparse.Namespace) -> int:
                  f"{len(slc.basis_hi)} x {len(slc.basis_lo)} "
                  f"(rows: critical {slc.degree}-cells, "
                  f"cols: critical {slc.degree - 1}-cells)"]
-        if all(v == 0 for row in slc.matrix for v in row):
+        if not any(slc.rows):
             lines.append("all entries zero")
         else:
             lines.append(slc.to_csv().rstrip("\n"))

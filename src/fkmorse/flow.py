@@ -129,15 +129,11 @@ class FlowContext:
         self.scope = scope
         self.mode = mode
         self.dual_route_checks = 0
-        # the word-level memos of boundary_row's reductions, by dimension,
-        # and the last basis with its columns as sparse rows by word
+        # the word-level memos of boundary_rows' reductions, by dimension
         self._incidence: dict[int, dict[Word, int]] = defaultdict(dict)
         self._gradient: dict[int, dict] = defaultdict(dict)
         self._edges: dict[int, dict] = defaultdict(dict)
         self._columns: dict[int, dict] = defaultdict(dict)
-        self._basis: list[Simplex] = []
-        self._index: dict[Word, list[int]] = {}
-        self._rows: dict[Word, dict[int, int]] = {}
         if iteration_cap is None:
             iteration_cap = max(
                 64,
@@ -301,61 +297,56 @@ class FlowContext:
         column = self._columns[n][sigma] = {w: v for w, v in column.items() if v}
         return column
 
-    def _transposed(self, basis: list[Simplex]) -> tuple[
-            dict[Word, list[int]], dict[Word, dict[int, int]]]:
-        """The basis positions of each word, and the backward columns of the
-        basis as sparse rows by word; kept for the last basis asked for."""
-        if basis != self._basis:
-            if len({b.dim for b in basis}) > 1:
-                raise ValueError("basis cells must share one dimension")
-            index: dict[Word, list[int]] = {}
-            rows: dict[Word, dict[int, int]] = {}
-            for j, sigma in enumerate(basis):
-                index.setdefault(sigma.word, []).append(j)
-                for w, v in self._column(sigma.dim, sigma.word).items():
-                    rows.setdefault(w, {})[j] = v
-            self._basis, self._index, self._rows = list(basis), index, rows
-        return self._index, self._rows
-
-    def boundary_row(self, cell: Simplex, basis: list[Simplex]) -> list[int]:
-        """<boundary-tilde cell, b> for each b in basis, for a critical cell.
+    def boundary_rows(self, cells: list[Simplex], basis: list[Simplex]) \
+            -> list[dict[int, int]]:
+        """<boundary-tilde cell, b> by the position of b in basis, nonzero
+        entries only, for each critical cell of cells.
 
         Two reductions that share only the pairing and the incidences must
         agree at every basis cell: the forward one sums the projections G
-        of the faces of the cell; the backward one reads the cell off the
-        columns built by walking gradient paths upward from each b.
+        of the faces of a cell; the backward one reads the cell off the
+        columns built once, by walking gradient paths upward from each b.
         """
-        if not self.scope.covers(cell):
-            raise TruncationError(
-                f"cell {cell} lies outside the flow scope {self.scope}",
-                dim=cell.dim, length=cell.length)
-        if cell.dim == 0:
-            raise ValueError("dimension-0 chains have no boundary")
-        if basis and basis[0].dim != cell.dim - 1:
-            raise ValueError(
-                f"a row of dimension-{cell.dim} cell {cell} reads "
-                f"dimension-{cell.dim - 1} cells, not {basis[0]}")
-        index, rows = self._transposed(basis)
-        forward: dict[Word, int] = {}
-        for y, v in face_sum(cell.dim, cell.word, self.mode).items():
-            for z, u in self._projection(cell.dim - 1, y).items():
-                forward[z] = forward.get(z, 0) + v * u
-        row = {j: u for z, u in forward.items() if u
-               for j in index.get(z, ())}
-        backward = rows.get(cell.word, {})
-        if row != backward:
-            j = min((j for j in row.keys() | backward.keys()
-                     if row.get(j) != backward.get(j)),
-                    key=lambda j: sort_key(basis[j]))
-            raise SelfCheckError(
-                f"gradient-path routes disagree at ({cell}, {basis[j]}): "
-                f"forward reduction gives {row.get(j, 0)}, backward "
-                f"reduction gives {backward.get(j, 0)}")
-        self.dual_route_checks += len(basis)
-        out = [0] * len(basis)
-        for j, u in row.items():
-            out[j] = u
-        return out
+        for cell in cells:
+            if not self.scope.covers(cell):
+                raise TruncationError(
+                    f"cell {cell} lies outside the flow scope {self.scope}",
+                    dim=cell.dim, length=cell.length)
+            if cell.dim == 0:
+                raise ValueError("dimension-0 chains have no boundary")
+            if basis and basis[0].dim != cell.dim - 1:
+                raise ValueError(
+                    f"a row of dimension-{cell.dim} cell {cell} reads "
+                    f"dimension-{cell.dim - 1} cells, not {basis[0]}")
+        if len({b.dim for b in basis}) > 1:
+            raise ValueError("basis cells must share one dimension")
+        # the basis positions of each word, and the columns as rows by word
+        index: dict[Word, list[int]] = {}
+        backward: dict[Word, dict[int, int]] = {}
+        for j, sigma in enumerate(basis):
+            index.setdefault(sigma.word, []).append(j)
+            for w, v in self._column(sigma.dim, sigma.word).items():
+                backward.setdefault(w, {})[j] = v
+        rows = []
+        for cell in cells:
+            forward: dict[Word, int] = {}
+            for y, v in face_sum(cell.dim, cell.word, self.mode).items():
+                for z, u in self._projection(cell.dim - 1, y).items():
+                    forward[z] = forward.get(z, 0) + v * u
+            row = {j: u for z, u in forward.items() if u
+                   for j in index.get(z, ())}
+            column = backward.get(cell.word, {})
+            if row != column:
+                j = min((j for j in row.keys() | column.keys()
+                         if row.get(j) != column.get(j)),
+                        key=lambda j: sort_key(basis[j]))
+                raise SelfCheckError(
+                    f"gradient-path routes disagree at ({cell}, {basis[j]}): "
+                    f"forward reduction gives {row.get(j, 0)}, backward "
+                    f"reduction gives {column.get(j, 0)}")
+            self.dual_route_checks += len(basis)
+            rows.append(row)
+        return rows
 
     def morse_boundary_entry(self, c: Simplex, sigma: Simplex) -> int:
         """<boundary-tilde c, sigma> via both reductions, asserted equal."""
@@ -366,4 +357,4 @@ class FlowContext:
             if not self.is_critical(cell):
                 raise ValueError(f"{cell} is not critical; entries are only "
                                  f"defined between critical cells")
-        return self.boundary_row(c, [sigma])[0]
+        return self.boundary_rows([c], [sigma])[0].get(0, 0)

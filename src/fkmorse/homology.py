@@ -71,20 +71,22 @@ def smith_normal_form(matrix: Matrix, transforms: bool = False) -> SnfResult:
     if transforms:
         return _dense_snf([[_integer(i, j, v) for j, v in enumerate(row)]
                            for i, row in enumerate(matrix)], transforms=True)
-    peeled, residue = _peel_unit_pivots(matrix)
+    peeled, residue = _peel_unit_pivots(
+        [{j: _integer(i, j, v) for j, v in enumerate(row) if v}
+         for i, row in enumerate(matrix)])
     factors = [1] * peeled + _dense_snf(residue).invariant_factors
     return SnfResult(rank=len(factors), invariant_factors=factors)
 
 
-def _peel_unit_pivots(matrix: Matrix) -> tuple[int, Matrix]:
+def _peel_unit_pivots(rows: list[dict[int, int]]) -> tuple[int, Matrix]:
     """Eliminate +-1 pivots; return their number and the dense residue.
 
-    The residue holds the rows and columns no pivot touched that still have
-    a nonzero entry, so matrix is equivalent to the block-diagonal matrix of
-    one 1 per pivot and the residue.  matrix itself is left as it is.
+    Each row maps a column to a nonzero entry.  The residue holds the rows
+    and columns no pivot touched that still have a nonzero entry, so the
+    rows are equivalent to the block-diagonal matrix of one 1 per pivot and
+    the residue.  rows itself is left as it is.
     """
-    rows = [{j: _integer(i, j, v) for j, v in enumerate(row) if v}
-            for i, row in enumerate(matrix)]
+    rows = [dict(row) for row in rows]
     in_col: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:
@@ -228,14 +230,14 @@ def _dense_snf(a: Matrix, transforms: bool = False) -> SnfResult:
 class MorseSlice:
     """The Morse boundary from critical degree-d cells to degree d-1.
 
-    matrix[row][col] is the entry of basis_hi[row] against basis_lo[col];
+    rows[i][j] is the nonzero entry of basis_hi[i] against basis_lo[j];
     bases are sorted by word length then lexicographically.
     """
 
     degree: int
     basis_lo: list[Simplex]
     basis_hi: list[Simplex]
-    matrix: Matrix
+    rows: list[dict[int, int]]
     scope: Scope
 
     def to_json(self) -> str:
@@ -244,14 +246,16 @@ class MorseSlice:
              "scope": self.scope.to_json_dict(),
              "rows": [simplex_text(x) for x in self.basis_hi],
              "cols": [simplex_text(x) for x in self.basis_lo],
-             "matrix": self.matrix},
+             "matrix": [[row.get(j, 0) for j in range(len(self.basis_lo))]
+                        for row in self.rows]},
             separators=(",", ":"))
 
     def to_csv(self) -> str:
         header = "simplex," + ",".join(simplex_text(x) for x in self.basis_lo)
         lines = [header]
-        for x, row in zip(self.basis_hi, self.matrix):
-            lines.append(simplex_text(x) + "," + ",".join(str(v) for v in row))
+        for x, row in zip(self.basis_hi, self.rows):
+            lines.append(simplex_text(x) + "," + ",".join(
+                str(row.get(j, 0)) for j in range(len(self.basis_lo))))
         return "\n".join(lines) + "\n"
 
 
@@ -271,9 +275,9 @@ def build_slice(ctx: FlowContext, report: CriticalReport, degree: int) \
     scope = ctx.scope
     hi = critical_basis(report, degree, scope.max_length)
     lo = critical_basis(report, degree - 1, scope.max_length) if degree else []
-    matrix = [ctx.boundary_row(cell, lo) if degree else [] for cell in hi]
+    rows = ctx.boundary_rows(hi, lo) if degree else [{} for _ in hi]
     return MorseSlice(degree=degree, basis_lo=lo, basis_hi=hi,
-                      matrix=matrix, scope=scope)
+                      rows=rows, scope=scope)
 
 
 # --- homology ---------------------------------------------------------------------
@@ -297,12 +301,12 @@ class HomologyResult:
 def _compose_is_zero(lo: MorseSlice, hi: MorseSlice) -> bool:
     # rows of hi are (d+1)-cells; composing means boundary twice.  The
     # middle bases are equal, so column k of hi meets row k of lo
-    for row in hi.matrix:
-        acc = [0] * len(lo.basis_lo)
-        for coef, lo_row in zip(row, lo.matrix):
-            if coef:
-                acc = [x + coef * y for x, y in zip(acc, lo_row)]
-        if any(acc):
+    for row in hi.rows:
+        acc: dict[int, int] = {}
+        for k, coef in row.items():
+            for j, v in lo.rows[k].items():
+                acc[j] = acc.get(j, 0) + coef * v
+        if any(acc.values()):
             return False
     return True
 
@@ -319,9 +323,12 @@ def homology_of_slices(lo: MorseSlice, hi: MorseSlice) -> HomologyResult:
         raise SelfCheckError(
             f"boundary squared is nonzero between degrees {hi.degree} and "
             f"{lo.degree - 1}")
-    rank_lo = smith_normal_form(lo.matrix).rank
-    snf_hi = smith_normal_form(hi.matrix)
-    betti = len(lo.basis_hi) - rank_lo - snf_hi.rank
+    # smith_normal_form takes a dense matrix, so only the residue goes there
+    peeled_lo, residue_lo = _peel_unit_pivots(lo.rows)
+    rank_lo = peeled_lo + smith_normal_form(residue_lo).rank
+    peeled_hi, residue_hi = _peel_unit_pivots(hi.rows)
+    snf_hi = smith_normal_form(residue_hi)
+    betti = len(lo.basis_hi) - rank_lo - peeled_hi - snf_hi.rank
     torsion = [f for f in snf_hi.invariant_factors if f not in (0, 1)]
     return HomologyResult(degree=lo.degree, max_length=lo.scope.max_length,
                           betti=betti, torsion=torsion)
@@ -372,12 +379,12 @@ class StabilityScan:
 
 def _leading_block(slc: MorseSlice, max_length: int) -> MorseSlice:
     """The slice at a smaller bound: the cells of word length <= max_length
-    lead each basis, which is sorted by length."""
+    lead each basis, which is sorted by length.  Faces never raise word
+    length, so the rows of those cells hold no column past the block."""
     rows = sum(1 for x in slc.basis_hi if x.length <= max_length)
     cols = sum(1 for x in slc.basis_lo if x.length <= max_length)
     return MorseSlice(slc.degree, slc.basis_lo[:cols], slc.basis_hi[:rows],
-                      [row[:cols] for row in slc.matrix[:rows]],
-                      Scope(slc.scope.max_dim, max_length))
+                      slc.rows[:rows], Scope(slc.scope.max_dim, max_length))
 
 
 def stability_scan(degree: int, length_lo: int, length_hi: int,

@@ -169,6 +169,32 @@ def test_a_traced_homology_job_counts_no_chain_boundary_or_flow(tracing):
     assert tracer.counts["homology.slice_calls"] == 2
 
 
+def test_a_traced_homology_job_hands_each_residue_to_the_smith_form(
+        tracing):
+    """The homology path peels the sparse rows of both slices and hands
+    each dense residue to smith_normal_form, the name the tracer wraps, so
+    a traced homology job counts two calls; the bench harness asserts
+    homology.snf_calls > 0.  At this scope both residues are empty."""
+    argv = "homology --degree 3 --max-length 6".split()
+    plain = io.StringIO()
+    with contextlib.redirect_stdout(plain):
+        assert fkmorse.cli.main(argv) == 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_job(0)
+        traced = io.StringIO()
+        with contextlib.redirect_stdout(traced):
+            code = fkmorse.cli.main(argv)
+        tracer.end_job()
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert traced.getvalue() == plain.getvalue() != ""
+    assert tracer.counts["homology.snf_calls"] == 2
+    assert tracer.counts["homology.snf_cells"] == 0
+
+
 @pytest.mark.parametrize("argv", [
     "flow --chain y^4",
     "flow --chain=a3.a1.a2.a2-2*a2.a2.a3.a1 --dim 3 "

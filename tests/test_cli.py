@@ -335,10 +335,10 @@ def test_boundary_rows_on_a_cyclic_export_fail_fast():
     start = time.perf_counter()
     # the backward walk up from the basis cell meets the cycle
     with pytest.raises(SelfCheckError, match="has a cycle"):
-        flow.boundary_row(S(3, (3, 2, 2)), [S(2, (2, 1))])
+        flow.boundary_rows([S(3, (3, 2, 2))], [S(2, (2, 1))])
     # the forward walk down from the faces of a cell meets it too
     with pytest.raises(SelfCheckError, match="has a cycle"):
-        flow.boundary_row(S(3, (3, 2, 1)), [])
+        flow.boundary_rows([S(3, (3, 2, 1))], [])
     assert time.perf_counter() - start < 1.0
 
 

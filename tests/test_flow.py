@@ -33,6 +33,8 @@ from fkmorse.pairing import (Matching, PairingFlags, Scope, SteepnessRule,
 from fkmorse.simplicial import (Simplex, enumerate_stratum, face, identity,
                                 is_degenerate)
 
+from dense import densify
+
 S = Simplex
 ALLOW = PairingFlags(degenerate_policy="allow")
 
@@ -402,11 +404,35 @@ def test_boundary_entry_counts_dual_route_checks():
 def test_boundary_row_is_the_entries_of_one_critical_cell():
     flow = FlowContext(SteepnessRule(), Scope(6, 5))
     basis = [sigma_cell(3), tau_cell(3), sigma_cell(3)]
-    assert flow.boundary_row(sigma_cell(4), basis) == [
-        flow.morse_boundary_entry(sigma_cell(4), low) for low in basis]
+    assert densify(flow.boundary_rows([sigma_cell(4)], basis), 3) == [[
+        flow.morse_boundary_entry(sigma_cell(4), low) for low in basis]]
     assert flow.dual_route_checks == 6
-    assert flow.boundary_row(sigma_cell(4), []) == []
+    assert flow.boundary_rows([sigma_cell(4)], []) == [{}]
     assert flow.dual_route_checks == 6
+    # one call for several cells gives each cell's row, zeros left out
+    cells = [sigma_cell(4), tau_cell(4), sigma_cell(4)]
+    rows = flow.boundary_rows(cells, basis)
+    assert flow.dual_route_checks == 15
+    assert rows == [flow.boundary_rows([cell], basis)[0] for cell in cells]
+    assert rows[0] == {0: 1, 2: 1} and rows[1] == {1: 1}
+    assert flow.boundary_rows([], basis) == []
+
+
+def test_boundary_rows_check_every_cell_before_any_reduction():
+    flow = FlowContext(SteepnessRule(), Scope(6, 4))
+    basis = [sigma_cell(3)]
+    with pytest.raises(TruncationError, match="outside the flow scope"):
+        flow.boundary_rows([sigma_cell(4), S(4, (4, 3, 2, 1, 1))], basis)
+    with pytest.raises(ValueError, match="dimension-0 chains"):
+        flow.boundary_rows([sigma_cell(4), identity(0)], basis)
+    with pytest.raises(ValueError, match="reads dimension-2 cells"):
+        flow.boundary_rows([sigma_cell(4), sigma_cell(3)], basis)
+    with pytest.raises(ValueError, match="share one dimension"):
+        flow.boundary_rows([sigma_cell(4)], basis + [sigma_cell(2)])
+    # no reduction ran, so no memo holds a word and no row was checked
+    assert flow.dual_route_checks == 0
+    assert not any(flow._gradient.values()) and \
+        not any(flow._columns.values())
 
 
 def _tamper_columns(monkeypatch, flow, cell, shifts):
@@ -428,7 +454,7 @@ def test_boundary_row_rejects_a_disagreeing_route(monkeypatch):
     flow = FlowContext(SteepnessRule(), Scope(6, 5))
     _tamper_columns(monkeypatch, flow, sigma_cell(4), {tau_cell(3): 1})
     with pytest.raises(SelfCheckError, match="routes disagree") as caught:
-        flow.boundary_row(sigma_cell(4), [sigma_cell(3), tau_cell(3)])
+        flow.boundary_rows([sigma_cell(4)], [sigma_cell(3), tau_cell(3)])
     assert "at (a4.a3.a2.a1, a3.a2.a2): forward reduction gives 0, " \
         "backward reduction gives 1" in str(caught.value)
     assert flow.dual_route_checks == 0
@@ -442,7 +468,7 @@ def test_boundary_row_compares_whole_chains(monkeypatch):
     _tamper_columns(monkeypatch, flow, sigma_cell(4),
                     {tau_cell(3): 2, sigma_cell(3): -1})
     with pytest.raises(SelfCheckError, match="routes disagree") as caught:
-        flow.boundary_row(sigma_cell(4), basis)
+        flow.boundary_rows([sigma_cell(4)], basis)
     assert "at (a4.a3.a2.a1, a3.a2.a1)" in str(caught.value)
     assert flow.dual_route_checks == 0
 
@@ -469,8 +495,8 @@ def test_boundary_rows_of_degenerate_critical_cells_match_the_flow(flags):
         basis = [c for c in (tau_cell(r), sigma_cell(r), S(r, (r,) * r))
                  if flow.is_critical(c)]
         for cell in cells:
-            assert flow.boundary_row(cell, basis) == \
-                _iterated_flow_row(oracle, cell, basis)
+            assert densify(flow.boundary_rows([cell], basis), len(basis)) == \
+                [_iterated_flow_row(oracle, cell, basis)]
 
 
 @pytest.mark.parametrize("degree,length,policy,mode", [
@@ -486,14 +512,15 @@ def test_slices_equal_the_iterated_flow(degree, length, policy, mode):
     oracle = FlowContext(matching, ctx.scope, mode, validate=False)
     for slice_degree in (degree, degree + 1):
         slc = build_slice(ctx, report, slice_degree)
-        assert slc.matrix == [_iterated_flow_row(oracle, cell, slc.basis_lo)
-                              for cell in slc.basis_hi]
+        assert densify(slc.rows, len(slc.basis_lo)) == [
+            _iterated_flow_row(oracle, cell, slc.basis_lo)
+            for cell in slc.basis_hi]
 
 
 def test_boundary_row_refuses_a_cell_outside_the_scope():
     flow = FlowContext(SteepnessRule(), Scope(6, 3))
     with pytest.raises(TruncationError, match="outside the flow scope"):
-        flow.boundary_row(sigma_cell(4), [sigma_cell(3)])
+        flow.boundary_rows([sigma_cell(4)], [sigma_cell(3)])
 
 
 def test_boundary_entry_requires_critical_cells():

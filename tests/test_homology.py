@@ -7,6 +7,8 @@ transforms. The sparse unit-pivot route (transforms=False) is also checked
 against the dense certificate route (transforms=True), on random sparse
 +-1 matrices with planted non-unit blocks and on real Morse slices, and its
 column-sweep pivot order against the former least-Markowitz-cost order.
+Slices are kept as sparse rows; the boundary-squared check on them is
+checked against the former dense compose, kept here as the reference.
 The stability scan, which reads every bound from the slices at its top
 bound, is checked against homology computed afresh at each bound. sympy
 is a test-only dependency; the package itself never imports it.
@@ -27,6 +29,7 @@ from fkmorse.cli import main
 from fkmorse.flow import y_power
 from fkmorse.homology import (
     MorseSlice,
+    _compose_is_zero,
     _leading_block,
     _peel_unit_pivots,
     build_slice,
@@ -39,6 +42,8 @@ from fkmorse.homology import (
 )
 from fkmorse.pairing import PairingFlags, Scope
 from fkmorse.simplicial import Simplex, surjective_words
+
+from dense import densify, sparsify
 
 S = Simplex
 
@@ -190,7 +195,7 @@ def test_snf_sparse_route_matches_sympy_and_dense_route():
     rng = random.Random(2001)
     for _ in range(12):
         matrix = _unit_sparse_with_planted_block(rng)
-        peeled, residue = _peel_unit_pivots(matrix)
+        peeled, residue = _peel_unit_pivots(sparsify(matrix))
         assert residue and residue[0]  # the planted block survives peeling
         sparse = smith_normal_form(matrix)
         dense = smith_normal_form(matrix, transforms=True)
@@ -208,7 +213,7 @@ def test_snf_sparse_route_matches_sympy_and_dense_route():
 
 def test_snf_planted_block_alone():
     matrix = [[0, 2, 4], [1, 0, 0], [0, 4, 14]]
-    assert _peel_unit_pivots(matrix) == \
+    assert _peel_unit_pivots(sparsify(matrix)) == \
         (1, [[2, 4], [4, 14]])
     assert smith_normal_form(matrix).invariant_factors == [1, 2, 6]
     assert smith_normal_form(matrix).diagonal is None
@@ -289,20 +294,27 @@ def _peeled_factors(peel, matrix):
     return [1] * peeled + smith_normal_form(residue).invariant_factors
 
 
+def _sparse_peel(matrix):
+    return _peel_unit_pivots(sparsify(matrix))
+
+
 @pytest.mark.parametrize("degree,length,slice_degree",
                          [(3, 6, 4), (4, 5, 4), (4, 5, 5)])
 def test_column_sweep_peel_on_real_slices(degree, length, slice_degree):
     ctx, report, _ = morse_context(degree, length)
-    matrix = build_slice(ctx, report, slice_degree).matrix
-    peeled, residue = _peel_unit_pivots(matrix)
+    slc = build_slice(ctx, report, slice_degree)
+    rows = [dict(row) for row in slc.rows]
+    peeled, residue = _peel_unit_pivots(slc.rows)
     assert residue == []
+    assert slc.rows == rows  # the peel works on a copy
+    matrix = densify(slc.rows, len(slc.basis_lo))
     assert [1] * peeled == _peeled_factors(_markowitz_peel, matrix)
 
 
 def test_column_sweep_peel_sweeps_until_no_unit_is_left():
     # column 0 holds no unit when the first sweep passes it; the pivot in
     # column 1 then leaves a -1 there, which a second sweep peels
-    assert _peel_unit_pivots([[3, 2], [2, 1]]) == (2, [])
+    assert _peel_unit_pivots(sparsify([[3, 2], [2, 1]])) == (2, [])
     assert _markowitz_peel([[3, 2], [2, 1]]) == (2, [])
 
 
@@ -310,9 +322,9 @@ def test_column_sweep_peel_on_planted_blocks():
     rng = random.Random(2001)
     for _ in range(12):
         matrix = _unit_sparse_with_planted_block(rng)
-        _, residue = _peel_unit_pivots(matrix)
+        _, residue = _peel_unit_pivots(sparsify(matrix))
         assert all(v not in (1, -1) for row in residue for v in row)
-        assert _peeled_factors(_peel_unit_pivots, matrix) == \
+        assert _peeled_factors(_sparse_peel, matrix) == \
             _peeled_factors(_markowitz_peel, matrix) == \
             _sympy_factors(matrix)
 
@@ -321,7 +333,8 @@ def test_column_sweep_peel_on_planted_blocks():
 def test_snf_routes_agree_on_real_slices(degree, length):
     ctx, report, _ = morse_context(degree, length)
     for slice_degree in (degree, degree + 1):
-        matrix = build_slice(ctx, report, slice_degree).matrix
+        slc = build_slice(ctx, report, slice_degree)
+        matrix = densify(slc.rows, len(slc.basis_lo))
         sparse = smith_normal_form(matrix)
         dense = smith_normal_form(matrix, transforms=True)
         assert sparse.rank == dense.rank
@@ -359,10 +372,10 @@ def test_slice_shapes_and_entries(context_1_4):
     hi = build_slice(ctx, report, 2)
     assert lo.basis_lo == [S(0, ())]
     assert lo.basis_hi == [S(1, (1,))]
-    assert lo.matrix == [[0]]
+    assert densify(lo.rows, 1) == [[0]]
     assert hi.basis_lo == [S(1, (1,))]
     assert len(hi.basis_hi) == 6
-    assert hi.matrix == [[0]] * 6
+    assert densify(hi.rows, 1) == [[0]] * 6
     assert ctx.dual_route_checks == 7  # one dual-route check per matrix entry
 
 
@@ -419,7 +432,7 @@ def test_boundary_of_critical_two_cells_is_a_power_identity():
 # --- homology of consecutive slices ---------------------------------------------------
 
 def _fake(degree, basis_lo, basis_hi, matrix, scope=Scope(3, 3)):
-    return MorseSlice(degree, basis_lo, basis_hi, matrix, scope)
+    return MorseSlice(degree, basis_lo, basis_hi, sparsify(matrix), scope)
 
 
 E0, Y, SIG2 = S(0, ()), S(1, (1,)), S(2, (2, 1))
@@ -440,6 +453,51 @@ def test_homology_of_slices_rejects_nonzero_composition():
     hi = _fake(2, [Y], [SIG2], [[1]])
     with pytest.raises(SelfCheckError, match="boundary squared"):
         homology_of_slices(lo, hi)
+
+
+def _dense_compose_is_zero(lo, hi):
+    """The former dense check of boundary squared, kept as the reference:
+    each row of hi, widened, times the widened rows of lo."""
+    lo_matrix = densify(lo.rows, len(lo.basis_lo))
+    for row in densify(hi.rows, len(hi.basis_lo)):
+        acc = [0] * len(lo.basis_lo)
+        for coef, lo_row in zip(row, lo_matrix):
+            if coef:
+                acc = [x + coef * y for x, y in zip(acc, lo_row)]
+        if any(acc):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("degree,length", [(3, 6), (4, 5)])
+def test_sparse_compose_agrees_with_the_dense_reference(degree, length):
+    ctx, report, _ = morse_context(degree, length)
+    lo = build_slice(ctx, report, degree)
+    hi = build_slice(ctx, report, degree + 1)
+    assert _compose_is_zero(lo, hi) is _dense_compose_is_zero(lo, hi) is True
+    # plant a row of hi that meets one nonzero row of lo alone
+    k = next(k for k, row in enumerate(lo.rows) if row)
+    planted = MorseSlice(hi.degree, hi.basis_lo, hi.basis_hi,
+                         hi.rows[:-1] + [{k: 1}], hi.scope)
+    assert _compose_is_zero(lo, planted) is \
+        _dense_compose_is_zero(lo, planted) is False
+
+
+@pytest.mark.parametrize("policy", ["critical", "allow"])
+@pytest.mark.parametrize("degree,length", [(3, 6), (4, 5)])
+def test_slice_rows_hold_only_nonzero_entries_of_basis_columns(
+        degree, length, policy):
+    # the morse command's "all entries zero" line reads empty rows as zero
+    ctx, report, _ = morse_context(degree, length, PairingFlags(policy))
+    for slice_degree in (degree, degree + 1):
+        slc = build_slice(ctx, report, slice_degree)
+        assert any(slc.rows)
+        blocks = [_leading_block(slc, L) for L in range(1, length)]
+        for block in [slc] + blocks:
+            assert len(block.rows) == len(block.basis_hi)
+            columns = range(len(block.basis_lo))
+            assert all(j in columns and type(v) is int and v != 0
+                       for row in block.rows for j, v in row.items())
 
 
 def test_homology_of_slices_torsion_path():
