@@ -35,8 +35,8 @@ from .pairing import (Matching, PairingFlags, Scope, SteepnessRule,
                       build_matching, check_dot_size, matching_to_dot,
                       validate_matching)
 from .simplicial import (Simplex, StratumKey, check_stratum_size,
-                         degenerate_size, identity, is_degenerate_word,
-                         simplex_text, stratum_words, word_text)
+                         degenerate_size, identity, simplex_text,
+                         stratum_table)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -157,9 +157,8 @@ def _flags_from(ns: argparse.Namespace) -> PairingFlags:
 def cmd_enumerate(ns: argparse.Namespace) -> int:
     StratumKey(ns.dim, ns.length)  # reject ill-formed strata up front
     check_stratum_size(ns.dim, ns.length)
-    rows = [(rank, word_text(word), is_degenerate_word(ns.dim, word))
-            for rank, word in enumerate(stratum_words(ns.dim, ns.length))]
-    nondeg = sum(1 for _, _, d in rows if not d)
+    texts, degenerate = stratum_table(ns.dim, ns.length)
+    rows = zip(range(len(texts)), texts, degenerate)
     if ns.format == "json":
         payload = json.dumps(
             {"dim": ns.dim, "length": ns.length,
@@ -172,7 +171,8 @@ def cmd_enumerate(ns: argparse.Namespace) -> int:
         payload = "\n".join(lines)
     else:
         lines = [f"# stratum dim={ns.dim} length={ns.length}: "
-                 f"{len(rows)} cells, {nondeg} nondegenerate"]
+                 f"{len(texts)} cells, {degenerate.count(False)} "
+                 f"nondegenerate"]
         for r, w, d in rows:
             mark = "degenerate" if d else "nondegenerate"
             lines.append(f"{r}\t{w}\t{mark}")
@@ -202,7 +202,7 @@ def cmd_pair(ns: argparse.Namespace) -> int:
         fiat = matching.flags.degenerate_policy == "critical"
         for n, length in matching.scope.strata():
             deg = degenerate_size(n, length) if fiat else 0
-            unmatched = len(report.unmatched_nondegenerate(n, length))
+            unmatched = len(report.unmatched_words(n, length))
             if deg or unmatched:
                 lines.append(f"stratum dim={n} length={length}: "
                              f"{unmatched} critical nondegenerate, "

@@ -27,13 +27,17 @@ from .simplicial import (
     StratumKey,
     check_stratum_size,
     enumerate_stratum,
+    face_ranks,
     face_word,
     is_degenerate_word,
+    prefix_walk,
     sort_key,
     stratum_size,
+    stratum_table,
     stratum_words,
     Word,
     surjective_words,
+    word_rank,
     word_text,
 )
 
@@ -189,14 +193,6 @@ def regular_cofaces(sigma: Simplex) -> list[tuple[Simplex, int]]:
 
 
 # --- the single-cell steepness rule -----------------------------------------
-
-def _same_length_face_words(dim: int, word: tuple[int, ...]) \
-        -> list[tuple[int, ...]]:
-    """The faces d_0..d_dim of a word that keep its length, with repeats."""
-    length = len(word)
-    return [f for f in (face_word(dim, word, i) for i in range(dim + 1))
-            if len(f) == length]
-
 
 def _steepness(n: int, word: tuple[int, ...], flags: PairingFlags) \
         -> tuple[Optional[tuple[int, ...]], str]:
@@ -392,6 +388,7 @@ class CriticalReport:
         self.flags = matching.flags
         self._unmatched: dict[StratumKey, list[Simplex]] = {}
         self._unpaired: dict[tuple[int, int], list[Word]] = {}
+        self._words: dict[tuple[int, int], list[Word]] = {}
         self._fiat = self.flags.degenerate_policy == "critical"
 
     @cached_property
@@ -421,32 +418,50 @@ class CriticalReport:
     def unmatched_nondegenerate(self, dim: int, length: int) -> list[Simplex]:
         key = StratumKey(dim, length)
         if key not in self._unmatched:
-            cells = []
-            if dim <= self.scope.max_dim and length <= self.scope.max_length:
-                up, down = self.matching._up[dim], self.matching._down[dim]
-                words = self._unpaired.pop((dim, length), None)
-                if words is None:  # a stratum build_matching did not walk
-                    words = _walked_words(dim, length, self.flags)
-                cells = [Simplex(dim, w) for w in words
-                         if w not in up and w not in down]
-            self._unmatched[key] = cells
+            self._unmatched[key] = [Simplex(dim, w)
+                                    for w in self.unmatched_words(dim, length)]
         return self._unmatched[key]
 
-    def degenerate_words(self, dim: int, length: int) -> Iterator[tuple]:
-        """The words of degenerate_by_fiat(dim, length), in word order."""
-        if self._fiat:
-            yield from (w for w in stratum_words(dim, length)
-                        if is_degenerate_word(dim, w))
+    def unmatched_words(self, dim: int, length: int) -> list[Word]:
+        """The words of unmatched_nondegenerate(dim, length), as words."""
+        key = (dim, length)
+        if key not in self._words:
+            words = []
+            if dim <= self.scope.max_dim and length <= self.scope.max_length:
+                up, down = self.matching._up[dim], self.matching._down[dim]
+                walked = self._unpaired.pop(key, None)
+                if walked is None:  # a stratum build_matching did not walk
+                    walked = _walked_words(dim, length, self.flags)
+                words = [w for w in walked if w not in up and w not in down]
+            self._words[key] = words
+        return self._words[key]
 
     def to_csv(self) -> str:
         lines = ["dim,length,simplex,degenerate,reason"]
         for n, length in self.scope.strata():
             head = f"{n},{length},"
-            lines += [f"{head}{word_text(w)},true,degenerate"
-                      for w in self.degenerate_words(n, length)]
+            if self._fiat:
+                lines += _degenerate_rows(head, n, length)
             lines += [f"{head}{word_text(x.word)},false,{self.reasons[x]}"
                       for x in self.unmatched_nondegenerate(n, length)]
         return "\n".join(lines) + "\n"
+
+
+def _degenerate_rows(head: str, dim: int, length: int) -> list[str]:
+    """The CSV rows of the degenerate words of stratum (dim, length), in
+    rank order.  The last letter is not walked: each row is a word of
+    length - 1 from prefix_walk with one letter appended, kept when the
+    letters still missing are not just that one."""
+    if not length:
+        return [f"{head}e,true,degenerate"] if dim else []
+    texts, masks = prefix_walk(dim, length - 1, length >= dim)
+    dot = "." if length > 1 else ""
+    ends = [f"{dot}a{k},true,degenerate" for k in range(1, dim + 1)]
+    if masks is None:
+        return [f"{head}{t}{e}" for t in texts for e in ends]
+    kept = [[e for k, e in enumerate(ends, 1) if m & ~(1 << k)]
+            for m in range(2 << dim)]
+    return [f"{head}{t}{e}" for t, m in zip(texts, masks) for e in kept[m]]
 
 
 def _walked_words(n: int, length: int, flags: PairingFlags) \
@@ -626,7 +641,9 @@ def matching_to_dot(m: Matching) -> str:
     """Per-stratum modified Hasse diagrams; meant for small scopes only.
 
     Same-length face edges run downward tau -> sigma in gray; matched pairs
-    are reversed (sigma -> tau, red).  Degenerate cells are dashed.
+    are reversed (sigma -> tau, red).  Degenerate cells are dashed.  Each
+    stratum is drawn from the texts and degeneracy of stratum_table and
+    the face_ranks of its upper words, by rank, making no word.
     """
     lines = ["digraph steepness {", "  rankdir=BT;",
              '  node [shape=box, fontname="monospace"];']
@@ -636,18 +653,25 @@ def matching_to_dot(m: Matching) -> str:
     for (dim, length), up in sorted(strata.items()):
         lines.append(f"  subgraph cluster_{dim}_{length} {{")
         lines.append(f'    label="stratum (dim {dim}, length {length})";')
-        lo, hi = ({w: word_text(w) for w in stratum_words(n, length)}
-                  for n in (dim, dim + 1))
-        for n, text in ((dim, lo), (dim + 1, hi)):
-            for w, wt in text.items():
-                style = ', style=dashed' if is_degenerate_word(n, w) else ''
-                lines.append(f'    "d{n}:{wt}" [label="{wt}"{style}];')
-        lines += [f'    "d{dim + 1}:{tt}" -> "d{dim}:{lo[fw]}" [color=gray];'
-                  for tw, tt in hi.items()
-                  for fw in _same_length_face_words(dim + 1, tw)
-                  if up.get(fw) != tw]
-        lines += [f'    "d{dim}:{lo[sw]}" -> "d{dim + 1}:{hi[tw]}" '
-                  f'[color=red, penwidth=2];' for sw, tw in up.items()]
+        (lo, lo_deg), (hi, hi_deg) = (stratum_table(n, length)
+                                      for n in (dim, dim + 1))
+        for n, texts, deg in ((dim, lo, lo_deg), (dim + 1, hi, hi_deg)):
+            lines += [f'    "d{n}:{t}" [label="{t}"'
+                      f'{", style=dashed" if d else ""}];'
+                      for t, d in zip(texts, deg)]
+        ranked = [(word_rank(dim, sw), word_rank(dim + 1, tw))
+                  for sw, tw in up.items()]
+        partner = [-1] * len(lo)  # the upper rank each lower word pairs with
+        for s, t in ranked:
+            partner[s] = t
+        faces = zip(*(face_ranks(dim + 1, length, i) for i in range(dim + 2)))
+        heads = [f'    "d{dim + 1}:{t}" -> ' for t in hi]
+        tails = [f'"d{dim}:{t}" [color=gray];' for t in lo]
+        lines += [head + tails[f]
+                  for t, (head, ranks) in enumerate(zip(heads, faces))
+                  for f in ranks if f >= 0 and partner[f] != t]
+        lines += [f'    "d{dim}:{lo[s]}" -> "d{dim + 1}:{hi[t]}" '
+                  f'[color=red, penwidth=2];' for s, t in ranked]
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -234,6 +234,74 @@ def surjective_words(dim: int, length: int) -> Iterator[tuple[int, ...]]:
         yield from extend((), frozenset())
 
 
+def word_rank(dim: int, word: tuple[int, ...]) -> int:
+    """The position of word in stratum_words(dim, len(word))."""
+    rank = 0
+    for k in word:
+        rank = rank * dim + k - 1
+    return rank
+
+
+# --- stratum tables ---------------------------------------------------------
+#
+# The rank-r word of length k + 1 is the rank-(r // dim) word with the letter
+# r % dim + 1 appended, so a table over a stratum in rank order is the table
+# one letter shorter, each entry extended by every letter in turn.
+
+def prefix_walk(dim: int, length: int, masks: bool) \
+        -> tuple[list[str], list[int] | None]:
+    """The text of each word of stratum (dim, length) in rank order, empty
+    for the identity so that a letter can be appended, and if asked its
+    missing-letter mask: bit k is set when the letter k of 1..dim does not
+    occur, so a word is degenerate exactly when its mask is nonzero.
+
+    Ask for masks only when length >= dim - 1, as for the prefixes of a
+    stratum that can hold nondegenerate words: a stratum with length >= dim
+    within MAX_STRATUM_CELLS has dim <= 7, while a shorter one, all
+    degenerate, may have a dimension in the millions.
+    """
+    texts = [""]
+    if length:
+        texts = [f"a{k}" for k in range(1, dim + 1)]
+        if length > 1:
+            dotted = ["." + t for t in texts]
+            for _ in range(length - 1):
+                texts = [t + s for t in texts for s in dotted]
+    if not masks:
+        return texts, None
+    out = [(2 << dim) - 2]  # the identity misses every letter
+    keep = [~(1 << k) for k in range(1, dim + 1)]
+    for _ in range(length):
+        out = [m & c for m in out for c in keep]
+    return texts, out
+
+
+def stratum_table(dim: int, length: int) -> tuple[list[str], list[bool]]:
+    """word_text and is_degenerate_word of each word of stratum
+    (dim, length), in rank order, from prefix_walk.  A word shorter than
+    its dimension misses a letter, so it needs no mask."""
+    texts, masks = prefix_walk(dim, length, length >= dim)
+    if not length:
+        texts = ["e"]
+    if masks is None:
+        return texts, [True] * len(texts)
+    return texts, [m != 0 for m in masks]
+
+
+def face_ranks(dim: int, length: int, i: int) -> list[int]:
+    """For each word w of stratum (dim, length), in rank order, the rank
+    of face_word(dim, w, i) in stratum (dim - 1, length), or -1 where d_i
+    shortens w: the prefix walk with the letter map of d_i."""
+    codes = [f[0] - 1 if f else -1
+             for f in (face_word(dim, (k,), i) for k in range(1, dim + 1))]
+    base = dim - 1
+    ranks = [0]
+    for _ in range(length):
+        ranks = [-1 if r < 0 or c < 0 else r * base + c
+                 for r in ranks for c in codes]
+    return ranks
+
+
 # --- text -------------------------------------------------------------------
 
 _letter_text = cache("a{}".format)  # the text of each letter, made once

@@ -229,3 +229,30 @@ def test_a_traced_flow_job_counts_its_rule_boundary_and_flow_calls(tracing,
     assert tracer.counts["chains.boundary_calls"] > 0
     assert tracer.counts["flow.stabilize_calls"] == 1
     assert tracer.counts["flow.iterations"] == iterations > 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "dot"])
+def test_a_traced_pair_export_records_one_export_span(tracing, fmt):
+    """The pair CSV and DOT renderers run under the names the tracer wraps
+    for pairing.export_s, once per job, and print the untraced bytes; a
+    renamed renderer would otherwise show only when the benchmark runs."""
+    argv = f"pair --max-dim 4 --max-length 4 --format {fmt}".split()
+    plain = io.StringIO()
+    with contextlib.redirect_stdout(plain):
+        assert fkmorse.cli.main(argv) == 0
+    export = {f"pairing.{attr}" for _, attr, metric, _ in tracing.SPANS
+              if metric == "pairing.export_s"}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_job(0)
+        traced = io.StringIO()
+        with contextlib.redirect_stdout(traced):
+            code = fkmorse.cli.main(argv)
+        tracer.end_job()
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert traced.getvalue() == plain.getvalue() != ""
+    assert sum(span[0] in export for span in tracer.spans) == 1
+    assert tracer.self_times()["pairing.export_s"] > 0

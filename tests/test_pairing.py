@@ -24,7 +24,6 @@ from fkmorse.pairing import (
     StratumKey,
     _coface_words,
     _pair_down,
-    _same_length_face_words,
     _steepness,
     build_matching,
     check_dot_size,
@@ -34,8 +33,10 @@ from fkmorse.pairing import (
     validate_matching,
 )
 from fkmorse.simplicial import (Simplex, Word, enumerate_stratum, face,
-                                is_degenerate, is_degenerate_word, sort_key,
-                                stratum_words, surjective_words)
+                                face_ranks, face_word, is_degenerate,
+                                is_degenerate_word, prefix_walk, sort_key,
+                                stratum_table, stratum_words,
+                                surjective_words, word_rank, word_text)
 
 S = Simplex
 ALLOW = PairingFlags(degenerate_policy="allow")
@@ -203,6 +204,14 @@ def test_allow_policy_keeps_nondegenerate_decisions():
 # The steepness rule as it was computed before its closed form: list every
 # same-length coface, count the indices each comes from to find the regular
 # ones, and compare the word with all faces of the lex-least of them.
+
+def _same_length_face_words(dim: int, word: tuple[int, ...]) \
+        -> list[tuple[int, ...]]:
+    """The faces d_0..d_dim of a word that keep its length, with repeats."""
+    length = len(word)
+    return [f for f in (face_word(dim, word, i) for i in range(dim + 1))
+            if len(f) == length]
+
 
 def _counted_steepness(n: int, word: tuple[int, ...], flags: PairingFlags) \
         -> tuple[Optional[tuple[int, ...]], str]:
@@ -985,7 +994,7 @@ def _literal_dot(m):
 @pytest.mark.parametrize("flags", FLAG_COMBOS,
                          ids=lambda f: f.degenerate_policy)
 @pytest.mark.parametrize("max_dim,max_length",
-                         [(3, 3), (4, 4), (3, 5), (5, 4)])
+                         [(3, 3), (4, 4), (3, 5), (5, 4), (5, 5)])
 def test_dot_output_equals_the_literal_renderer(max_dim, max_length, flags):
     matching, _ = build_matching(max_dim, max_length, flags)
     assert matching_to_dot(matching) == _literal_dot(matching)
@@ -1015,10 +1024,110 @@ def test_scope_strata_give_dimension_zero_length_zero_only():
         (0, 0), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
 
 
+# --- the word-walk exports, as reference routes -------------------------------
+#
+# The pair CSV and DOT as they were rendered before the stratum tables: each
+# word of a stratum made as a tuple, its text joined and its degeneracy
+# tested one word at a time, and each upper word's same-length faces made
+# with face_word and looked up in a dict of texts keyed by word.
+
+def _word_walk_degenerate_words(report, dim, length):
+    """The words of report.degenerate_by_fiat(dim, length), in word order."""
+    if report.flags.degenerate_policy == "critical":
+        yield from (w for w in stratum_words(dim, length)
+                    if is_degenerate_word(dim, w))
+
+
+def _word_walk_csv(report):
+    lines = ["dim,length,simplex,degenerate,reason"]
+    for n, length in report.scope.strata():
+        head = f"{n},{length},"
+        lines += [f"{head}{word_text(w)},true,degenerate"
+                  for w in _word_walk_degenerate_words(report, n, length)]
+        lines += [f"{head}{word_text(x.word)},false,{report.reasons[x]}"
+                  for x in report.unmatched_nondegenerate(n, length)]
+    return "\n".join(lines) + "\n"
+
+
+def _word_walk_dot(m):
+    lines = ["digraph steepness {", "  rankdir=BT;",
+             '  node [shape=box, fontname="monospace"];']
+    strata = {}
+    for n, sw, tw in m.word_pairs:
+        strata.setdefault((n, len(sw)), {})[sw] = tw
+    for (dim, length), up in sorted(strata.items()):
+        lines.append(f"  subgraph cluster_{dim}_{length} {{")
+        lines.append(f'    label="stratum (dim {dim}, length {length})";')
+        lo, hi = ({w: word_text(w) for w in stratum_words(n, length)}
+                  for n in (dim, dim + 1))
+        for n, text in ((dim, lo), (dim + 1, hi)):
+            for w, wt in text.items():
+                style = ', style=dashed' if is_degenerate_word(n, w) else ''
+                lines.append(f'    "d{n}:{wt}" [label="{wt}"{style}];')
+        lines += [f'    "d{dim + 1}:{tt}" -> "d{dim}:{lo[fw]}" [color=gray];'
+                  for tw, tt in hi.items()
+                  for fw in _same_length_face_words(dim + 1, tw)
+                  if up.get(fw) != tw]
+        lines += [f'    "d{dim}:{lo[sw]}" -> "d{dim + 1}:{hi[tw]}" '
+                  f'[color=red, penwidth=2];' for sw, tw in up.items()]
+        lines.append("  }")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("flags", FLAG_COMBOS,
+                         ids=lambda f: f.degenerate_policy)
+@pytest.mark.parametrize("max_dim,max_length",
+                         [(3, 3), (4, 4), (5, 5), (5, 6), (6, 5)])
+def test_pair_exports_equal_the_word_walk_renderers(max_dim, max_length,
+                                                    flags):
+    matching, report = build_matching(max_dim, max_length, flags)
+    reference, reference_report = build_matching(max_dim, max_length, flags)
+    assert report.to_csv() == _word_walk_csv(reference_report)
+    assert matching_to_dot(matching) == _word_walk_dot(reference)
+
+
 @pytest.mark.parametrize("flags", FLAG_COMBOS,
                          ids=lambda f: f.degenerate_policy)
 def test_degenerate_words_are_the_cells_degenerate_by_fiat(flags):
     _, report = build_matching(4, 4, flags)
     for n, length in report.scope.strata():
-        assert [S(n, w) for w in report.degenerate_words(n, length)] == \
+        assert [S(n, w) for w in
+                _word_walk_degenerate_words(report, n, length)] == \
             report.degenerate_by_fiat(n, length)
+
+
+def test_stratum_tables_give_each_words_text_and_degeneracy():
+    """Every stratum with n <= 6 and L <= 6, with n = 0, L = 0 and L < n
+    among them; a mask names the letters of 1..n a word misses."""
+    for n in range(7):
+        for length in range(7 if n else 1):
+            words = list(stratum_words(n, length))
+            texts, degenerate = stratum_table(n, length)
+            assert texts == [word_text(w) for w in words], (n, length)
+            assert degenerate == [is_degenerate_word(n, w) for w in words]
+            walked, masks = prefix_walk(n, length, True)
+            assert walked == ([""] if length == 0 else texts)
+            assert masks == [sum(1 << k for k in range(1, n + 1)
+                                 if k not in w) for w in words]
+            assert prefix_walk(n, length, False) == (walked, None)
+    # a stratum shorter than its dimension is all degenerate, with no mask
+    texts, degenerate = stratum_table(100_000, 1)
+    assert texts[-1] == "a100000" and all(degenerate)
+
+
+def test_face_ranks_are_the_ranks_of_the_same_length_faces():
+    for dim in range(1, 6):
+        for length in range(6):
+            words = list(stratum_words(dim, length))
+            assert [word_rank(dim, w) for w in words] == \
+                list(range(len(words)))
+            lower = {w: r for r, w in enumerate(stratum_words(dim - 1,
+                                                              length))}
+            for i in range(dim + 1):
+                ranks = face_ranks(dim, length, i)
+                assert len(ranks) == len(words)
+                for w, r in zip(words, ranks):
+                    f = face_word(dim, w, i)
+                    assert r == (lower[f] if len(f) == length else -1), \
+                        (dim, w, i)
