@@ -22,6 +22,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from typing import Optional, Sequence
 
 from .chains import Chain, join_terms
@@ -36,7 +37,7 @@ from .pairing import (Matching, PairingFlags, Scope, SteepnessRule,
                       validate_matching)
 from .simplicial import (Simplex, StratumKey, check_stratum_size,
                          degenerate_size, identity, simplex_text,
-                         stratum_table)
+                         stratum_size, stratum_table)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -200,9 +201,14 @@ def cmd_pair(ns: argparse.Namespace) -> int:
                      **matching.flags.to_json_dict()),
                  f"pairs: {len(matching)}"]
         fiat = matching.flags.degenerate_policy == "critical"
+        # the top stratum is not walked: its critical cells are the words
+        # the rule would walk there less the upper words of pairs
+        raised = Counter(len(sw) for n, sw, _ in matching.word_pairs
+                         if n == ns.max_dim - 1)
         for n, length in matching.scope.strata():
             deg = degenerate_size(n, length) if fiat else 0
-            unmatched = len(report.unmatched_words(n, length))
+            unmatched = stratum_size(n, length) - deg - raised[length] \
+                if n == ns.max_dim else len(report.unmatched_words(n, length))
             if deg or unmatched:
                 lines.append(f"stratum dim={n} length={length}: "
                              f"{unmatched} critical nondegenerate, "

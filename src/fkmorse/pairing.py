@@ -402,16 +402,6 @@ class CriticalReport:
                 out[StratumKey(n, length)] = (deg, unm)
         return out
 
-    @cached_property
-    def reasons(self) -> dict[Simplex, str]:
-        """Why each unmatched cell is unmatched, in stratum order; a cell
-        at max_dim is "upward-undecided", since its cofaces are unseen."""
-        top = self.scope.max_dim
-        return {x: "upward-undecided" if n == top
-                else _steepness(n, x.word, self.flags)[1]
-                for n, length in self.scope.strata()
-                for x in self.unmatched_nondegenerate(n, length)}
-
     def degenerate_by_fiat(self, dim: int, length: int) -> list[Simplex]:
         return self.strata.get(StratumKey(dim, length), ([], []))[0]
 
@@ -437,13 +427,20 @@ class CriticalReport:
         return self._words[key]
 
     def to_csv(self) -> str:
+        """One row per critical cell, with why it is unmatched: a word at
+        max_dim is "upward-undecided", since its cofaces are unseen."""
         lines = ["dim,length,simplex,degenerate,reason"]
         for n, length in self.scope.strata():
             head = f"{n},{length},"
             if self._fiat:
                 lines += _degenerate_rows(head, n, length)
-            lines += [f"{head}{word_text(x.word)},false,{self.reasons[x]}"
-                      for x in self.unmatched_nondegenerate(n, length)]
+            words = self.unmatched_words(n, length)
+            if n == self.scope.max_dim:
+                lines += [f"{head}{word_text(w)},false,upward-undecided"
+                          for w in words]
+            else:
+                lines += [f"{head}{word_text(w)},false,"
+                          f"{_steepness(n, w, self.flags)[1]}" for w in words]
         return "\n".join(lines) + "\n"
 
 

@@ -208,30 +208,33 @@ def surjective_words(dim: int, length: int) -> Iterator[tuple[int, ...]]:
 
     These are the words that use every letter 1..dim (see
     is_degenerate_word): dim! * S(length, dim) of them, against dim**length
-    in the stratum.  A prefix is extended only while the positions left can
-    still hold the letters it misses, and once it holds all of them every
-    tail is allowed.
+    in the stratum.  The prefixes are grown one level at a time, each with
+    its missing-letter mask, and one is dropped when it misses more letters
+    than positions are left.  A prefix that holds every letter stops
+    growing and keeps its place; at the end each is extended by every tail.
     """
-    if dim == 0:
-        if length == 0:
-            yield ()
+    if length < dim:  # dimension 0 holds the identity, which misses none
         return
     letters = range(1, dim + 1)
-
-    def extend(prefix: tuple[int, ...], used: frozenset[int]) \
-            -> Iterator[tuple[int, ...]]:
-        free = length - len(prefix)
-        if len(used) == dim:
-            for tail in product(letters, repeat=free):
-                yield prefix + tail
-            return
-        for g in letters:
-            grown = used | {g}
-            if dim - len(grown) <= free - 1:
-                yield from extend(prefix + (g,), grown)
-
-    if length >= dim:
-        yield from extend((), frozenset())
+    marks = [(g, 1 << g) for g in letters]
+    level = [((), (2 << dim) - 2)]  # (prefix, missing mask) in lex order
+    for free in reversed(range(length)):  # the positions left once grown
+        grown = []
+        for item in level:
+            prefix, missing = item
+            if not missing:
+                grown.append(item)
+                continue
+            spare = missing.bit_count() <= free  # else only missing letters
+            grown += [(prefix + (g,), missing & ~b) for g, b in marks
+                      if spare or missing & b]
+        level = grown
+    for prefix, _ in level:
+        if len(prefix) == length:
+            yield prefix
+        else:
+            yield from map(prefix.__add__,
+                           product(letters, repeat=length - len(prefix)))
 
 
 def word_rank(dim: int, word: tuple[int, ...]) -> int:

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from fkmorse import pairing
 from fkmorse.chains import Chain
 from fkmorse.cli import (
     EXIT_INVALID,
@@ -237,6 +238,27 @@ def test_pair_text_summary_counts_what_the_report_lists(capsys, max_dim,
                     report.strata.items(),
                     key=lambda item: (item[0].dim, item[0].length))]
     assert out.splitlines()[3:] == expected
+
+
+@pytest.mark.parametrize("policy", ["critical", "allow"])
+def test_pair_text_summary_walks_no_top_dimension_stratum(capsys, monkeypatch,
+                                                         policy):
+    # the top stratum's critical count is its walked size less the pairs
+    # that rise into it, so the text job walks only the strata below it
+    walked = []
+
+    def recording(walk):
+        def recorded(dim, length):
+            walked.append((dim, length))
+            return walk(dim, length)
+        return recorded
+
+    for name in ("surjective_words", "stratum_words", "enumerate_stratum"):
+        monkeypatch.setattr(pairing, name, recording(getattr(pairing, name)))
+    code, _, _ = run(capsys, "pair", "--max-dim", "4", "--max-length", "5",
+                     "--degenerate-policy", policy)
+    assert code == EXIT_OK
+    assert walked and max(n for n, _ in walked) == 3
 
 
 @pytest.mark.parametrize("policy", ["critical", "allow"])

@@ -321,15 +321,25 @@ def test_report_strata_partition(built_3_3):
         [(1, 3, 2), (3, 1, 2), (3, 2, 1)]
 
 
+def _csv_reasons(report):
+    """The reason column of report.to_csv() for each critical nondegenerate
+    cell, in row order."""
+    rows = csv.DictReader(io.StringIO(report.to_csv()))
+    return {S(int(r["dim"]), () if r["simplex"] == "e" else
+              tuple(int(a[1:]) for a in r["simplex"].split("."))): r["reason"]
+            for r in rows if r["degenerate"] == "false"}
+
+
 def test_report_reasons(built_3_3):
     _, report = built_3_3
-    assert report.reasons[S(2, (1, 2, 1))] == "not-max-in-min-coface"
-    assert report.reasons[S(2, (2, 1))] == "no-regular-coface"
-    assert report.reasons[S(1, (1,))] == "no-regular-coface"
+    reasons = _csv_reasons(report)
+    assert reasons[S(2, (1, 2, 1))] == "not-max-in-min-coface"
+    assert reasons[S(2, (2, 1))] == "no-regular-coface"
+    assert reasons[S(1, (1,))] == "no-regular-coface"
     # Cells at the top dimension of the scope cannot look upward.
-    assert report.reasons[S(3, (3, 2, 1))] == "upward-undecided"
+    assert reasons[S(3, (3, 2, 1))] == "upward-undecided"
     # Degenerate-by-fiat cells carry no stored reason; it is constant.
-    assert S(2, (2, 2)) not in report.reasons
+    assert S(2, (2, 2)) not in reasons
 
 
 def test_report_csv_shape(built_3_3):
@@ -540,7 +550,7 @@ def test_build_matching_agrees_with_the_literal_definition(
     assert validate_matching(Matching(pairs, scope, flags)).ok
     assert matching.pairs == Matching(pairs, scope, flags).pairs
     assert list(report.strata.items()) == list(strata.items())
-    assert list(report.reasons.items()) == list(reasons.items())
+    assert list(_csv_reasons(report).items()) == list(reasons.items())
     assert report.to_csv() == _literal_csv(strata, reasons)
 
 
@@ -601,11 +611,14 @@ def test_report_keeps_what_it_builds_on_first_read(top_first):
     _, report = build_matching(3, 3)
     top = [report.unmatched_nondegenerate(3, length) for length in range(4)] \
         if top_first else None
-    strata, reasons, csv = report.strata, report.reasons, report.to_csv()
-    assert report.strata is strata and report.reasons is reasons
+    strata, csv = report.strata, report.to_csv()
+    words = {key: report.unmatched_words(key.dim, key.length)
+             for key in strata}
+    assert report.strata is strata and report.to_csv() == csv
     for key, (deg, unm) in strata.items():
         assert report.degenerate_by_fiat(key.dim, key.length) is deg
         assert report.unmatched_nondegenerate(key.dim, key.length) is unm
+        assert report.unmatched_words(key.dim, key.length) is words[key]
     if top_first:
         for length, cells in enumerate(top):
             assert report.unmatched_nondegenerate(3, length) is cells
@@ -622,8 +635,10 @@ def test_build_and_validation_make_no_cell_until_pairs_are_read(
         return Simplex(dim, word)
 
     monkeypatch.setattr(pairing, "Simplex", counted)
-    matching, _ = build_matching(5, 6)
+    matching, report = build_matching(5, 6)
     assert validate_matching(matching).ok
+    report.to_csv()
+    build_matching(5, 6, ALLOW)[1].to_csv()
     assert made == []
     monkeypatch.undo()
     # the rule's pairs as cells, in no particular order
@@ -1038,13 +1053,25 @@ def _word_walk_degenerate_words(report, dim, length):
                     if is_degenerate_word(dim, w))
 
 
+def _word_walk_reasons(report):
+    """Why each critical nondegenerate cell of report is unmatched, in
+    stratum order; a cell at max_dim is "upward-undecided", since its
+    cofaces are unseen."""
+    top = report.scope.max_dim
+    return {x: "upward-undecided" if n == top
+            else _steepness(n, x.word, report.flags)[1]
+            for n, length in report.scope.strata()
+            for x in report.unmatched_nondegenerate(n, length)}
+
+
 def _word_walk_csv(report):
+    reasons = _word_walk_reasons(report)
     lines = ["dim,length,simplex,degenerate,reason"]
     for n, length in report.scope.strata():
         head = f"{n},{length},"
         lines += [f"{head}{word_text(w)},true,degenerate"
                   for w in _word_walk_degenerate_words(report, n, length)]
-        lines += [f"{head}{word_text(x.word)},false,{report.reasons[x]}"
+        lines += [f"{head}{word_text(x.word)},false,{reasons[x]}"
                   for x in report.unmatched_nondegenerate(n, length)]
     return "\n".join(lines) + "\n"
 

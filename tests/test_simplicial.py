@@ -360,13 +360,46 @@ def _surjection_count(length, letters):
     return math.factorial(letters) * row[letters]
 
 
+def _recursive_surjective_words(dim, length):
+    """Reference route for surjective_words: a prefix is extended, one
+    nested generator per letter, only while the positions left can still
+    hold the letters it misses, and once it holds all of them every tail
+    is allowed."""
+    if dim == 0:
+        if length == 0:
+            yield ()
+        return
+    letters = range(1, dim + 1)
+
+    def extend(prefix, used):
+        free = length - len(prefix)
+        if len(used) == dim:
+            for tail in itertools.product(letters, repeat=free):
+                yield prefix + tail
+            return
+        for g in letters:
+            grown = used | {g}
+            if dim - len(grown) <= free - 1:
+                yield from extend(prefix + (g,), grown)
+
+    if length >= dim:
+        yield from extend((), frozenset())
+
+
 def test_surjective_words_are_the_nondegenerate_words_in_order():
     for n in range(7):
         for length in range(8):
             expected = [x.word for x in enumerate_stratum(n, length)
                         if not is_degenerate(x)]
             assert list(surjective_words(n, length)) == expected
+            assert list(_recursive_surjective_words(n, length)) == expected
             assert len(expected) == _surjection_count(length, n)
+    # larger strata, against the recursive walk only: long words of few
+    # letters, where most words come from tails, and dimension 7
+    for n, length in [(2, 16), (3, 11), (4, 9), (6, 7), (7, 8)]:
+        expected = list(_recursive_surjective_words(n, length))
+        assert list(surjective_words(n, length)) == expected
+        assert len(expected) == _surjection_count(length, n)
     assert list(surjective_words(0, 0)) == [()]
     assert list(surjective_words(0, 2)) == []
     assert list(surjective_words(3, 2)) == []
