@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, Iterator
 
-from .simplicial import Simplex, Word, face_word, is_degenerate_word
+from .simplicial import Simplex, Word, is_degenerate_word, word_faces
 
 Mode = str
 MODES = ("unnormalized", "normalized")
@@ -154,13 +154,14 @@ def face_sum(dim: int, word: Word, mode: Mode = "unnormalized") -> dict[Word, in
     """sum_i (-1)^i d_i of a dimension-dim word, dim >= 1, as the nonzero
     coefficient of each face word; "normalized" drops degenerate faces.
     The caller checks the arguments."""
-    out: dict[Word, int] = {}
-    for i in range(dim + 1):
-        f = face_word(dim, word, i)
-        if mode == "normalized" and is_degenerate_word(dim - 1, f):
-            continue
-        out[f] = out.get(f, 0) + (-1 if i % 2 else 1)
-    return {f: v for f, v in out.items() if v}
+    out = {}
+    sign = 1
+    for f in word_faces(dim, word):
+        out[f] = out.get(f, 0) + sign
+        sign = -sign
+    normalized = mode == "normalized"
+    return {tuple(f): v for f, v in out.items() if v and not (
+        normalized and is_degenerate_word(dim - 1, f))}
 
 
 def boundary(c: Chain, mode: Mode = "unnormalized") -> Chain:

@@ -27,8 +27,8 @@ from .simplicial import (
     StratumKey,
     check_stratum_size,
     enumerate_stratum,
+    face_form,
     face_ranks,
-    face_word,
     is_degenerate_word,
     prefix_walk,
     sort_key,
@@ -37,6 +37,7 @@ from .simplicial import (
     stratum_words,
     Word,
     surjective_words,
+    word_faces,
     word_rank,
     word_text,
 )
@@ -416,31 +417,37 @@ class CriticalReport:
         """The words of unmatched_nondegenerate(dim, length), as words."""
         key = (dim, length)
         if key not in self._words:
-            words = []
-            if dim <= self.scope.max_dim and length <= self.scope.max_length:
-                up, down = self.matching._up[dim], self.matching._down[dim]
-                walked = self._unpaired.pop(key, None)
-                if walked is None:  # a stratum build_matching did not walk
-                    walked = _walked_words(dim, length, self.flags)
-                words = [w for w in walked if w not in up and w not in down]
-            self._words[key] = words
+            self._words[key] = list(self._unmatched_walk(dim, length))
         return self._words[key]
+
+    def _unmatched_walk(self, dim: int, length: int) -> Iterable[Word]:
+        """unmatched_words(dim, length) if kept, else its words in turn."""
+        if (dim, length) in self._words:
+            return self._words[(dim, length)]
+        if dim > self.scope.max_dim or length > self.scope.max_length:
+            return ()
+        up, down = self.matching._up[dim], self.matching._down[dim]
+        walked = self._unpaired.pop((dim, length), None)
+        if walked is None:  # a stratum build_matching did not walk
+            walked = _walked_words(dim, length, self.flags)
+        return (w for w in walked if w not in up and w not in down)
 
     def to_csv(self) -> str:
         """One row per critical cell, with why it is unmatched: a word at
-        max_dim is "upward-undecided", since its cofaces are unseen."""
+        max_dim is "upward-undecided", since its cofaces are unseen.  That
+        stratum, the largest, is walked and not kept, unless read before."""
         lines = ["dim,length,simplex,degenerate,reason"]
         for n, length in self.scope.strata():
             head = f"{n},{length},"
             if self._fiat:
                 lines += _degenerate_rows(head, n, length)
-            words = self.unmatched_words(n, length)
             if n == self.scope.max_dim:
                 lines += [f"{head}{word_text(w)},false,upward-undecided"
-                          for w in words]
+                          for w in self._unmatched_walk(n, length)]
             else:
                 lines += [f"{head}{word_text(w)},false,"
-                          f"{_steepness(n, w, self.flags)[1]}" for w in words]
+                          f"{_steepness(n, w, self.flags)[1]}"
+                          for w in self.unmatched_words(n, length)]
         return "\n".join(lines) + "\n"
 
 
@@ -528,19 +535,20 @@ _REDUCTION_NOTE = (
 
 def validate_matching(m: Matching) -> Verdict:
     """Regularity, injectivity, and per-stratum acyclicity with witnesses,
-    on words; the hits and the stratum digraph read one list of faces."""
+    on words; the hits and the stratum digraph read one word_faces list."""
     errors: list[str] = []
     seen: dict[tuple[int, Word], str] = {}
-    strata: dict[tuple[int, int], dict[Word, tuple]] = {}
+    strata: dict[tuple[int, int], dict] = {}
 
     for d, sw, tw in m.word_pairs:
         n, length = d + 1, len(sw)
         if n > m.scope.max_dim or length > m.scope.max_length:
             raise ValueError(f"pair ({word_text(sw)}, {word_text(tw)}) lies "
                              f"outside scope {m.scope}")
-        faces = [face_word(n, tw, i) for i in range(n + 1)]
-        hits = [i for i, f in enumerate(faces) if f == sw]
-        if len(hits) != 1:
+        faces = word_faces(n, tw)
+        low = face_form(n, sw)
+        if faces.count(low) != 1:
+            hits = [i for i, f in enumerate(faces) if f == low]
             errors.append(
                 f"regularity: {word_text(sw)} occurs in faces of "
                 f"{word_text(tw)} at indices {hits}, not exactly once")
@@ -556,8 +564,8 @@ def validate_matching(m: Matching) -> Verdict:
                     f"already appearing as {seen[key]}")
             else:
                 seen[key] = role
-        strata.setdefault((d, length), {})[sw] = (
-            tw, [f for f in faces if len(f) == length and f != sw])
+        strata.setdefault((d, length), {})[low] = (
+            tw, [f for f in faces if len(f) == length and f != low])
 
     cycle: Optional[list[Simplex]] = None
     checked: list[StratumKey] = []
@@ -565,6 +573,7 @@ def validate_matching(m: Matching) -> Verdict:
         checked.append(StratumKey(dim, length))
         found = _stratum_cycle(strata[(dim, length)])
         if found and cycle is None:
+            found = [tuple(w) for w in found]
             cycle = [Simplex(dim + i % 2, w) for i, w in enumerate(found)]
             errors.append(
                 f"acyclicity: stratum (dim {dim}, length {length}) carries an "
@@ -603,10 +612,11 @@ def _postorder(root: Word, successors: Callable[[Word], list[Word]],
     return order, None
 
 
-def _stratum_cycle(pair: dict[Word, tuple[Word, list[Word]]]) \
-        -> Optional[list[Word]]:
+def _stratum_cycle(pair: dict[bytes | Word, tuple[Word, list]]) \
+        -> Optional[list]:
     """The words sigma_0, tau_0, sigma_1, ..., sigma_0 of a cycle, if one
-    exists, from sigma word -> (tau word, tau's other same-length faces)."""
+    exists, from sigma word -> (tau word, tau's other same-length faces),
+    the sigmas in the form of those faces."""
     succ = {sw: [f for f in others if f in pair]
             for sw, (_, others) in pair.items()}
     seen: set[Word] = set()

@@ -118,6 +118,29 @@ def face_word(dim: int, word: tuple[int, ...], i: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def face_form(dim: int, word: Word) -> bytes | Word:
+    """word as word_faces(dim, .) takes and gives words: bytes while
+    dim < 256, one letter a byte, and the tuple itself from 256 on."""
+    return bytes(word) if dim < 256 else word
+
+
+@cache
+def _face_tables(dim: int) -> tuple[tuple[bytes, bytes], ...]:
+    """The bytes.translate arguments (table, deleted letters) of d_0, ...,
+    d_dim, as in face_word: d_i lowers every letter above dim - i."""
+    low = [bytes(range(m + 1)) + bytes(range(m, 255)) for m in range(dim + 1)]
+    deleted = [bytes([dim])] + [b""] * (dim - 1) + [b"\x01"]  # top, bottom
+    return tuple(zip(reversed(low), deleted))
+
+
+def word_faces(dim: int, word: Word) -> list[bytes] | list[Word]:
+    """face_word(dim, word, i) for i = 0..dim, each in face_form(dim, .)."""
+    packed = face_form(dim, word)
+    if type(packed) is bytes:
+        return [packed.translate(t, d) for t, d in _face_tables(dim)]
+    return [face_word(dim, word, i) for i in range(dim + 1)]
+
+
 def degeneracy(x: Simplex, j: int) -> Simplex:
     if not 0 <= j <= x.dim:
         raise ValueError(f"degeneracy index {j} out of range 0..{x.dim}")

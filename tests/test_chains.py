@@ -7,6 +7,7 @@ test_simplicial) before the chain layer existed; the tests freeze them.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
@@ -14,8 +15,8 @@ import pytest
 
 from fkmorse.chains import Chain, boundary, face_sum, incidence, inner
 from fkmorse.flow import sigma_cell, sigma_tilde_cell, tau_cell, y_power
-from fkmorse.simplicial import (Simplex, enumerate_stratum, face, identity,
-                                is_degenerate)
+from fkmorse.simplicial import (Simplex, enumerate_stratum, face, face_word,
+                                identity, is_degenerate, is_degenerate_word)
 
 
 def _chain(dim, *terms):
@@ -184,6 +185,32 @@ def test_face_sum_is_the_boundary_of_one_word(mode):
                 assert got == {y.word: v for y, v in expected.items()}, x
                 assert dict(boundary(Chain.unit(x), mode).items()) == \
                     expected, x
+
+
+def _reference_face_sum(dim, word, mode):
+    """face_sum by face_word one index at a time, the route before faces
+    came from translation tables."""
+    out = {}
+    for i in range(dim + 1):
+        f = face_word(dim, word, i)
+        if mode == "normalized" and is_degenerate_word(dim - 1, f):
+            continue
+        out[f] = out.get(f, 0) + (-1 if i % 2 else 1)
+    return {f: v for f, v in out.items() if v}
+
+
+@pytest.mark.parametrize("mode", ["unnormalized", "normalized"])
+def test_face_sum_is_the_reference_face_sum(mode):
+    # every word with n <= 6 and L <= 5, and words on the top letters where
+    # they fit in a byte (255) and where they do not (256, 300)
+    words = [(n, w) for n in range(1, 7) for length in range(6)
+             for w in itertools.product(range(1, n + 1), repeat=length)]
+    words += [(n, w) for n in (255, 256, 300) for length in range(4)
+              for w in itertools.product((1, 2, n - 2, n - 1, n),
+                                         repeat=length)]
+    for n, w in words:  # the same terms, in the same order
+        assert list(face_sum(n, w, mode).items()) == \
+            list(_reference_face_sum(n, w, mode).items()), (n, w)
 
 
 @pytest.mark.parametrize("mode", ["unnormalized", "normalized"])

@@ -5,6 +5,9 @@
   length-L quotient is S^L (Milnor, On the construction FK, 1956), so the
   truncated complex has H_d = Z for 0 <= d <= L and 0 for d > L, exactly.
   The stability scan over L therefore settles at max(d, LO).
+* The raw complex needs none of the Morse machinery: the normalized
+  boundary on every nondegenerate word of length <= L, through the Smith
+  normal form, gives the same homology as the Morse slices.
 * Matched pairs sit in one stratum and in adjacent dimensions, so they
   cancel in an alternating count.  Per word length L, the nondegenerate
   critical cells therefore have the Euler characteristic of all
@@ -29,12 +32,13 @@
   flow and shuffle-multiplying them generates H_{p+q} in the same way.
 """
 
+import functools
 import math
 from itertools import combinations, product
 
 import pytest
 
-from fkmorse.chains import Chain, boundary
+from fkmorse.chains import Chain, boundary, face_sum
 from fkmorse.flow import sigma_cell, sigma_tilde_cell, tau_cell
 from fkmorse.homology import (build_slice, compute_homology, morse_context,
                               smith_normal_form, stability_scan)
@@ -66,6 +70,43 @@ def test_loop_space_of_the_two_sphere_has_integral_homology_z(degree, length,
         assert [(r.betti, r.torsion) for r in scan.results] == \
             [(int(degree <= L), []) for L in range(scan_from, length + 1)]
         assert scan.stable_from == max(degree, scan_from)
+
+
+@functools.cache
+def _raw_cells(n, max_length):
+    """The nondegenerate dimension-n words of length <= max_length, each
+    with its position: the words that use every letter 1..n."""
+    words = [w for length in range(max_length + 1)
+             for w in product(range(1, n + 1), repeat=length)
+             if len(set(w)) == n]
+    return {w: j for j, w in enumerate(words)}
+
+
+@functools.cache
+def _raw_boundary_snf(n, max_length):
+    """The Smith normal form of the normalized boundary from dimension n to
+    n - 1 on all nondegenerate words of length <= max_length: no pairing,
+    no flow and no reduction."""
+    lower = _raw_cells(n - 1, max_length)
+    rows = [[0] * len(lower) for _ in _raw_cells(n, max_length)]
+    for w, i in _raw_cells(n, max_length).items():
+        for f, v in face_sum(n, w, "normalized").items():
+            rows[i][lower[f]] += v
+    return smith_normal_form(rows)
+
+
+@pytest.mark.parametrize("degree,length", [
+    (d, length) for d in range(6) for length in range(1, 7)])
+def test_raw_normalized_complex_has_the_morse_homology(degree, length):
+    # words of length <= L span a subcomplex, since faces never lengthen a
+    # word, and the degenerate words span an acyclic one
+    rank_in = _raw_boundary_snf(degree, length).rank if degree else 0
+    snf_out = _raw_boundary_snf(degree + 1, length)
+    betti = len(_raw_cells(degree, length)) - rank_in - snf_out.rank
+    torsion = [f for f in snf_out.invariant_factors if f not in (0, 1)]
+    result = compute_homology(degree, length)
+    assert (betti, torsion) == (result.betti, result.torsion) == \
+        ((1, []) if degree <= length else (0, []))
 
 
 def _surjections(length, letters):

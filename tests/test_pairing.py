@@ -8,6 +8,7 @@ that each failure mode is witnessed by a distinct error class.
 
 import csv
 import io
+import json
 import random
 from typing import Optional
 
@@ -626,6 +627,20 @@ def test_report_keeps_what_it_builds_on_first_read(top_first):
     assert csv == build_matching(3, 3)[1].to_csv()
 
 
+@pytest.mark.parametrize("flags", [PairingFlags(), ALLOW],
+                         ids=["critical", "allow"])
+def test_csv_export_keeps_no_list_of_the_top_stratum(flags):
+    # the max_dim stratum is the largest, and the export reads it once
+    _, report = build_matching(2, 12, flags)
+    text = report.to_csv()
+    assert (2, 12) not in report._words and (1, 12) in report._words
+    assert report.to_csv() == text
+    # a list read by name is kept, and the export reads that one
+    top = report.unmatched_words(2, 12)
+    assert report.unmatched_words(2, 12) is top
+    assert report.to_csv() == text
+
+
 def test_build_and_validation_make_no_cell_until_pairs_are_read(
         monkeypatch):
     made = []
@@ -776,18 +791,37 @@ def test_validator_rejects_alternating_cycle():
 def test_validator_lists_each_upper_words_faces_once(monkeypatch):
     matching, _ = build_matching(4, 5, validate=False)
     cyclic = Matching(CYCLIC_PAIRS, Scope(3, 3), PairingFlags())
-    real = pairing.face_word
+    real = pairing.word_faces
     calls = []
 
-    def counted(dim, word, i):
-        calls.append((dim, word, i))
-        return real(dim, word, i)
+    def counted(dim, word):
+        calls.append((dim, word))
+        return real(dim, word)
 
-    monkeypatch.setattr(pairing, "face_word", counted)
+    monkeypatch.setattr(pairing, "word_faces", counted)
     for m, ok in ((matching, True), (cyclic, False)):
         calls.clear()
         assert validate_matching(m).ok is ok
-        assert len(calls) == sum(tau.dim + 1 for _, tau in m.pairs)
+        assert calls == [(n + 1, tw) for n, _, tw in m.word_pairs]
+
+
+@pytest.mark.parametrize("n", [255, 256, 300])
+def test_validator_reads_an_export_whose_letters_pass_a_byte(n):
+    # from 256 on, a letter does not fit in a byte and faces come from
+    # face_word; the regularity text is the one written before byte faces
+    def export(sigma, tau):
+        return json.dumps({
+            "scope": {"max_dim": n, "max_length": 2},
+            "flags": ALLOW.to_json_dict(),
+            "pairs": [{"sigma": {"dim": n - 1, "word": sigma},
+                       "tau": {"dim": n, "word": tau}}]})
+
+    good = validate_matching(Matching.from_json(export([n - 1, n - 1],
+                                                       [n - 1, n])))
+    assert good.ok and good.errors == []
+    bad = validate_matching(Matching.from_json(export([1, 2], [n - 1, n])))
+    assert bad.errors == [f"regularity: a1.a2 occurs in faces of "
+                          f"a{n - 1}.a{n} at indices [], not exactly once"]
 
 
 def _reference_cycle(up: dict) -> Optional[list]:

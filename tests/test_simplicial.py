@@ -24,13 +24,16 @@ from fkmorse.simplicial import (
     degeneracy,
     enumerate_stratum,
     face,
+    face_form,
     face_generator,
+    face_word,
     identity,
     is_degenerate,
     simplex_text,
     sort_key,
     stratum_size,
     surjective_words,
+    word_faces,
 )
 
 # --- oracle: generators as degeneracy words --------------------------------------
@@ -193,6 +196,33 @@ def test_word_faces_are_the_pushing_oracle_letter_by_letter():
                     letters = (oracle_face(n, k, i) for k in word)
                     want = tuple(k for k in letters if k is not None)
                     assert face(Simplex(n, word), i) == Simplex(n - 1, want)
+
+
+def _kernel_agrees_with_face_word(n, word):
+    faces = word_faces(n, word)
+    assert [tuple(f) for f in faces] == \
+        [face_word(n, word, i) for i in range(n + 1)], (n, word)
+    assert faces == [face_form(n, face_word(n, word, i))
+                     for i in range(n + 1)], (n, word)
+    assert all(type(f) is (bytes if n < 256 else tuple) for f in faces)
+
+
+def test_word_faces_are_face_word_at_every_index():
+    # every word of every stratum with n <= 6 and L <= 5, the identity too
+    for n in range(1, 7):
+        for length in range(6):
+            for word in itertools.product(range(1, n + 1), repeat=length):
+                _kernel_agrees_with_face_word(n, word)
+
+
+@pytest.mark.parametrize("n", [255, 256, 300])
+def test_word_faces_are_face_word_on_either_side_of_a_byte(n):
+    # words of length <= 3 on the top letters and the bottom one, in
+    # dimensions where the letters fit in a byte (255) and where they do not
+    letters = (1, 2, n - 2, n - 1, n)
+    for length in range(4):
+        for word in itertools.product(letters, repeat=length):
+            _kernel_agrees_with_face_word(n, word)
 
 
 def test_faces_of_identities_are_identities():
