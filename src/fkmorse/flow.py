@@ -18,7 +18,7 @@ paths run up from each basis cell through all of its cofaces.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Container, Optional, Union
+from typing import Callable, Container, Union
 
 from .chains import MODES, Chain, boundary, face_sum, incidence
 from .errors import SelfCheckError, StabilizationError, TruncationError
@@ -111,8 +111,7 @@ class FlowContext:
     """
 
     def __init__(self, pairing: Pairing, scope: Scope,
-                 mode: str = "unnormalized", validate: bool = True,
-                 iteration_cap: Optional[int] = None) -> None:
+                 mode: str = "unnormalized", validate: bool = True) -> None:
         check_mode(mode, pairing.flags)
         if isinstance(pairing, Matching):
             if scope.max_dim > pairing.scope.max_dim or \
@@ -133,13 +132,10 @@ class FlowContext:
         self._incidence: dict[int, dict[Word, int]] = defaultdict(dict)
         self._gradient: dict[int, dict] = defaultdict(dict)
         self._edges: dict[int, dict] = defaultdict(dict)
-        self._columns: dict[int, dict] = defaultdict(dict)
-        if iteration_cap is None:
-            iteration_cap = max(
-                64,
-                sum(stratum_size(scope.max_dim, length)
-                    for length in range(scope.max_length + 1)))
-        self.iteration_cap = iteration_cap
+        self.iteration_cap = max(
+            64,
+            sum(stratum_size(scope.max_dim, length)
+                for length in range(scope.max_length + 1)))
 
     def _guard(self, c: Chain) -> None:
         if c.dim + 1 > self.scope.max_dim:
@@ -278,9 +274,6 @@ class FlowContext:
         cell z adds w times the weight of z to y; the walk's post-order,
         reversed, puts every cell after all cells with an edge into it.
         """
-        column = self._columns[n].get(sigma)
-        if column is not None:
-            return column
         order = _gradient_order(
             sigma, lambda z: [y for y, _ in self._coface_edges(n, z)[0]], {})
         weight = {sigma: 1}
@@ -294,8 +287,7 @@ class FlowContext:
                 weight[y] = weight.get(y, 0) + w * h
             for w, v in rest:
                 column[w] = column.get(w, 0) + v * h
-        column = self._columns[n][sigma] = {w: v for w, v in column.items() if v}
-        return column
+        return {w: v for w, v in column.items() if v}
 
     def boundary_rows(self, cells: list[Simplex], basis: list[Simplex]) \
             -> list[dict[int, int]]:
@@ -304,8 +296,9 @@ class FlowContext:
 
         Two reductions that share only the pairing and the incidences must
         agree at every basis cell: the forward one sums the projections G
-        of the faces of a cell; the backward one reads the cell off the
-        columns built once, by walking gradient paths upward from each b.
+        of the faces of a cell; the backward one reads the cell off one
+        column per basis cell, built once per call by walking gradient
+        paths upward from that cell.
         """
         for cell in cells:
             if not self.scope.covers(cell):

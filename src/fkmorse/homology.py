@@ -91,7 +91,6 @@ def _peel_unit_pivots(rows: list[dict[int, int]]) -> tuple[int, Matrix]:
     for i, row in enumerate(rows):
         for j in row:
             in_col.setdefault(j, set()).add(i)
-    live = {i for i, row in enumerate(rows) if row}
     peeled = 0
     swept = -1
     while swept != peeled:
@@ -118,55 +117,29 @@ def _peel_unit_pivots(rows: list[dict[int, int]]) -> tuple[int, Matrix]:
                     else:
                         del row[j]
                         in_col[j].discard(i)
-                if not row:
-                    live.discard(i)
             # column q is now the pivot alone, so column updates clear row
             # p without touching any other row
             for j in prow:
                 in_col[j].discard(p)
             rows[p] = {}
-            live.discard(p)
             peeled += 1
     keep_cols = sorted(j for j, members in in_col.items() if members)
-    residue = [[rows[i].get(j, 0) for j in keep_cols] for i in sorted(live)]
+    residue = [[row.get(j, 0) for j in keep_cols] for row in rows if row]
     return peeled, residue
 
 
 def _dense_snf(a: Matrix, transforms: bool = False) -> SnfResult:
-    """Min-abs-pivot elimination of a, in place, on the whole matrix."""
+    """Min-abs-pivot elimination of a, in place, on the whole matrix.
+
+    With transforms, each row carries its row of left as extra columns and
+    right sits below as extra rows, so every row step and column step moves
+    the certificates with the matrix; they are split off at the end."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    left = _identity_matrix(rows) if transforms else None
-    right = _identity_matrix(cols) if transforms else None
-
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        if left is not None:
-            left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        if right is not None:
-            for row in right:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(src: int, dst: int, q: int) -> None:
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        if left is not None:
-            left[dst] = [x + q * y for x, y in zip(left[dst], left[src])]
-
-    def add_col(src: int, dst: int, q: int) -> None:
-        for row in a:
-            row[dst] += q * row[src]
-        if right is not None:
-            for row in right:
-                row[dst] += q * row[src]
-
-    def negate_row(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        if left is not None:
-            left[i] = [-x for x in left[i]]
+    if transforms:
+        for row, unit in zip(a, _identity_matrix(rows)):
+            row.extend(unit)
+        a.extend(_identity_matrix(cols))
 
     t = 0
     while True:
@@ -179,8 +152,10 @@ def _dense_snf(a: Matrix, transforms: bool = False) -> SnfResult:
                     best, pivot = v, (i, j)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        pi, pj = pivot
+        a[t], a[pi] = a[pi], a[t]
+        for row in a:
+            row[t], row[pj] = row[pj], row[t]
 
         while True:
             # clear column t, then row t; smaller remainders become pivots
@@ -188,18 +163,20 @@ def _dense_snf(a: Matrix, transforms: bool = False) -> SnfResult:
             for i in range(rows):
                 if i != t and a[i][t]:
                     q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
                     if a[i][t]:
-                        swap_rows(t, i)
+                        a[t], a[i] = a[i], a[t]
                         dirty = True
             if dirty:
                 continue
             for j in range(cols):
                 if j != t and a[t][j]:
                     q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
+                    for row in a:
+                        row[j] -= q * row[t]
                     if a[t][j]:
-                        swap_cols(t, j)
+                        for row in a:
+                            row[t], row[j] = row[j], row[t]
                         dirty = True
             if dirty:
                 continue
@@ -214,14 +191,17 @@ def _dense_snf(a: Matrix, transforms: bool = False) -> SnfResult:
                     break
             if offender is None:
                 break
-            add_row(offender, t, 1)
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
         if a[t][t] < 0:
-            negate_row(t)
+            a[t] = [-x for x in a[t]]
         t += 1
 
-    return SnfResult(rank=t,
-                     invariant_factors=[a[k][k] for k in range(t)],
-                     diagonal=a, left=left, right=right)
+    factors = [a[k][k] for k in range(t)]
+    if not transforms:
+        return SnfResult(rank=t, invariant_factors=factors, diagonal=a)
+    return SnfResult(rank=t, invariant_factors=factors,
+                     diagonal=[row[:cols] for row in a[:rows]],
+                     left=[row[cols:] for row in a[:rows]], right=a[rows:])
 
 
 # --- Morse slices ----------------------------------------------------------------
@@ -347,20 +327,11 @@ def morse_context(degree: int, max_length: int,
     return ctx, report, matching
 
 
-def _morse_slices(degree: int, max_length: int, flags: PairingFlags,
-                  mode: str) -> tuple[MorseSlice, MorseSlice]:
-    """The slices of degrees d and d+1 at one bound.  The matching and the
-    flow's memos are freed on return: the Smith normal form needs neither."""
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    ctx, report, _ = morse_context(degree, max_length, flags, mode)
-    return build_slice(ctx, report, degree), build_slice(ctx, report, degree + 1)
-
-
 def compute_homology(degree: int, max_length: int,
                      flags: PairingFlags = DEFAULT_FLAGS,
                      mode: str = "unnormalized") -> HomologyResult:
-    return homology_of_slices(*_morse_slices(degree, max_length, flags, mode))
+    return stability_scan(degree, max_length, max_length, flags,
+                          mode).results[0]
 
 
 @dataclass(frozen=True)
@@ -401,7 +372,12 @@ def stability_scan(degree: int, length_lo: int, length_hi: int,
     if length_lo > length_hi:
         return StabilityScan(degree=degree)
     Scope(degree + 2, length_lo)  # refuses a bound below 1 before building
-    lo, hi = _morse_slices(degree, length_hi, flags, mode)
+    ctx, report = morse_context(degree, length_hi, flags, mode)[:2]
+    lo = build_slice(ctx, report, degree)
+    hi = build_slice(ctx, report, degree + 1)
+    # the matching and the flow's memos are freed here: the Smith normal
+    # forms need neither
+    del ctx, report
     results = [homology_of_slices(_leading_block(lo, L), _leading_block(hi, L))
                for L in range(length_lo, length_hi + 1)]
     last = (results[-1].betti, results[-1].torsion)

@@ -426,11 +426,12 @@ class CriticalReport:
             return self._words[(dim, length)]
         if dim > self.scope.max_dim or length > self.scope.max_length:
             return ()
-        up, down = self.matching._up[dim], self.matching._down[dim]
+        # no leftover of the walk, and no word at max_dim, pairs upward
+        down = self.matching._down[dim]
         walked = self._unpaired.pop((dim, length), None)
         if walked is None:  # a stratum build_matching did not walk
             walked = _walked_words(dim, length, self.flags)
-        return (w for w in walked if w not in up and w not in down)
+        return (w for w in walked if w not in down)
 
     def to_csv(self) -> str:
         """One row per critical cell, with why it is unmatched: a word at

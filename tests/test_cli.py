@@ -27,6 +27,7 @@ from fkmorse.cli import (
 from fkmorse.errors import SelfCheckError, StabilizationError
 from fkmorse.flow import (FlowContext, beta_cell, sigma_cell,
                           sigma_tilde_cell, tau_cell, tau_tilde_cell, y_power)
+from fkmorse.homology import stability_scan
 from fkmorse.pairing import (Matching, PairingFlags, Scope, SteepnessRule,
                              build_matching)
 from fkmorse.simplicial import (Simplex, degenerate_size, enumerate_stratum,
@@ -521,6 +522,17 @@ def test_flow_parse_error_exit_code(capsys):
     assert "unrecognized cell" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("--chain", "3"), "scalar '3' has no cell"),
+    (("--chain", "y", "--dim", "2"), "cell 'y' has dimension 1, not 2"),
+])
+def test_flow_refuses_a_chain_without_cells_of_its_dimension(capsys, argv,
+                                                            message):
+    code, out, err = run(capsys, "flow", *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("chain", ["y--y", "-", "+"])
 def test_flow_refuses_a_stray_sign(capsys, chain):
     # once printed 0 for y--y; a lone sign failed an assert with exit 1
@@ -541,6 +553,20 @@ def test_morse_text_report(capsys):
         "(rows: critical 2-cells, cols: critical 1-cells)",
         "all entries zero",
     ]
+
+
+def test_morse_text_report_prints_the_csv_under_its_header(capsys):
+    code, out, _ = run(capsys, "morse", "--degree", "3",
+                       "--max-length", "5")
+    assert code == EXIT_OK
+    header, rest = out.split("\n", 1)
+    assert header == ("degree 3 boundary: 62 x 10 "
+                      "(rows: critical 3-cells, cols: critical 2-cells)")
+    code, csv, _ = run(capsys, "morse", "--degree", "3",
+                       "--max-length", "5", "--format", "csv")
+    assert code == EXIT_OK
+    assert rest == csv and len(csv.splitlines()) == 63
+    assert csv.startswith("simplex,a2.a1,a1.a2.a1,")
 
 
 def test_morse_json_and_csv(capsys):
@@ -579,6 +605,16 @@ def test_homology_scan(capsys):
     assert len(lines) == 4
     assert all(json.loads(line)["betti"] == 1 for line in lines[:3])
     assert lines[3] == "stable_from: 2"
+
+
+def test_homology_scan_json_is_the_scan_payload(capsys):
+    code, out, _ = run(capsys, "homology", "--degree", "1",
+                       "--scan", "2", "4", "--format", "json")
+    assert code == EXIT_OK
+    assert out == stability_scan(1, 2, 4).to_json() + "\n"
+    data = json.loads(out)
+    assert json.dumps(data, separators=(",", ":")) + "\n" == out
+    assert data["stable_from"] == 2 and len(data["results"]) == 3
 
 
 @pytest.mark.parametrize("bounds,fragment", [

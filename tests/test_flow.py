@@ -189,6 +189,17 @@ def test_V_guard_raises_at_top_dimension():
         small.apply_V(_unit(S(2, (2, 1))))
 
 
+def test_V_guard_names_the_least_cell_beyond_max_length():
+    # the message must not depend on the order the terms were added in
+    flow = FlowContext(SteepnessRule(), Scope(3, 2))
+    short, long_ = _unit(S(2, (2, 1, 1))), _unit(S(2, (1, 2, 2, 1)))
+    for chain in (short + long_, long_ + short):
+        with pytest.raises(TruncationError) as caught:
+            flow.apply_V(chain)
+        assert str(caught.value) == \
+            "cell a2.a1.a1 has word length 3, beyond max_length 2"
+
+
 def test_V_reads_each_pair_incidence_once_per_context(monkeypatch):
     import fkmorse.flow as flow_module
     calls = []
@@ -363,7 +374,8 @@ def test_stabilize_smallest_doubled_tail_staircase_allow_policy(ctx_allow):
 
 
 def test_stabilize_raises_on_tiny_iteration_cap():
-    tiny = FlowContext(SteepnessRule(), Scope(4, 7), iteration_cap=2)
+    tiny = FlowContext(SteepnessRule(), Scope(4, 7))
+    tiny.iteration_cap = 2
     with pytest.raises(StabilizationError, match="did not stabilize"):
         tiny.stabilize(_unit(y_power(7)))
 
@@ -432,7 +444,7 @@ def test_boundary_rows_check_every_cell_before_any_reduction():
     # no reduction ran, so no memo holds a word and no row was checked
     assert flow.dual_route_checks == 0
     assert not any(flow._gradient.values()) and \
-        not any(flow._columns.values())
+        not any(flow._edges.values())
 
 
 def _tamper_columns(monkeypatch, flow, cell, shifts):

@@ -3,10 +3,14 @@
 The hand-rolled exact SNF is cross-checked in two independent ways: its
 invariant factors against sympy's implementation, and its transform
 certificates by literal matrix multiplication plus unimodularity of the
-transforms. The sparse unit-pivot route (transforms=False) is also checked
-against the dense certificate route (transforms=True), on random sparse
-+-1 matrices with planted non-unit blocks and on real Morse slices, and its
-column-sweep pivot order against the former least-Markowitz-cost order.
+transforms. The dense elimination, which carries its certificates as
+extra rows and columns, is checked against the former one, whose closures
+kept them in separate matrices: the same rank, factors, diagonal and
+certificates. The sparse unit-pivot route (transforms=False) is also
+checked against the dense certificate route (transforms=True), on random
+sparse +-1 matrices with planted non-unit blocks and on real Morse slices,
+and its column-sweep pivot order against the former least-Markowitz-cost
+order.
 Slices are kept as sparse rows; the boundary-squared check on them is
 checked against the former dense compose, kept here as the reference.
 The stability scan, which reads every bound from the slices at its top
@@ -29,6 +33,7 @@ from fkmorse.cli import main
 from fkmorse.flow import y_power
 from fkmorse.homology import (
     MorseSlice,
+    SnfResult,
     _compose_is_zero,
     _leading_block,
     _peel_unit_pivots,
@@ -153,6 +158,133 @@ def test_snf_certificates_randomized():
                   for _ in range(rows)]
         result = smith_normal_form(matrix, transforms=True)
         _check_certificates(matrix, result)
+
+
+def _identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _reference_dense_snf(a, transforms=False):
+    """The former elimination, kept as the check route: the same pivot
+    order, with each row and column step a closure that updates the
+    certificates in separate matrices."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    left = _identity(rows) if transforms else None
+    right = _identity(cols) if transforms else None
+
+    def swap_rows(i: int, j: int) -> None:
+        a[i], a[j] = a[j], a[i]
+        if left is not None:
+            left[i], left[j] = left[j], left[i]
+
+    def swap_cols(i: int, j: int) -> None:
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        if right is not None:
+            for row in right:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(src: int, dst: int, q: int) -> None:
+        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
+        if left is not None:
+            left[dst] = [x + q * y for x, y in zip(left[dst], left[src])]
+
+    def add_col(src: int, dst: int, q: int) -> None:
+        for row in a:
+            row[dst] += q * row[src]
+        if right is not None:
+            for row in right:
+                row[dst] += q * row[src]
+
+    def negate_row(i: int) -> None:
+        a[i] = [-x for x in a[i]]
+        if left is not None:
+            left[i] = [-x for x in left[i]]
+
+    t = 0
+    while True:
+        pivot = None
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                v = abs(a[i][j])
+                if v and (best is None or v < best):
+                    best, pivot = v, (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+
+        while True:
+            # clear column t, then row t; smaller remainders become pivots
+            dirty = False
+            for i in range(rows):
+                if i != t and a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    add_row(t, i, -q)
+                    if a[i][t]:
+                        swap_rows(t, i)
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(cols):
+                if j != t and a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    add_col(t, j, -q)
+                    if a[t][j]:
+                        swap_cols(t, j)
+                        dirty = True
+            if dirty:
+                continue
+            # divisibility: the pivot must divide the rest of the submatrix
+            offender = None
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if a[i][j] % a[t][t]:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            add_row(offender, t, 1)
+        if a[t][t] < 0:
+            negate_row(t)
+        t += 1
+
+    return SnfResult(rank=t,
+                     invariant_factors=[a[k][k] for k in range(t)],
+                     diagonal=a, left=left, right=right)
+
+
+def _elimination_cases():
+    """Seeded matrices up to 7 x 7 over {0, +-1, 2, -3, 4, 6}, then the
+    empty shapes: a 0 x n matrix has no row to carry n, so it is [] like
+    0 x 0; n x 0 is n empty rows."""
+    rng = random.Random(40417)
+    entries = (0, 0, 1, -1, 2, -3, 4, 6)
+    for _ in range(400):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        yield [[rng.choice(entries) for _ in range(cols)]
+               for _ in range(rows)]
+    yield []
+    for n in range(1, 4):
+        yield [[] for _ in range(n)]
+
+
+@pytest.mark.parametrize("transforms", [False, True],
+                         ids=["factors", "certificates"])
+def test_dense_elimination_matches_the_reference_route(transforms):
+    for matrix in _elimination_cases():
+        mine = homology._dense_snf([list(r) for r in matrix], transforms)
+        theirs = _reference_dense_snf([list(r) for r in matrix], transforms)
+        assert (mine.rank, mine.invariant_factors, mine.diagonal,
+                mine.left, mine.right) == \
+            (theirs.rank, theirs.invariant_factors, theirs.diagonal,
+             theirs.left, theirs.right), matrix
+        if transforms and matrix and matrix[0]:
+            _check_certificates(matrix, mine)
 
 
 def _sympy_factors(matrix):
