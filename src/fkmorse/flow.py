@@ -12,7 +12,7 @@ form Skoldberg, TAMS 2006, and Harker-Mischaikow-Mrozek-Nanda, FoCM 2014),
 along two reductions that share only the pairing and the incidences and
 must agree at every basis cell: forward, each face of a cell projects onto
 the critical cells by following gradient paths down; backward, gradient
-paths run up from each basis cell through all of its cofaces.
+paths run up from each basis cell through upper cofaces to unpaired ones.
 """
 
 from __future__ import annotations
@@ -238,36 +238,39 @@ class FlowContext:
         return memo[x]
 
     def _coface_edges(self, n: int, z: Word) -> tuple[
-            list[tuple[Word, int]], list[tuple[Word, int]]]:
-        """The cofaces tau of z within the scope, split by down_word alone.
+            list[Word], list[int], list[tuple[Word, int]]]:
+        """The gradient edges out of z and the cofaces a row can read.
 
-        First, for each upper tau whose partner y is not z, the gradient
-        edge (y, -<boundary tau, y> <boundary tau, z>); then every other
-        tau with <boundary tau, z>.  Memoized per context.
+        For each upper coface tau whose partner y is not z, y and the weight
+        -<boundary tau, y> <boundary tau, z>, in parallel lists; then each
+        unpaired coface tau (critical, or degenerate and critical by fiat)
+        with <boundary tau, z>; no row reads a lower one.  Memoized.
         """
         edges = self._edges[n].get(z)
         if edges is not None:
             return edges
-        up: list[tuple[Word, int]] = []
-        rest: list[tuple[Word, int]] = []
+        ys, ws, rest = [], [], []
         # a normalized boundary drops every degenerate face
         if self.mode == "unnormalized" or not is_degenerate_word(n, z):
             inc: dict[Word, int] = {}
             for i, w in _coface_words_within(n, z, self.scope.max_length):
                 inc[w] = inc.get(w, 0) + (-1 if i % 2 else 1)
+            down, up = self.pairing.down_word, self.pairing.up_word
             for w, v in inc.items():
                 if not v:
                     continue
-                y = self.pairing.down_word(n + 1, w)
+                y = down(n + 1, w)
                 if y is None:
-                    rest.append((w, v))
+                    if up(n + 1, w) is None:
+                        rest.append((w, v))
                 elif y != z:
-                    up.append((y, -self._pair_incidence(n, y, w) * v))
-        edges = self._edges[n][z] = (up, rest)
+                    ys.append(y)
+                    ws.append(-self._pair_incidence(n, y, w) * v)
+        edges = self._edges[n][z] = (ys, ws, rest)
         return edges
 
     def _column(self, n: int, sigma: Word) -> dict[Word, int]:
-        """<boundary-tilde c, sigma> by the word of every non-upper cell c
+        """<boundary-tilde c, sigma> by the word of every unpaired cell c
         it is nonzero on, by walking gradient paths upward from sigma.
 
         The weight of sigma is 1 and each gradient edge (y, w) out of a
@@ -275,15 +278,16 @@ class FlowContext:
         reversed, puts every cell after all cells with an edge into it.
         """
         order = _gradient_order(
-            sigma, lambda z: [y for y, _ in self._coface_edges(n, z)[0]], {})
+            sigma, lambda z: self._coface_edges(n, z)[0], {})
+        edges = self._edges[n]
         weight = {sigma: 1}
         column = {}
         for z in reversed(order):
             h = weight.pop(z, 0)
             if not h:
                 continue
-            up, rest = self._coface_edges(n, z)
-            for y, w in up:
+            ys, ws, rest = edges[z]
+            for y, w in zip(ys, ws):
                 weight[y] = weight.get(y, 0) + w * h
             for w, v in rest:
                 column[w] = column.get(w, 0) + v * h
@@ -292,7 +296,7 @@ class FlowContext:
     def boundary_rows(self, cells: list[Simplex], basis: list[Simplex]) \
             -> list[dict[int, int]]:
         """<boundary-tilde cell, b> by the position of b in basis, nonzero
-        entries only, for each critical cell of cells.
+        entries only, for each unpaired cell of cells.
 
         Two reductions that share only the pairing and the incidences must
         agree at every basis cell: the forward one sums the projections G
@@ -307,19 +311,23 @@ class FlowContext:
                     dim=cell.dim, length=cell.length)
             if cell.dim == 0:
                 raise ValueError("dimension-0 chains have no boundary")
+            if self.pairing.up_word(cell.dim, cell.word) is not None or \
+                    self.pairing.down_word(cell.dim, cell.word) is not None:
+                raise ValueError(f"{cell} is matched, so it has no Morse row")
             if basis and basis[0].dim != cell.dim - 1:
                 raise ValueError(
                     f"a row of dimension-{cell.dim} cell {cell} reads "
                     f"dimension-{cell.dim - 1} cells, not {basis[0]}")
         if len({b.dim for b in basis}) > 1:
             raise ValueError("basis cells must share one dimension")
-        # the basis positions of each word, and the columns as rows by word
+        # the basis positions of each word, and the columns as rows of cells
         index: dict[Word, list[int]] = {}
-        backward: dict[Word, dict[int, int]] = {}
+        backward: dict[Word, dict[int, int]] = {c.word: {} for c in cells}
         for j, sigma in enumerate(basis):
             index.setdefault(sigma.word, []).append(j)
             for w, v in self._column(sigma.dim, sigma.word).items():
-                backward.setdefault(w, {})[j] = v
+                if w in backward:
+                    backward[w][j] = v
         rows = []
         for cell in cells:
             forward: dict[Word, int] = {}
@@ -328,7 +336,7 @@ class FlowContext:
                     forward[z] = forward.get(z, 0) + v * u
             row = {j: u for z, u in forward.items() if u
                    for j in index.get(z, ())}
-            column = backward.get(cell.word, {})
+            column = backward[cell.word]
             if row != column:
                 j = min((j for j in row.keys() | column.keys()
                          if row.get(j) != column.get(j)),

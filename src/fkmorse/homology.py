@@ -291,6 +291,18 @@ def _compose_is_zero(lo: MorseSlice, hi: MorseSlice) -> bool:
     return True
 
 
+def _narrow_rows(slc: MorseSlice) -> list[dict[int, int]]:
+    """The rows of the slice, or of its transpose if that has fewer: the same
+    invariant factors, and on large slices a peel several times faster."""
+    if len(slc.rows) <= len(slc.basis_lo):
+        return slc.rows
+    cols: list[dict[int, int]] = [{} for _ in slc.basis_lo]
+    for i, row in enumerate(slc.rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    return cols
+
+
 def homology_of_slices(lo: MorseSlice, hi: MorseSlice) -> HomologyResult:
     """H_d from the slice below (degree d) and above (degree d+1)."""
     if hi.degree != lo.degree + 1:
@@ -304,9 +316,9 @@ def homology_of_slices(lo: MorseSlice, hi: MorseSlice) -> HomologyResult:
             f"boundary squared is nonzero between degrees {hi.degree} and "
             f"{lo.degree - 1}")
     # smith_normal_form takes a dense matrix, so only the residue goes there
-    peeled_lo, residue_lo = _peel_unit_pivots(lo.rows)
+    peeled_lo, residue_lo = _peel_unit_pivots(_narrow_rows(lo))
     rank_lo = peeled_lo + smith_normal_form(residue_lo).rank
-    peeled_hi, residue_hi = _peel_unit_pivots(hi.rows)
+    peeled_hi, residue_hi = _peel_unit_pivots(_narrow_rows(hi))
     snf_hi = smith_normal_form(residue_hi)
     betti = len(lo.basis_hi) - rank_lo - peeled_hi - snf_hi.rank
     torsion = [f for f in snf_hi.invariant_factors if f not in (0, 1)]

@@ -354,16 +354,19 @@ def test_validate_reports_cycle_witnesses(capsys, tmp_path):
 
 
 def test_boundary_rows_on_a_cyclic_export_fail_fast():
-    export = Matching(CYCLIC_PAIRS, Scope(3, 3), PairingFlags()).to_json()
-    flow = FlowContext(Matching.from_json(export), Scope(3, 3),
+    # every nondegenerate 3-cell of length 3 is matched, so the scope
+    # reaches length 4 for an unpaired cell with a face on the cycle
+    export = Matching(CYCLIC_PAIRS, Scope(3, 4), PairingFlags()).to_json()
+    flow = FlowContext(Matching.from_json(export), Scope(3, 4),
                        validate=False)
     start = time.perf_counter()
     # the backward walk up from the basis cell meets the cycle
     with pytest.raises(SelfCheckError, match="has a cycle"):
         flow.boundary_rows([S(3, (3, 2, 2))], [S(2, (2, 1))])
-    # the forward walk down from the faces of a cell meets it too
+    # the forward walk down from the faces of a cell meets it too: d_0 of
+    # a3.a2.a1.a1 is a2.a1.a1, which lies on the cycle
     with pytest.raises(SelfCheckError, match="has a cycle"):
-        flow.boundary_rows([S(3, (3, 2, 1))], [])
+        flow.boundary_rows([S(3, (3, 2, 1, 1))], [])
     assert time.perf_counter() - start < 1.0
 
 

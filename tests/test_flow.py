@@ -8,10 +8,13 @@ accumulators behind boundary, V and the flow are checked against a
 term-by-term reference built from faces and Chain addition.
 Morse boundary rows, which the library computes by two gradient-path
 reductions, are checked against the iterated flow, kept here as the
-oracle for whole slices.
+oracle for whole slices. The backward reduction keeps only the cofaces a
+row can read; the former walk, which kept every coface that is not upper,
+is kept here as the reference for its columns.
 """
 
 import random
+from itertools import product
 
 import pytest
 
@@ -29,9 +32,10 @@ from fkmorse.flow import (
 )
 from fkmorse.homology import build_slice, morse_context
 from fkmorse.pairing import (Matching, PairingFlags, Scope, SteepnessRule,
+                             _coface_words_within, _postorder,
                              build_matching)
 from fkmorse.simplicial import (Simplex, enumerate_stratum, face, identity,
-                                is_degenerate)
+                                is_degenerate, is_degenerate_word)
 
 from dense import densify
 
@@ -483,6 +487,100 @@ def test_boundary_row_compares_whole_chains(monkeypatch):
         flow.boundary_rows([sigma_cell(4)], basis)
     assert "at (a4.a3.a2.a1, a3.a2.a1)" in str(caught.value)
     assert flow.dual_route_checks == 0
+
+
+def _reference_columns(flow, n):
+    """The former backward column of each dimension-n word: gradient paths
+    walked up through every coface, keeping each coface that is not upper
+    (critical, degenerate and critical by fiat, or lower) with its
+    weight; incidences from chains.incidence."""
+    pairing, edges = flow.pairing, {}
+
+    def coface_edges(z):
+        if z not in edges:
+            up, rest = [], []
+            if flow.mode == "unnormalized" or not is_degenerate_word(n, z):
+                inc = {}
+                for i, w in _coface_words_within(n, z, flow.scope.max_length):
+                    inc[w] = inc.get(w, 0) + (-1 if i % 2 else 1)
+                for w, v in inc.items():
+                    y = pairing.down_word(n + 1, w)
+                    if not v or y == z:
+                        continue
+                    if y is None:
+                        rest.append((w, v))
+                    else:
+                        up.append((y, -incidence(S(n + 1, w), S(n, y)) * v))
+            edges[z] = (up, rest)
+        return edges[z]
+
+    def column(sigma):
+        order, cycle = _postorder(
+            sigma, lambda z: [y for y, _ in coface_edges(z)[0]], ())
+        assert cycle is None
+        weight, out = {sigma: 1}, {}
+        for z in reversed(order):
+            h = weight.pop(z, 0)
+            up, rest = coface_edges(z)
+            for y, w in up:
+                weight[y] = weight.get(y, 0) + w * h
+            for w, v in rest:
+                out[w] = out.get(w, 0) + v * h
+        return {w: v for w, v in out.items() if v}
+
+    return column
+
+
+@pytest.mark.parametrize("policy,mode", [("critical", "unnormalized"),
+                                         ("critical", "normalized"),
+                                         ("allow", "unnormalized")])
+def test_columns_are_the_former_columns_on_unpaired_words(policy, mode):
+    # Every word of dimension n <= 4 and length <= 6, so every coface of
+    # dimension <= 5; the matching reaches dimension 6, so criticality is
+    # decided on all of them.
+    ctx = morse_context(4, 6, PairingFlags(policy), mode)[0]
+    pairing = ctx.pairing
+    dropped = kept_degenerate = 0
+    for n in range(5):
+        reference = _reference_columns(ctx, n)
+        for length in range(7 if n else 1):
+            for sigma in product(range(1, n + 1), repeat=length):
+                former = reference(sigma)
+                unpaired = {w: v for w, v in former.items()
+                            if pairing.up_word(n + 1, w) is None}
+                column = ctx._column(n, sigma)
+                assert column == unpaired, (n, sigma)
+                dropped += len(former) - len(unpaired)
+                kept_degenerate += sum(is_degenerate_word(n + 1, w)
+                                       for w in column)
+    # the former columns hold lower cells; the new ones keep the unpaired
+    # degenerate cells (critical by fiat under the critical policy) that
+    # an unnormalized boundary reaches
+    assert dropped > 0
+    assert (kept_degenerate > 0) == (mode == "unnormalized")
+
+
+def test_boundary_rows_refuse_a_matched_cell_before_any_reduction():
+    lower, upper = S(4, (4, 4, 3, 2, 1)), sigma_tilde_cell(4)
+    rule = SteepnessRule()
+    assert rule.up_word(4, lower.word) is not None
+    assert rule.down_word(4, upper.word) is not None
+    flow = FlowContext(rule, Scope(6, 5))
+    for cell in (lower, upper):
+        with pytest.raises(ValueError, match=f"{cell} is matched"):
+            flow.boundary_rows([sigma_cell(4), cell], [sigma_cell(3)])
+    # a lower cell of an explicit matching: both routes would agree on a
+    # row for it, yet no row is defined
+    matching, _ = build_matching(5, 5)
+    n, sw, _ = next(p for p in matching.word_pairs
+                    if p[0] == 3 and len(p[1]) == 5)
+    explicit = FlowContext(matching, Scope(5, 5), validate=False)
+    with pytest.raises(ValueError, match="is matched"):
+        explicit.boundary_rows([S(n, sw)], [sigma_cell(2)])
+    for ctx in (flow, explicit):
+        assert ctx.dual_route_checks == 0
+        assert not any(ctx._gradient.values()) and \
+            not any(ctx._edges.values())
 
 
 def _iterated_flow_row(flow, cell, basis):

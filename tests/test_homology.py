@@ -10,7 +10,8 @@ certificates. The sparse unit-pivot route (transforms=False) is also
 checked against the dense certificate route (transforms=True), on random
 sparse +-1 matrices with planted non-unit blocks and on real Morse slices,
 and its column-sweep pivot order against the former least-Markowitz-cost
-order.
+order, on the rows of each matrix and of its transpose; homology_of_slices
+peels the side with fewer rows.
 Slices are kept as sparse rows; the boundary-squared check on them is
 checked against the former dense compose, kept here as the reference.
 The stability scan, which reads every bound from the slices at its top
@@ -18,6 +19,7 @@ bound, is checked against homology computed afresh at each bound. sympy
 is a test-only dependency; the package itself never imports it.
 """
 
+import functools
 import json
 import random
 from fractions import Fraction
@@ -459,6 +461,81 @@ def test_column_sweep_peel_on_planted_blocks():
         assert _peeled_factors(_sparse_peel, matrix) == \
             _peeled_factors(_markowitz_peel, matrix) == \
             _sympy_factors(matrix)
+
+
+def _transpose(rows, cols):
+    """The rows of the transposed matrix, built entry by entry."""
+    return sparsify([list(column) for column in zip(*densify(rows, cols))]) \
+        if rows else [{} for _ in range(cols)]
+
+
+def _both_orientations(rows, cols):
+    """[1] * peeled plus the residue's invariant factors, peeled from the
+    rows and from the rows of the transpose."""
+    return [[1] * peeled + smith_normal_form(residue).invariant_factors
+            for peeled, residue in (_peel_unit_pivots(rows),
+                                    _peel_unit_pivots(_transpose(rows, cols)))]
+
+
+@functools.cache
+def _slices_at_5_6():
+    ctx, report, _ = morse_context(5, 6)
+    return [build_slice(ctx, report, k) for k in range(1, 7)]
+
+
+def test_peel_gives_the_same_factors_on_both_orientations_of_real_slices():
+    # every slice of degree <= 6 at bound <= 6: the leading blocks of the
+    # slices at (5, 6), as stability_scan reads them
+    for slc in _slices_at_5_6():
+        for length in range(1, 7):
+            block = _leading_block(slc, length)
+            cols = len(block.basis_lo)
+            rows_side, transposed_side = _both_orientations(block.rows, cols)
+            assert rows_side == transposed_side == _peeled_factors(
+                _markowitz_peel, densify(block.rows, cols)), \
+                (slc.degree, length)
+
+
+def test_peel_gives_the_same_factors_on_both_orientations_of_seeded_matrices():
+    rng = random.Random(2301)
+    for _ in range(16):
+        matrix = _unit_sparse_with_planted_block(rng)
+        rows_side, transposed_side = _both_orientations(sparsify(matrix),
+                                                        len(matrix[0]))
+        assert rows_side == transposed_side == \
+            _peeled_factors(_markowitz_peel, matrix) == _sympy_factors(matrix)
+
+
+def test_homology_of_slices_peels_the_side_with_fewer_rows(monkeypatch):
+    # each slice's peel is followed by smith_normal_form's own on the
+    # residue, so the upper slice's peel is the third call
+    peeled = []
+    honest = homology._peel_unit_pivots
+
+    def spy(rows):
+        peeled.append(rows)
+        return honest(rows)
+
+    monkeypatch.setattr(homology, "_peel_unit_pivots", spy)
+    slices = _slices_at_5_6()
+    # degree 4 at bound 6 is 652 x 186, so its transpose is peeled;
+    # degree 5 at bound 5 is 60 x 112, so its rows are
+    wide_lo, wide = (_leading_block(slices[k], 6) for k in (2, 3))
+    narrow_lo, narrow = (_leading_block(slices[k], 5) for k in (3, 4))
+    assert (len(wide.rows), len(wide.basis_lo)) == (652, 186)
+    assert (len(narrow.rows), len(narrow.basis_lo)) == (60, 112)
+    expected = compute_homology(3, 6), compute_homology(4, 5)
+    peeled.clear()
+    assert homology_of_slices(wide_lo, wide) == expected[0]
+    assert peeled[2] == _transpose(wide.rows, 186)
+    peeled.clear()
+    assert homology_of_slices(narrow_lo, narrow) == expected[1]
+    assert peeled[2] is narrow.rows
+    # a square slice keeps its rows too
+    square = _fake(2, [Y], [SIG2], [[2]])
+    peeled.clear()
+    homology_of_slices(_fake(1, [E0], [Y], [[0]]), square)
+    assert peeled[2] is square.rows
 
 
 @pytest.mark.parametrize("degree,length", [(4, 5), (3, 5)])

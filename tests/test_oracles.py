@@ -5,6 +5,9 @@
   length-L quotient is S^L (Milnor, On the construction FK, 1956), so the
   truncated complex has H_d = Z for 0 <= d <= L and 0 for d > L, exactly.
   The stability scan over L therefore settles at max(d, LO).
+* Each word length alone is a sphere: the quotient J_l / J_(l-1) is S^l,
+  so the length-l diagonal blocks of the Morse slices have homology Z in
+  degree l and 0 in every other degree.
 * The raw complex needs none of the Morse machinery: the normalized
   boundary on every nondegenerate word of length <= L, through the Smith
   normal form, gives the same homology as the Morse slices.
@@ -40,7 +43,8 @@ import pytest
 
 from fkmorse.chains import Chain, boundary, face_sum
 from fkmorse.flow import sigma_cell, sigma_tilde_cell, tau_cell
-from fkmorse.homology import (build_slice, compute_homology, morse_context,
+from fkmorse.homology import (_peel_unit_pivots, build_slice,
+                              compute_homology, morse_context,
                               smith_normal_form, stability_scan)
 from fkmorse.pairing import PairingFlags, SteepnessRule, build_matching
 from fkmorse.simplicial import Simplex, degeneracy
@@ -107,6 +111,49 @@ def test_raw_normalized_complex_has_the_morse_homology(degree, length):
     result = compute_homology(degree, length)
     assert (betti, torsion) == (result.betti, result.torsion) == \
         ((1, []) if degree <= length else (0, []))
+
+
+@functools.cache
+def _slices_at_5_7():
+    """The Morse slices of degrees 1..6 at (5, 7), by degree."""
+    ctx, report, _ = morse_context(5, 7)
+    return {k: build_slice(ctx, report, k) for k in range(1, 7)}
+
+
+def _diagonal_block(slc, length):
+    """The rows and columns of cells of word length exactly length: row
+    positions renumbered from 0, columns kept as sparse keys."""
+    cols = {j for j, x in enumerate(slc.basis_lo) if x.length == length}
+    return [{j: v for j, v in row.items() if j in cols}
+            for x, row in zip(slc.basis_hi, slc.rows) if x.length == length]
+
+
+def _block_factors(rows):
+    """The invariant factors, one per unit of rank."""
+    peeled, residue = _peel_unit_pivots(rows)
+    return [1] * peeled + smith_normal_form(residue).invariant_factors
+
+
+@pytest.mark.parametrize("length", range(8))
+def test_each_word_length_alone_is_a_sphere_of_its_own_dimension(length):
+    # Faces never lengthen a word and pairs stay in one stratum, so a
+    # gradient path that leaves length l never returns: the length-l
+    # diagonal block of the Morse slices is the Morse boundary of the
+    # quotient J_l / J_(l-1) = S^l, whose homology is Z in degree l alone.
+    slices = _slices_at_5_7()
+    for degree in range(6):
+        cells = sum(1 for x in slices[degree + 1].basis_lo
+                    if x.length == length)
+        rank_in = len(_block_factors(
+            _diagonal_block(slices[degree], length))) if degree else 0
+        factors_out = _block_factors(_diagonal_block(slices[degree + 1],
+                                                     length))
+        betti = cells - rank_in - len(factors_out)
+        torsion = [f for f in factors_out if f != 1]
+        assert (betti, torsion) == (int(degree == length), []), \
+            (degree, length)
+        if degree == length:
+            assert cells == [1, 1, 1, 3, 12, 60][degree]
 
 
 def _surjections(length, letters):
