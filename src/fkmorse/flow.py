@@ -12,7 +12,10 @@ form Skoldberg, TAMS 2006, and Harker-Mischaikow-Mrozek-Nanda, FoCM 2014),
 along two reductions that share only the pairing and the incidences and
 must agree at every basis cell: forward, each face of a cell projects onto
 the critical cells by following gradient paths down; backward, gradient
-paths run up from each basis cell through upper cofaces to unpaired ones.
+paths run up from each basis cell through upper cofaces to unpaired ones,
+read off a coface table that inverts the face map over a whole stratum of
+the scope.  So boundary rows enumerate the scope's strata, on a
+SteepnessRule too, while stabilize and apply_V stay lazy.
 """
 
 from __future__ import annotations
@@ -23,11 +26,15 @@ from typing import Callable, Container, Union
 from .chains import MODES, Chain, boundary, face_sum, incidence
 from .errors import SelfCheckError, StabilizationError, TruncationError
 from .pairing import (Matching, PairingFlags, Scope, SteepnessRule,
-                      _coface_words_within, _postorder, validate_matching)
-from .simplicial import (Simplex, Word, identity, is_degenerate_word,
-                         sort_key, stratum_size, word_text)
+                      _postorder, validate_matching)
+from .simplicial import (Simplex, Word, check_stratum_size, face_word,
+                         identity, is_degenerate_word, sort_key,
+                         stratum_size, stratum_words, surjective_words,
+                         word_text)
 
 Pairing = Union[Matching, SteepnessRule]
+Edges = tuple[list[Word], list[int], list[tuple[Word, int]]]
+_NO_EDGES: Edges = ([], [], [])
 
 
 # --- named cells ---------------------------------------------------------------
@@ -101,13 +108,25 @@ def _gradient_order(root: Word, successors: Callable[[Word], list[Word]],
     return order
 
 
+def _regular(x: Word, tau: Word, inc: int) -> int:
+    """inc, the incidence of the matched pair (x, tau), checked to be +-1."""
+    if abs(inc) != 1:
+        raise SelfCheckError(
+            f"matched pair ({word_text(x)}, {word_text(tau)}) has "
+            f"incidence {inc}, not a regular pair")
+    return inc
+
+
 class FlowContext:
     """Scope-guarded flow computations over a fixed pairing.
 
     The pairing may be an explicit Matching (validated here unless told
     otherwise) or a lazy SteepnessRule for scopes too large to enumerate.
     Chains whose flow would need cells outside the scope raise rather than
-    returning a partial answer.
+    returning a partial answer.  stabilize and apply_V ask the pairing one
+    cell at a time; boundary_rows walks the strata of the scope one
+    dimension above its basis, each within MAX_STRATUM_CELLS, also on a
+    SteepnessRule.
     """
 
     def __init__(self, pairing: Pairing, scope: Scope,
@@ -131,7 +150,8 @@ class FlowContext:
         # the word-level memos of boundary_rows' reductions, by dimension
         self._incidence: dict[int, dict[Word, int]] = defaultdict(dict)
         self._gradient: dict[int, dict] = defaultdict(dict)
-        self._edges: dict[int, dict] = defaultdict(dict)
+        # the coface tables, by dimension and degeneracy of the faces
+        self._edges: dict[tuple[int, bool], dict[Word, Edges]] = {}
         self.iteration_cap = max(
             64,
             sum(stratum_size(scope.max_dim, length)
@@ -193,12 +213,8 @@ class FlowContext:
         checked to be +-1 when first computed; the pairing is fixed."""
         inc = self._incidence[n].get(x)
         if inc is None:
-            inc = incidence(Simplex(n + 1, tau), Simplex(n, x))
-            if abs(inc) != 1:
-                raise SelfCheckError(
-                    f"matched pair ({word_text(x)}, {word_text(tau)}) has "
-                    f"incidence {inc}, not a regular pair")
-            self._incidence[n][x] = inc
+            inc = self._incidence[n][x] = _regular(
+                x, tau, incidence(Simplex(n + 1, tau), Simplex(n, x)))
         return inc
 
     def _projection(self, n: int, x: Word) -> dict[Word, int]:
@@ -237,37 +253,66 @@ class FlowContext:
             memo[cell] = {z: u for z, u in acc.items() if u}
         return memo[x]
 
-    def _coface_edges(self, n: int, z: Word) -> tuple[
-            list[Word], list[int], list[tuple[Word, int]]]:
+    def _coface_edges(self, n: int, z: Word) -> Edges:
         """The gradient edges out of z and the cofaces a row can read.
 
         For each upper coface tau whose partner y is not z, y and the weight
         -<boundary tau, y> <boundary tau, z>, in parallel lists; then each
         unpaired coface tau (critical, or degenerate and critical by fiat)
-        with <boundary tau, z>; no row reads a lower one.  Memoized.
+        with <boundary tau, z>; no row reads a lower one.  Read off one
+        table per dimension and degeneracy, built when first asked for.
         """
-        edges = self._edges[n].get(z)
-        if edges is not None:
-            return edges
-        ys, ws, rest = [], [], []
-        # a normalized boundary drops every degenerate face
-        if self.mode == "unnormalized" or not is_degenerate_word(n, z):
-            inc: dict[Word, int] = {}
-            for i, w in _coface_words_within(n, z, self.scope.max_length):
-                inc[w] = inc.get(w, 0) + (-1 if i % 2 else 1)
-            down, up = self.pairing.down_word, self.pairing.up_word
-            for w, v in inc.items():
-                if not v:
-                    continue
-                y = down(n + 1, w)
+        degenerate = is_degenerate_word(n, z)
+        if degenerate and self.mode == "normalized":
+            return _NO_EDGES  # a normalized boundary drops every such face
+        table = self._edges.get((n, degenerate))
+        if table is None:
+            table = self._edges[n, degenerate] = self._coface_table(
+                n, degenerate)
+        return table.get(z, _NO_EDGES)
+
+    def _coface_table(self, n: int, degenerate: bool) \
+            -> dict[Word, Edges]:
+        """_coface_edges of the dimension-n words of one degeneracy, by
+        inverting face_word over the dimension-(n+1) words of the scope
+        that are not lower cells.
+
+        Every face of a surjective word is surjective, and a degenerate word
+        has net incidence 0 on every nondegenerate face, so nondegenerate
+        faces need only the surjective words and degenerate ones the rest.
+        """
+        m, lengths = n + 1, range(self.scope.max_length + 1)
+        for length in lengths:
+            check_stratum_size(m, length)
+        down, up = self.pairing.down_word, self.pairing.up_word
+        incidences = self._incidence[n]
+        table: dict[Word, Edges] = defaultdict(lambda: ([], [], []))
+        signs = [(i, -1 if i % 2 else 1) for i in range(m + 1)]
+        for length in lengths:
+            words = surjective_words(m, length) if not degenerate else (
+                w for w in stratum_words(m, length)
+                if is_degenerate_word(m, w))
+            for w in words:
+                y = down(m, w)
+                if y is None and up(m, w) is not None:
+                    continue  # no row reads a lower cell
+                inc: dict[Word, int] = {}
+                for i, sign in signs:
+                    f = face_word(m, w, i)
+                    inc[f] = inc.get(f, 0) + sign
                 if y is None:
-                    if up(n + 1, w) is None:
-                        rest.append((w, v))
-                elif y != z:
-                    ys.append(y)
-                    ws.append(-self._pair_incidence(n, y, w) * v)
-        edges = self._edges[n][z] = (ys, ws, rest)
-        return edges
+                    for f, v in inc.items():
+                        if v:
+                            table[f][2].append((w, v))
+                    continue
+                # the forward route reads the pair's incidence from here too
+                p = incidences[y] = _regular(y, w, inc.pop(y, 0))
+                for f, v in inc.items():
+                    if v:
+                        ys, ws, _ = table[f]
+                        ys.append(y)
+                        ws.append(-p * v)
+        return table
 
     def _column(self, n: int, sigma: Word) -> dict[Word, int]:
         """<boundary-tilde c, sigma> by the word of every unpaired cell c
@@ -277,16 +322,15 @@ class FlowContext:
         cell z adds w times the weight of z to y; the walk's post-order,
         reversed, puts every cell after all cells with an edge into it.
         """
-        order = _gradient_order(
-            sigma, lambda z: self._coface_edges(n, z)[0], {})
-        edges = self._edges[n]
+        edges = self._coface_edges
+        order = _gradient_order(sigma, lambda z: edges(n, z)[0], {})
         weight = {sigma: 1}
         column = {}
         for z in reversed(order):
             h = weight.pop(z, 0)
             if not h:
                 continue
-            ys, ws, rest = edges[z]
+            ys, ws, rest = edges(n, z)
             for y, w in zip(ys, ws):
                 weight[y] = weight.get(y, 0) + w * h
             for w, v in rest:
@@ -296,7 +340,8 @@ class FlowContext:
     def boundary_rows(self, cells: list[Simplex], basis: list[Simplex]) \
             -> list[dict[int, int]]:
         """<boundary-tilde cell, b> by the position of b in basis, nonzero
-        entries only, for each unpaired cell of cells.
+        entries only, for each cell of cells; cells and basis must be
+        unpaired.
 
         Two reductions that share only the pairing and the incidences must
         agree at every basis cell: the forward one sums the projections G
@@ -311,15 +356,17 @@ class FlowContext:
                     dim=cell.dim, length=cell.length)
             if cell.dim == 0:
                 raise ValueError("dimension-0 chains have no boundary")
-            if self.pairing.up_word(cell.dim, cell.word) is not None or \
-                    self.pairing.down_word(cell.dim, cell.word) is not None:
-                raise ValueError(f"{cell} is matched, so it has no Morse row")
             if basis and basis[0].dim != cell.dim - 1:
                 raise ValueError(
                     f"a row of dimension-{cell.dim} cell {cell} reads "
                     f"dimension-{cell.dim - 1} cells, not {basis[0]}")
         if len({b.dim for b in basis}) > 1:
             raise ValueError("basis cells must share one dimension")
+        for x in (*cells, *basis):
+            if self.pairing.up_word(x.dim, x.word) is not None or \
+                    self.pairing.down_word(x.dim, x.word) is not None:
+                raise ValueError(
+                    f"{x} is matched, so it is no cell of the Morse complex")
         # the basis positions of each word, and the columns as rows of cells
         index: dict[Word, list[int]] = {}
         backward: dict[Word, dict[int, int]] = {c.word: {} for c in cells}

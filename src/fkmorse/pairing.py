@@ -17,7 +17,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 from typing import Callable, Container, Iterable, Iterator, Optional
 
 from .errors import SelfCheckError, TruncationError
@@ -149,33 +149,6 @@ def _coface_words(n: int, word: tuple[int, ...]) \
         for w in product(*[(g,) if g < m else (g + 1,) if g > m
                            else (g, g + 1) for g in word]):
             yield i, w
-
-
-def _coface_words_within(n: int, word: tuple[int, ...], max_length: int) \
-        -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(i, tau_word) for every coface tau of length <= max_length with
-    d_i(tau) = word.
-
-    Only d_0 and d_{n+1} shorten a word: d_0 kills the top letter n+1, and
-    d_{n+1} kills 1 after every other letter drops by one.  So the longer
-    cofaces insert k >= 1 letters n+1 into the word, or k letters 1 into
-    the word with every letter raised, at any positions; the same-length
-    ones are those of _coface_words.
-    """
-    length = len(word)
-    if length > max_length:
-        return
-    yield from _coface_words(n, word)
-    raised = tuple(g + 1 for g in word)
-    for k in range(1, max_length - length + 1):
-        total = length + k
-        for slots in combinations(range(total), k):
-            top, bottom = list(word), list(raised)
-            for p in slots:
-                top.insert(p, n + 1)
-                bottom.insert(p, 1)
-            yield 0, tuple(top)
-            yield n + 1, tuple(bottom)
 
 
 def coface_occurrences(sigma: Simplex) -> dict[Simplex, tuple[int, ...]]:

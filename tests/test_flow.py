@@ -9,12 +9,13 @@ term-by-term reference built from faces and Chain addition.
 Morse boundary rows, which the library computes by two gradient-path
 reductions, are checked against the iterated flow, kept here as the
 oracle for whole slices. The backward reduction keeps only the cofaces a
-row can read; the former walk, which kept every coface that is not upper,
-is kept here as the reference for its columns.
+row can read, from tables that invert the face map; the former walk, which
+generated the cofaces of each cell it met and kept every coface that is
+not upper, is kept here as the reference for its edges and columns.
 """
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -32,9 +33,9 @@ from fkmorse.flow import (
 )
 from fkmorse.homology import build_slice, morse_context
 from fkmorse.pairing import (Matching, PairingFlags, Scope, SteepnessRule,
-                             _coface_words_within, _postorder,
-                             build_matching)
-from fkmorse.simplicial import (Simplex, enumerate_stratum, face, identity,
+                             _coface_words, _postorder, build_matching)
+from fkmorse.simplicial import (MAX_STRATUM_CELLS, Simplex,
+                                enumerate_stratum, face, identity,
                                 is_degenerate, is_degenerate_word)
 
 from dense import densify
@@ -232,6 +233,17 @@ def test_V_rejects_an_irregular_pair_when_first_met():
     for _ in range(2):
         with pytest.raises(SelfCheckError, match="not a regular pair"):
             local.apply_V(_unit(S(2, (2, 1))))
+
+
+def test_coface_table_rejects_an_irregular_pair():
+    # the backward route reads the incidence of (2,1) in (3,1) off its own
+    # face sum when it inverts the faces of the degenerate 3-words
+    bad = Matching([(S(2, (2, 1)), S(3, (3, 1)))], Scope(3, 3),
+                   PairingFlags())
+    local = FlowContext(bad, Scope(3, 3), validate=False)
+    with pytest.raises(SelfCheckError, match=r"\(a2.a1, a3.a1\) has "
+                       "incidence 0, not a regular pair"):
+        local.boundary_rows([sigma_cell(3)], [S(2, (1, 1))])
 
 
 def test_boundary_of_V_hits_the_source_with_coefficient_minus_one(ctx):
@@ -445,10 +457,10 @@ def test_boundary_rows_check_every_cell_before_any_reduction():
         flow.boundary_rows([sigma_cell(4), sigma_cell(3)], basis)
     with pytest.raises(ValueError, match="share one dimension"):
         flow.boundary_rows([sigma_cell(4)], basis + [sigma_cell(2)])
-    # no reduction ran, so no memo holds a word and no row was checked
+    # no reduction ran, so no memo holds a word, no coface table was built
+    # and no row was checked
     assert flow.dual_route_checks == 0
-    assert not any(flow._gradient.values()) and \
-        not any(flow._edges.values())
+    assert not any(flow._gradient.values()) and not flow._edges
 
 
 def _tamper_columns(monkeypatch, flow, cell, shifts):
@@ -489,29 +501,62 @@ def test_boundary_row_compares_whole_chains(monkeypatch):
     assert flow.dual_route_checks == 0
 
 
+def _coface_words_within(n, word, max_length):
+    """(i, tau_word) for every coface tau of length <= max_length with
+    d_i(tau) = word.
+
+    Only d_0 and d_{n+1} shorten a word: d_0 kills the top letter n+1, and
+    d_{n+1} kills 1 after every other letter drops by one.  So the longer
+    cofaces insert k >= 1 letters n+1 into the word, or k letters 1 into
+    the word with every letter raised, at any positions; the same-length
+    ones are those of pairing._coface_words.
+    """
+    length = len(word)
+    if length > max_length:
+        return
+    yield from _coface_words(n, word)
+    raised = tuple(g + 1 for g in word)
+    for k in range(1, max_length - length + 1):
+        total = length + k
+        for slots in combinations(range(total), k):
+            top, bottom = list(word), list(raised)
+            for p in slots:
+                top.insert(p, n + 1)
+                bottom.insert(p, 1)
+            yield 0, tuple(top)
+            yield n + 1, tuple(bottom)
+
+
+def _former_coface_edges(flow, n, z):
+    """The gradient edges (y, weight) out of the dimension-n word z and the
+    cofaces that are not upper (critical, degenerate and critical by fiat,
+    or lower) with their incidence on z, from generated cofaces;
+    incidences from chains.incidence."""
+    pairing, up, rest = flow.pairing, [], []
+    if flow.mode == "unnormalized" or not is_degenerate_word(n, z):
+        inc = {}
+        for i, w in _coface_words_within(n, z, flow.scope.max_length):
+            inc[w] = inc.get(w, 0) + (-1 if i % 2 else 1)
+        for w, v in inc.items():
+            y = pairing.down_word(n + 1, w)
+            if not v or y == z:
+                continue
+            if y is None:
+                rest.append((w, v))
+            else:
+                up.append((y, -incidence(S(n + 1, w), S(n, y)) * v))
+    return up, rest
+
+
 def _reference_columns(flow, n):
     """The former backward column of each dimension-n word: gradient paths
     walked up through every coface, keeping each coface that is not upper
-    (critical, degenerate and critical by fiat, or lower) with its
-    weight; incidences from chains.incidence."""
-    pairing, edges = flow.pairing, {}
+    with its weight."""
+    edges = {}
 
     def coface_edges(z):
         if z not in edges:
-            up, rest = [], []
-            if flow.mode == "unnormalized" or not is_degenerate_word(n, z):
-                inc = {}
-                for i, w in _coface_words_within(n, z, flow.scope.max_length):
-                    inc[w] = inc.get(w, 0) + (-1 if i % 2 else 1)
-                for w, v in inc.items():
-                    y = pairing.down_word(n + 1, w)
-                    if not v or y == z:
-                        continue
-                    if y is None:
-                        rest.append((w, v))
-                    else:
-                        up.append((y, -incidence(S(n + 1, w), S(n, y)) * v))
-            edges[z] = (up, rest)
+            edges[z] = _former_coface_edges(flow, n, z)
         return edges[z]
 
     def column(sigma):
@@ -560,6 +605,30 @@ def test_columns_are_the_former_columns_on_unpaired_words(policy, mode):
     assert (kept_degenerate > 0) == (mode == "unnormalized")
 
 
+@pytest.mark.parametrize("policy,mode", [("critical", "unnormalized"),
+                                         ("critical", "normalized"),
+                                         ("allow", "unnormalized")])
+def test_coface_tables_are_the_generated_cofaces(policy, mode):
+    # Every word of dimension n <= 4 and length <= 6, as in the columns
+    # test above: the edges read off the inverted face tables are the
+    # generated ones, less the lower cofaces, in any order.
+    ctx = morse_context(4, 6, PairingFlags(policy), mode)[0]
+    up_word = ctx.pairing.up_word
+    for n in range(5):
+        for length in range(7 if n else 1):
+            for z in product(range(1, n + 1), repeat=length):
+                up, rest = _former_coface_edges(ctx, n, z)
+                ys, ws, unpaired = ctx._coface_edges(n, z)
+                assert len(ys) == len(ws), (n, z)
+                assert sorted(zip(ys, ws)) == sorted(up), (n, z)
+                assert sorted(unpaired) == sorted(
+                    (w, v) for w, v in rest
+                    if up_word(n + 1, w) is None), (n, z)
+    # degenerate words got tables only where a boundary reaches them
+    assert {d for _, d in ctx._edges} == (
+        {False} if mode == "normalized" else {False, True})
+
+
 def test_boundary_rows_refuse_a_matched_cell_before_any_reduction():
     lower, upper = S(4, (4, 4, 3, 2, 1)), sigma_tilde_cell(4)
     rule = SteepnessRule()
@@ -577,10 +646,36 @@ def test_boundary_rows_refuse_a_matched_cell_before_any_reduction():
     explicit = FlowContext(matching, Scope(5, 5), validate=False)
     with pytest.raises(ValueError, match="is matched"):
         explicit.boundary_rows([S(n, sw)], [sigma_cell(2)])
+    # a matched basis cell has no entry in any row: the backward walk up
+    # from it would give one that the forward route never does
+    for b in (S(3, (3, 3, 2, 1)), sigma_tilde_cell(3)):
+        assert flow.pairing.up_word(3, b.word) is not None or \
+            flow.pairing.down_word(3, b.word) is not None
+        with pytest.raises(ValueError, match=f"{b} is matched"):
+            flow.boundary_rows([sigma_cell(4)], [sigma_cell(3), b])
+    # no reduction ran and no coface table was built
     for ctx in (flow, explicit):
         assert ctx.dual_route_checks == 0
-        assert not any(ctx._gradient.values()) and \
-            not any(ctx._edges.values())
+        assert not any(ctx._gradient.values()) and not ctx._edges
+
+
+def test_boundary_rows_refuse_an_oversized_stratum_before_walking_it(
+        monkeypatch):
+    # The coface table of a dimension-7 basis walks the dimension-8 words
+    # of every length up to 9, and 8^7 is over the limit; so a rule-backed
+    # row fails fast, before any word is enumerated.
+    import fkmorse.flow as flow_module
+
+    def refuse(*args):
+        raise AssertionError("a word was enumerated")
+
+    monkeypatch.setattr(flow_module, "surjective_words", refuse)
+    monkeypatch.setattr(flow_module, "stratum_words", refuse)
+    flow = FlowContext(SteepnessRule(ALLOW), Scope(9, 9))
+    assert 8 ** 7 > MAX_STRATUM_CELLS
+    with pytest.raises(TruncationError, match=r"stratum \(dim 8, length 7\)"):
+        flow.boundary_rows([sigma_cell(8)], [sigma_cell(7)])
+    assert not flow._edges and flow.dual_route_checks == 0
 
 
 def _iterated_flow_row(flow, cell, basis):

@@ -361,6 +361,27 @@ def test_nondegenerate_words_use_the_full_alphabet():
             assert is_degenerate(x) == (not full)
 
 
+def test_faces_never_mix_degenerate_and_nondegenerate_words():
+    # The coface tables of the flow rest on this: every face of a
+    # surjective word is surjective, and a degenerate word has net
+    # incidence 0 on every nondegenerate face (simplicial identities).
+    degenerate = 0
+    for n in range(1, 6):
+        for length in range(7):
+            for word in itertools.product(range(1, n + 1), repeat=length):
+                net: dict[tuple[int, ...], int] = {}
+                for i in range(n + 1):
+                    f = face_word(n, word, i)
+                    net[f] = net.get(f, 0) + (-1) ** i
+                full = set(word) == set(range(1, n + 1))
+                degenerate += not full
+                for f, v in net.items():
+                    face_full = set(f) == set(range(1, n))
+                    assert face_full or not full, (n, word, f)
+                    assert full or not face_full or v == 0, (n, word, f)
+    assert degenerate == 21_623
+
+
 # --- enumeration and ordering --------------------------------------------------------
 
 def test_stratum_examples():
