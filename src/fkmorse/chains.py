@@ -150,18 +150,32 @@ def join_terms(terms: Iterable[tuple[str, int]], times: str) -> str:
     return " ".join(parts) or "0"
 
 
-def face_sum(dim: int, word: Word, mode: Mode = "unnormalized") -> dict[Word, int]:
-    """sum_i (-1)^i d_i of a dimension-dim word, dim >= 1, as the nonzero
-    coefficient of each face word; "normalized" drops degenerate faces.
-    The caller checks the arguments."""
+def _face_totals(dim: int, word: bytes | Word) -> dict[bytes | Word, int]:
+    """sum_i (-1)^i d_i of a dimension-dim word, dim >= 1, as the total of
+    each face in face_form(dim, .), zeros included; word may be given as a
+    word or in that form."""
     out = {}
     sign = 1
     for f in word_faces(dim, word):
         out[f] = out.get(f, 0) + sign
         sign = -sign
+    return out
+
+
+def signed_faces(dim: int, word: bytes | Word,
+                 mode: Mode = "unnormalized") -> dict[bytes | Word, int]:
+    """The nonzero coefficients of _face_totals; "normalized" drops
+    degenerate faces.  The caller checks the arguments."""
     normalized = mode == "normalized"
-    return {tuple(f): v for f, v in out.items() if v and not (
+    return {f: v for f, v in _face_totals(dim, word).items() if v and not (
         normalized and is_degenerate_word(dim - 1, f))}
+
+
+def face_sum(dim: int, word: Word, mode: Mode = "unnormalized") -> dict[Word, int]:
+    """signed_faces with each face a word, converted as it is kept."""
+    normalized = mode == "normalized"
+    return {tuple(f): v for f, v in _face_totals(dim, word).items()
+            if v and not (normalized and is_degenerate_word(dim - 1, f))}
 
 
 def boundary(c: Chain, mode: Mode = "unnormalized") -> Chain:

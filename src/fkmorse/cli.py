@@ -30,8 +30,8 @@ from .errors import (ChainParseError, SelfCheckError, StabilizationError,
                      TruncationError)
 from .flow import (FlowContext, beta_cell, sigma_cell, sigma_tilde_cell,
                    tau_cell, tau_tilde_cell, y_power)
-from .homology import (build_slice, compute_homology, morse_context,
-                       stability_scan)
+from .homology import (build_slice, collector_paused, compute_homology,
+                       morse_context, stability_scan)
 from .pairing import (Matching, PairingFlags, Scope, SteepnessRule,
                       build_matching, check_dot_size, matching_to_dot,
                       validate_matching)
@@ -258,9 +258,10 @@ def cmd_flow(ns: argparse.Namespace) -> int:
 def cmd_morse(ns: argparse.Namespace) -> int:
     if ns.degree < 1:
         raise ValueError("--degree must be >= 1")
-    ctx, report, _ = morse_context(ns.degree - 1, ns.max_length,
-                                   _flags_from(ns), ns.mode)
-    slc = build_slice(ctx, report, ns.degree)
+    with collector_paused():
+        ctx, report, _ = morse_context(ns.degree - 1, ns.max_length,
+                                       _flags_from(ns), ns.mode)
+        slc = build_slice(ctx, report, ns.degree)
     _note(f"{ctx.dual_route_checks} boundary entries double-checked")
     if ns.format == "json":
         payload = slc.to_json()

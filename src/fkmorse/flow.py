@@ -15,7 +15,12 @@ the critical cells by following gradient paths down; backward, gradient
 paths run up from each basis cell through upper cofaces to unpaired ones,
 read off a coface table that inverts the face map over a whole stratum of
 the scope.  So boundary rows enumerate the scope's strata, on a
-SteepnessRule too, while stabilize and apply_V stay lazy.
+SteepnessRule too, while stabilize and apply_V stay lazy.  The forward
+reduction keys its words in byte form (face_form), as the byte face
+tables give them, and makes a word only to ask the pairing; the backward
+one inverts the letter-level face_word and keys by word, so the two share
+no face code.  None of it makes reference cycles, which is why the
+homology path can pause the cyclic collector around it.
 """
 
 from __future__ import annotations
@@ -23,12 +28,12 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Callable, Container, Union
 
-from .chains import MODES, Chain, boundary, face_sum, incidence
+from .chains import MODES, Chain, boundary, incidence, signed_faces
 from .errors import SelfCheckError, StabilizationError, TruncationError
 from .pairing import (Matching, PairingFlags, Scope, SteepnessRule,
                       _postorder, validate_matching)
-from .simplicial import (Simplex, Word, check_stratum_size, face_word,
-                         identity, is_degenerate_word, sort_key,
+from .simplicial import (Simplex, Word, check_stratum_size, face_form,
+                         face_word, identity, is_degenerate_word, sort_key,
                          stratum_size, stratum_words, surjective_words,
                          word_text)
 
@@ -126,7 +131,11 @@ class FlowContext:
     returning a partial answer.  stabilize and apply_V ask the pairing one
     cell at a time; boundary_rows walks the strata of the scope one
     dimension above its basis, each within MAX_STRATUM_CELLS, also on a
-    SteepnessRule.
+    SteepnessRule.  The forward reduction's projection memo and basis index
+    are keyed by byte-form words, the incidence memo and the backward
+    reduction's coface tables by word.  No memo refers back to the
+    context, so dropping it frees them all by reference counting, and the
+    homology path runs with the cyclic collector paused.
     """
 
     def __init__(self, pairing: Pairing, scope: Scope,
@@ -217,36 +226,40 @@ class FlowContext:
                 x, tau, incidence(Simplex(n + 1, tau), Simplex(n, x)))
         return inc
 
-    def _projection(self, n: int, x: Word) -> dict[Word, int]:
-        """G(x): the critical words of the stable value of x under the flow.
+    def _projection(self, n: int, x: bytes | Word) -> dict[bytes | Word, int]:
+        """G(x): the critical words of the stable value of x under the flow,
+        x and the words of G(x) in face_form(n + 1, .), as the faces of the
+        dimension-(n + 1) words are.
 
         G(x) = x for a critical x, 0 for an upper cell, and
         -inc * sum over the other faces y of its partner tau of
         <boundary tau, y> G(y) for a cell that pairs up.  Memoized per
-        context.
+        context; a word is made only to ask the pairing and the pair's
+        incidence, once per cell the memo lacks.
         """
         memo = self._gradient[n]
         if x in memo:
             return memo[x]
         pairing = self.pairing
-        partners: dict[Word, tuple[int, list[tuple[Word, int]]]] = {}
+        partners: dict[bytes | Word, tuple[int, list]] = {}
 
-        def faces(cell: Word) -> list[Word]:
-            tau = pairing.up_word(n, cell)
-            if tau is None:
+        def faces(cell: bytes | Word) -> list[bytes | Word]:
+            word = tuple(cell)
+            tau = pairing.up_word(n, word)
+            if tau is None:  # G is known: the cell is upper or critical
+                memo[cell] = {} if pairing.down_word(n, word) is not None \
+                    else {cell: 1}
                 return []
-            other = [(y, v) for y, v in face_sum(n + 1, tau, self.mode).items()
-                     if y != cell]
-            partners[cell] = (-self._pair_incidence(n, cell, tau), other)
+            other = [(y, v) for y, v in
+                     signed_faces(n + 1, tau, self.mode).items() if y != cell]
+            partners[cell] = (-self._pair_incidence(n, word, tau), other)
             return [y for y, _ in other]
 
         for cell in _gradient_order(x, faces, memo):
             if cell not in partners:
-                memo[cell] = {} if pairing.down_word(n, cell) is not None \
-                    else {cell: 1}
                 continue
             scale, other = partners.pop(cell)
-            acc: dict[Word, int] = {}
+            acc: dict[bytes | Word, int] = {}
             for y, v in other:
                 for z, u in memo[y].items():
                     acc[z] = acc.get(z, 0) + scale * v * u
@@ -367,18 +380,20 @@ class FlowContext:
                     self.pairing.down_word(x.dim, x.word) is not None:
                 raise ValueError(
                     f"{x} is matched, so it is no cell of the Morse complex")
-        # the basis positions of each word, and the columns as rows of cells
-        index: dict[Word, list[int]] = {}
+        # the basis positions of each word, in the face_form of the cells'
+        # dimension as the projections give them, and the columns as rows
+        index: dict[bytes | Word, list[int]] = {}
         backward: dict[Word, dict[int, int]] = {c.word: {} for c in cells}
         for j, sigma in enumerate(basis):
-            index.setdefault(sigma.word, []).append(j)
+            index.setdefault(face_form(sigma.dim + 1, sigma.word),
+                             []).append(j)
             for w, v in self._column(sigma.dim, sigma.word).items():
                 if w in backward:
                     backward[w][j] = v
         rows = []
         for cell in cells:
-            forward: dict[Word, int] = {}
-            for y, v in face_sum(cell.dim, cell.word, self.mode).items():
+            forward: dict[bytes | Word, int] = {}
+            for y, v in signed_faces(cell.dim, cell.word, self.mode).items():
                 for z, u in self._projection(cell.dim - 1, y).items():
                     forward[z] = forward.get(z, 0) + v * u
             row = {j: u for z, u in forward.items() if u

@@ -12,9 +12,11 @@ homology and keeps the low-degree boundary matrices identically zero.
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import SelfCheckError
 from .flow import FlowContext, check_mode
@@ -326,6 +328,19 @@ def homology_of_slices(lo: MorseSlice, hi: MorseSlice) -> HomologyResult:
                           betti=betti, torsion=torsion)
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """The body with the cyclic garbage collector disabled; the caller's
+    setting is put back on return and on an exception."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def morse_context(degree: int, max_length: int,
                   flags: PairingFlags = DEFAULT_FLAGS,
                   mode: str = "unnormalized") \
@@ -378,20 +393,27 @@ def stability_scan(degree: int, length_lo: int, length_hi: int,
 
     One matching and one pair of slices are built, at length_hi.  Faces
     never raise word length and pairs stay inside a stratum, so the slices
-    at a bound L are their leading blocks of length <= L."""
+    at a bound L are their leading blocks of length <= L.  The forward
+    reduction keys the slices' words in byte form, the backward one by
+    word.  The cyclic collector is paused throughout: the scan makes no
+    reference cycles, so reference counting frees all it drops, and the
+    collector would only walk the matching, memos and slices again and
+    again."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if length_lo > length_hi:
         return StabilityScan(degree=degree)
     Scope(degree + 2, length_lo)  # refuses a bound below 1 before building
-    ctx, report = morse_context(degree, length_hi, flags, mode)[:2]
-    lo = build_slice(ctx, report, degree)
-    hi = build_slice(ctx, report, degree + 1)
-    # the matching and the flow's memos are freed here: the Smith normal
-    # forms need neither
-    del ctx, report
-    results = [homology_of_slices(_leading_block(lo, L), _leading_block(hi, L))
-               for L in range(length_lo, length_hi + 1)]
+    with collector_paused():
+        ctx, report = morse_context(degree, length_hi, flags, mode)[:2]
+        lo = build_slice(ctx, report, degree)
+        hi = build_slice(ctx, report, degree + 1)
+        # the matching and the flow's memos are freed here: the Smith
+        # normal forms need neither
+        del ctx, report
+        results = [homology_of_slices(_leading_block(lo, L),
+                                      _leading_block(hi, L))
+                   for L in range(length_lo, length_hi + 1)]
     last = (results[-1].betti, results[-1].torsion)
     stable_from = length_hi
     for k in range(len(results) - 1, -1, -1):

@@ -133,8 +133,9 @@ def _face_tables(dim: int) -> tuple[tuple[bytes, bytes], ...]:
     return tuple(zip(reversed(low), deleted))
 
 
-def word_faces(dim: int, word: Word) -> list[bytes] | list[Word]:
-    """face_word(dim, word, i) for i = 0..dim, each in face_form(dim, .)."""
+def word_faces(dim: int, word: bytes | Word) -> list[bytes] | list[Word]:
+    """face_word(dim, word, i) for i = 0..dim, each in face_form(dim, .);
+    word may be in that form too."""
     packed = face_form(dim, word)
     if type(packed) is bytes:
         return [packed.translate(t, d) for t, d in _face_tables(dim)]

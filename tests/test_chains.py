@@ -13,10 +13,12 @@ import random
 
 import pytest
 
-from fkmorse.chains import Chain, boundary, face_sum, incidence, inner
+from fkmorse.chains import (Chain, boundary, face_sum, incidence, inner,
+                            signed_faces)
 from fkmorse.flow import sigma_cell, sigma_tilde_cell, tau_cell, y_power
-from fkmorse.simplicial import (Simplex, enumerate_stratum, face, face_word,
-                                identity, is_degenerate, is_degenerate_word)
+from fkmorse.simplicial import (Simplex, enumerate_stratum, face, face_form,
+                                face_word, identity, is_degenerate,
+                                is_degenerate_word)
 
 
 def _chain(dim, *terms):
@@ -209,8 +211,16 @@ def test_face_sum_is_the_reference_face_sum(mode):
               for w in itertools.product((1, 2, n - 2, n - 1, n),
                                          repeat=length)]
     for n, w in words:  # the same terms, in the same order
-        assert list(face_sum(n, w, mode).items()) == \
-            list(_reference_face_sum(n, w, mode).items()), (n, w)
+        reference = list(_reference_face_sum(n, w, mode).items())
+        assert list(face_sum(n, w, mode).items()) == reference, (n, w)
+        # and so are the signed faces, whose faces are in face_form(n, .)
+        # whether the word is given as a word or in that form
+        form = type(face_form(n, w))
+        for given in (w, face_form(n, w)):
+            signed = signed_faces(n, given, mode)
+            assert all(type(f) is form for f in signed), (n, w)
+            assert [(tuple(f), v) for f, v in signed.items()] == \
+                reference, (n, w)
 
 
 @pytest.mark.parametrize("mode", ["unnormalized", "normalized"])

@@ -12,6 +12,8 @@ oracle for whole slices. The backward reduction keeps only the cofaces a
 row can read, from tables that invert the face map; the former walk, which
 generated the cofaces of each cell it met and kept every coface that is
 not upper, is kept here as the reference for its edges and columns.
+The forward reduction reads byte-form words; its former projection on
+tuple words is kept here as the reference for its values.
 """
 
 import random
@@ -19,7 +21,7 @@ from itertools import combinations, product
 
 import pytest
 
-from fkmorse.chains import Chain, boundary, incidence, inner
+from fkmorse.chains import Chain, boundary, face_sum, incidence, inner
 from fkmorse.errors import (SelfCheckError, StabilizationError,
                             TruncationError)
 from fkmorse.flow import (
@@ -35,7 +37,7 @@ from fkmorse.homology import build_slice, morse_context
 from fkmorse.pairing import (Matching, PairingFlags, Scope, SteepnessRule,
                              _coface_words, _postorder, build_matching)
 from fkmorse.simplicial import (MAX_STRATUM_CELLS, Simplex,
-                                enumerate_stratum, face, identity,
+                                enumerate_stratum, face, face_form, identity,
                                 is_degenerate, is_degenerate_word)
 
 from dense import densify
@@ -627,6 +629,79 @@ def test_coface_tables_are_the_generated_cofaces(policy, mode):
     # degenerate words got tables only where a boundary reaches them
     assert {d for _, d in ctx._edges} == (
         {False} if mode == "normalized" else {False, True})
+
+
+def _former_projection(flow, n):
+    """The forward projection G of each dimension-n word as it was computed
+    on tuple words: faces from face_sum, the pair's incidence from
+    chains.incidence, memoized by word."""
+    memo, pairing = {}, flow.pairing
+
+    def project(x):
+        if x in memo:
+            return memo[x]
+        partners = {}
+
+        def faces(cell):
+            tau = pairing.up_word(n, cell)
+            if tau is None:
+                return []
+            other = [(y, v) for y, v in face_sum(n + 1, tau, flow.mode).items()
+                     if y != cell]
+            inc = incidence(S(n + 1, tau), S(n, cell))
+            assert abs(inc) == 1
+            partners[cell] = (-inc, other)
+            return [y for y, _ in other]
+
+        order, cycle = _postorder(x, faces, memo)
+        assert cycle is None
+        for cell in order:
+            if cell not in partners:
+                memo[cell] = {} if pairing.down_word(n, cell) is not None \
+                    else {cell: 1}
+                continue
+            scale, other = partners.pop(cell)
+            acc = {}
+            for y, v in other:
+                for z, u in memo[y].items():
+                    acc[z] = acc.get(z, 0) + scale * v * u
+            memo[cell] = {z: u for z, u in acc.items() if u}
+        return memo[x]
+
+    return project
+
+
+@pytest.mark.parametrize("policy,mode", [("critical", "unnormalized"),
+                                         ("critical", "normalized"),
+                                         ("allow", "unnormalized")])
+def test_projections_are_the_former_tuple_projections(policy, mode):
+    # Every word of dimension n <= 4 and length <= 6, as in the columns
+    # test above.  The projections read and give words in face_form(n + 1,
+    # .), bytes at these dimensions; as words they are the former ones,
+    # item by item and in order.
+    ctx = morse_context(4, 6, PairingFlags(policy), mode)[0]
+    flowed = 0
+    for n in range(5):
+        reference = _former_projection(ctx, n)
+        for length in range(7 if n else 1):
+            for x in product(range(1, n + 1), repeat=length):
+                former = reference(x)
+                got = ctx._projection(n, face_form(n + 1, x))
+                assert all(type(z) is bytes for z in got), (n, x)
+                assert [(tuple(z), u) for z, u in got.items()] == \
+                    list(former.items()), (n, x)
+                flowed += any(z != x for z in former)
+    assert flowed > 0  # lower cells with a gradient path to other cells
+
+
+@pytest.mark.parametrize("m,row", [(255, {}), (256, {0: 1}), (257, {})])
+def test_boundary_rows_key_the_basis_in_the_form_of_the_cells_faces(m, row):
+    # word_faces gives the faces of a dimension-m word in face_form(m, .),
+    # bytes below 256 and words from 256 on; at m = 256 the basis, one
+    # dimension lower, would be bytes in its own form and miss every face
+    flow = FlowContext(SteepnessRule(), Scope(m + 1, 1))
+    assert flow.boundary_rows([S(m, (2,))],
+                              [S(m - 1, (2,)), S(m - 1, (1,))]) == [row]
 
 
 def test_boundary_rows_refuse_a_matched_cell_before_any_reduction():

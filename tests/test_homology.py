@@ -15,11 +15,15 @@ peels the side with fewer rows.
 Slices are kept as sparse rows; the boundary-squared check on them is
 checked against the former dense compose, kept here as the reference.
 The stability scan, which reads every bound from the slices at its top
-bound, is checked against homology computed afresh at each bound. sympy
-is a test-only dependency; the package itself never imports it.
+bound, is checked against homology computed afresh at each bound. The
+homology path pauses the cyclic collector: it must be off while slices
+are built, come back as the caller had it on return and on an exception,
+and a paused run must leave no cyclic garbage. sympy is a test-only
+dependency; the package itself never imports it.
 """
 
 import functools
+import gc
 import json
 import random
 from fractions import Fraction
@@ -29,10 +33,10 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from fkmorse.chains import Chain, boundary
-from fkmorse.errors import SelfCheckError
+from fkmorse.errors import SelfCheckError, TruncationError
 from fkmorse import homology, pairing
 from fkmorse.cli import main
-from fkmorse.flow import y_power
+from fkmorse.flow import FlowContext, y_power
 from fkmorse.homology import (
     MorseSlice,
     SnfResult,
@@ -40,6 +44,7 @@ from fkmorse.homology import (
     _leading_block,
     _peel_unit_pivots,
     build_slice,
+    collector_paused,
     compute_homology,
     critical_basis,
     homology_of_slices,
@@ -852,3 +857,67 @@ def test_stability_scan_json_round_trips_through_loads():
     assert data["stable_from"] == 2
     assert [entry["scope"]["max_length"] for entry in data["results"]] == \
         [2, 3]
+
+
+# --- the collector pause ------------------------------------------------------------
+
+@pytest.fixture
+def collector_off():
+    """The collector disabled for the test body, as a caller may have it."""
+    gc.disable()
+    yield
+    gc.enable()
+
+
+def _record_collector(monkeypatch):
+    """gc.isenabled() at each boundary_rows call, which every slice makes."""
+    seen = []
+    rows = FlowContext.boundary_rows
+
+    def recording(self, *args):
+        seen.append(gc.isenabled())
+        return rows(self, *args)
+
+    monkeypatch.setattr(FlowContext, "boundary_rows", recording)
+    return seen
+
+
+@pytest.mark.parametrize("run", [
+    lambda: compute_homology(3, 6),
+    lambda: stability_scan(2, 2, 6),
+    lambda: main(["morse", "--degree", "3", "--max-length", "5"]),
+], ids=["compute_homology", "stability_scan", "morse"])
+def test_the_homology_path_pauses_the_collector_and_puts_it_back(
+        run, monkeypatch, capsys):
+    seen = _record_collector(monkeypatch)
+    assert gc.isenabled()
+    run()
+    assert seen and not any(seen)
+    assert gc.isenabled()
+
+
+def test_the_pause_keeps_a_caller_disabled_collector_disabled(
+        collector_off, monkeypatch):
+    seen = _record_collector(monkeypatch)
+    compute_homology(2, 4)
+    assert seen and not any(seen)
+    assert not gc.isenabled()
+    with collector_paused():
+        assert not gc.isenabled()
+    assert not gc.isenabled()
+
+
+def test_the_collector_is_put_back_when_the_path_raises():
+    # the dimension-8 stratum at length 7 is over the limit, and is refused
+    # while the matching is built, inside the pause
+    with pytest.raises(TruncationError, match=r"stratum \(dim 8, length 7\)"):
+        compute_homology(6, 7)
+    assert gc.isenabled()
+
+
+def test_the_homology_path_leaves_no_cyclic_garbage(collector_off):
+    # the pause is safe only while reference counting frees everything the
+    # path drops: no object of the run may be left for the collector
+    gc.collect()
+    assert compute_homology(3, 6).betti == 1
+    assert gc.collect() == 0

@@ -47,7 +47,7 @@ from fkmorse.homology import (_peel_unit_pivots, build_slice,
                               compute_homology, morse_context,
                               smith_normal_form, stability_scan)
 from fkmorse.pairing import PairingFlags, SteepnessRule, build_matching
-from fkmorse.simplicial import Simplex, degeneracy
+from fkmorse.simplicial import Simplex, degeneracy, face_form
 
 from dense import densify
 
@@ -244,11 +244,12 @@ def _shuffle_power_of_the_edge(n):
 
 def _project(ctx, n, chain):
     """The critical words of the stable value of an n-chain {word: coef},
-    by the forward projection of the gradient-path reduction."""
+    by the forward projection of the gradient-path reduction, which reads
+    and gives words in face_form(n + 1, .)."""
     projected = {}
     for word, c in chain.items():
-        for z, u in ctx._projection(n, word).items():
-            projected[z] = projected.get(z, 0) + c * u
+        for z, u in ctx._projection(n, face_form(n + 1, word)).items():
+            projected[tuple(z)] = projected.get(tuple(z), 0) + c * u
     return projected
 
 
