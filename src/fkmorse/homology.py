@@ -16,6 +16,7 @@ import gc
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Iterator, Optional
 
 from .errors import SelfCheckError
@@ -57,12 +58,11 @@ def smith_normal_form(matrix: Matrix, transforms: bool = False) -> SnfResult:
     entry with TypeError (the sparse one checks the entries it keeps, the
     nonzero ones); only transforms=True builds the diagonal:
 
-    * transforms=False (sparse): peel off +-1 pivots from a row-dict form
-      in sweeps over the columns, shortest first, each pivot in the
-      narrowest row and its column cleared by exact integer row updates;
-      only the residue left over goes through the dense elimination.
-      Every peeled pivot contributes an invariant factor 1.  Morse slices
-      are sparse with +-1 entries, so the residue is small.
+    * transforms=False (sparse): reduce the rows, as row dicts, to an
+      echelon of +-1 pivot rows by exact integer row updates
+      (_unit_echelon); only the residue left over goes through the dense
+      elimination.  Every pivot contributes an invariant factor 1.  Morse
+      slices are sparse with +-1 entries, so the residue is small.
     * transforms=True (dense, the certificate route): min-abs-pivot
       elimination on the whole matrix, carrying unimodular certificates
       with left * matrix * right equal to the diagonal, exactly.
@@ -73,61 +73,58 @@ def smith_normal_form(matrix: Matrix, transforms: bool = False) -> SnfResult:
     if transforms:
         return _dense_snf([[_integer(i, j, v) for j, v in enumerate(row)]
                            for i, row in enumerate(matrix)], transforms=True)
-    peeled, residue = _peel_unit_pivots(
+    pivots, residue = _unit_echelon(
         [{j: _integer(i, j, v) for j, v in enumerate(row) if v}
          for i, row in enumerate(matrix)])
-    factors = [1] * peeled + _dense_snf(residue).invariant_factors
+    factors = [1] * pivots + _dense_snf(residue).invariant_factors
     return SnfResult(rank=len(factors), invariant_factors=factors)
 
 
-def _peel_unit_pivots(rows: list[dict[int, int]]) -> tuple[int, Matrix]:
-    """Eliminate +-1 pivots; return their number and the dense residue.
+def _unit_echelon(rows: list[dict[int, int]]) -> tuple[int, Matrix]:
+    """Reduce rows to +-1 pivot rows: their number and the dense residue.
 
-    Each row maps a column to a nonzero entry.  The residue holds the rows
-    and columns no pivot touched that still have a nonzero entry, so the
-    rows are equivalent to the block-diagonal matrix of one 1 per pivot and
-    the residue.  rows itself is left as it is.
+    Each row, {column: nonzero entry}, is copied and reduced against the
+    pivot rows kept so far, earliest pivot first.  If it holds a +-1 it
+    becomes a pivot row on its largest +-1 column, the lower cell last in
+    (length, word) order, so no pivot row holds an earlier pivot's column.
+    A zero row is dropped and any other is set aside; the set-aside rows
+    are passed over again until a pass keeps no new pivot.  Each step is a
+    unimodular row operation, so the rows are equivalent to one 1 per pivot
+    beside the residue.  rows itself is left as it is.
     """
-    rows = [dict(row) for row in rows]
-    in_col: dict[int, set[int]] = {}
-    for i, row in enumerate(rows):
-        for j in row:
-            in_col.setdefault(j, set()).add(i)
-    peeled = 0
-    swept = -1
-    while swept != peeled:
-        # sweep the live columns, shortest first, until a sweep finds no
-        # +-1 pivot; in each, pivot on the narrowest row holding a +-1
-        swept = peeled
-        for q in sorted((j for j in in_col if in_col[j]),
-                        key=lambda j: (len(in_col[j]), j)):
-            units = [i for i in in_col[q] if rows[i][q] in (1, -1)]
-            if not units:
-                continue
-            p = min(units, key=lambda i: (len(rows[i]), i))
-            prow = rows[p]
-            u = prow[q]
-            for i in in_col[q] - {p}:
-                row = rows[i]
-                f = row[q] * u  # u is its own inverse
+    serial: dict[int, int] = {}  # pivot column -> its place among pivots
+    pivots: list[tuple[int, dict[int, int]]] = []
+    aside = rows
+    grew = True
+    while grew:
+        grew = False
+        rest, aside = aside, []
+        for row in rest:
+            row = dict(row)
+            todo = sorted([serial[j] for j in row if j in serial])  # a heap
+            while todo:
+                q, prow = pivots[heappop(todo)]
+                f = row.get(q)
+                if not f:
+                    continue  # cleared since it was queued
+                f *= prow[q]  # prow[q] is +-1, its own inverse
                 for j, v in prow.items():
                     w = row.get(j, 0) - f * v
                     if w:
-                        if j not in row:
-                            in_col[j].add(i)
+                        if j not in row and j in serial:
+                            heappush(todo, serial[j])  # a later pivot
                         row[j] = w
                     else:
                         del row[j]
-                        in_col[j].discard(i)
-            # column q is now the pivot alone, so column updates clear row
-            # p without touching any other row
-            for j in prow:
-                in_col[j].discard(p)
-            rows[p] = {}
-            peeled += 1
-    keep_cols = sorted(j for j, members in in_col.items() if members)
-    residue = [[row.get(j, 0) for j in keep_cols] for row in rows if row]
-    return peeled, residue
+            units = [j for j, v in row.items() if v == 1 or v == -1]
+            if units:
+                serial[max(units)] = len(pivots)
+                pivots.append((max(units), row))
+                grew = True
+            elif row:
+                aside.append(row)
+    cols = sorted({j for row in aside for j in row})
+    return len(pivots), [[row.get(j, 0) for j in cols] for row in aside]
 
 
 def _dense_snf(a: Matrix, transforms: bool = False) -> SnfResult:
@@ -293,18 +290,6 @@ def _compose_is_zero(lo: MorseSlice, hi: MorseSlice) -> bool:
     return True
 
 
-def _narrow_rows(slc: MorseSlice) -> list[dict[int, int]]:
-    """The rows of the slice, or of its transpose if that has fewer: the same
-    invariant factors, and on large slices a peel several times faster."""
-    if len(slc.rows) <= len(slc.basis_lo):
-        return slc.rows
-    cols: list[dict[int, int]] = [{} for _ in slc.basis_lo]
-    for i, row in enumerate(slc.rows):
-        for j, v in row.items():
-            cols[j][i] = v
-    return cols
-
-
 def homology_of_slices(lo: MorseSlice, hi: MorseSlice) -> HomologyResult:
     """H_d from the slice below (degree d) and above (degree d+1)."""
     if hi.degree != lo.degree + 1:
@@ -318,11 +303,11 @@ def homology_of_slices(lo: MorseSlice, hi: MorseSlice) -> HomologyResult:
             f"boundary squared is nonzero between degrees {hi.degree} and "
             f"{lo.degree - 1}")
     # smith_normal_form takes a dense matrix, so only the residue goes there
-    peeled_lo, residue_lo = _peel_unit_pivots(_narrow_rows(lo))
-    rank_lo = peeled_lo + smith_normal_form(residue_lo).rank
-    peeled_hi, residue_hi = _peel_unit_pivots(_narrow_rows(hi))
+    pivots_lo, residue_lo = _unit_echelon(lo.rows)
+    rank_lo = pivots_lo + smith_normal_form(residue_lo).rank
+    pivots_hi, residue_hi = _unit_echelon(hi.rows)
     snf_hi = smith_normal_form(residue_hi)
-    betti = len(lo.basis_hi) - rank_lo - peeled_hi - snf_hi.rank
+    betti = len(lo.basis_hi) - rank_lo - pivots_hi - snf_hi.rank
     torsion = [f for f in snf_hi.invariant_factors if f not in (0, 1)]
     return HomologyResult(degree=lo.degree, max_length=lo.scope.max_length,
                           betti=betti, torsion=torsion)

@@ -171,10 +171,11 @@ def test_a_traced_homology_job_counts_no_chain_boundary_or_flow(tracing):
 
 def test_a_traced_homology_job_hands_each_residue_to_the_smith_form(
         tracing):
-    """The homology path peels the sparse rows of both slices and hands
-    each dense residue to smith_normal_form, the name the tracer wraps, so
-    a traced homology job counts two calls; the bench harness asserts
-    homology.snf_calls > 0.  At this scope both residues are empty."""
+    """The homology path reduces the sparse rows of both slices to a unit
+    echelon and hands each dense residue to smith_normal_form, the name
+    the tracer wraps, so a traced homology job counts two calls; the bench
+    harness asserts homology.snf_calls > 0.  At this scope both residues
+    are empty."""
     argv = "homology --degree 3 --max-length 6".split()
     plain = io.StringIO()
     with contextlib.redirect_stdout(plain):

@@ -6,12 +6,13 @@ certificates by literal matrix multiplication plus unimodularity of the
 transforms. The dense elimination, which carries its certificates as
 extra rows and columns, is checked against the former one, whose closures
 kept them in separate matrices: the same rank, factors, diagonal and
-certificates. The sparse unit-pivot route (transforms=False) is also
-checked against the dense certificate route (transforms=True), on random
-sparse +-1 matrices with planted non-unit blocks and on real Morse slices,
-and its column-sweep pivot order against the former least-Markowitz-cost
-order, on the rows of each matrix and of its transpose; homology_of_slices
-peels the side with fewer rows.
+certificates. The sparse route (transforms=False), a streamed echelon of
++-1 pivot rows with a dense residue, is checked against the dense
+certificate route (transforms=True) and sympy, on 3000 small random
+matrices, on random sparse +-1 matrices with planted non-unit blocks and
+on real Morse slices; and against two reference peels (tests/peels.py),
+a column sweep and a least-Markowitz-cost order, on the rows of each
+matrix and of its transpose.
 Slices are kept as sparse rows; the boundary-squared check on them is
 checked against the former dense compose, kept here as the reference.
 The stability scan, which reads every bound from the slices at its top
@@ -42,7 +43,7 @@ from fkmorse.homology import (
     SnfResult,
     _compose_is_zero,
     _leading_block,
-    _peel_unit_pivots,
+    _unit_echelon,
     build_slice,
     collector_paused,
     compute_homology,
@@ -56,6 +57,7 @@ from fkmorse.pairing import PairingFlags, Scope
 from fkmorse.simplicial import Simplex, surjective_words
 
 from dense import densify, sparsify
+from peels import column_sweep_peel, markowitz_peel, transpose
 
 S = Simplex
 
@@ -334,8 +336,8 @@ def test_snf_sparse_route_matches_sympy_and_dense_route():
     rng = random.Random(2001)
     for _ in range(12):
         matrix = _unit_sparse_with_planted_block(rng)
-        peeled, residue = _peel_unit_pivots(sparsify(matrix))
-        assert residue and residue[0]  # the planted block survives peeling
+        pivots, residue = _unit_echelon(sparsify(matrix))
+        assert residue and residue[0]  # the planted block survives
         sparse = smith_normal_form(matrix)
         dense = smith_normal_form(matrix, transforms=True)
         assert sparse.invariant_factors == _sympy_factors(matrix)
@@ -347,13 +349,27 @@ def test_snf_sparse_route_matches_sympy_and_dense_route():
         assert sparse.left is None and sparse.right is None
         torsion = [f for f in sparse.invariant_factors if f != 1]
         assert len(torsion) >= 2 and torsion[-1] % 6 == 0
-        assert peeled <= sparse.rank - 2
+        assert pivots <= sparse.rank - 2
+
+
+def test_snf_sparse_route_matches_the_dense_route_and_sympy_on_small_matrices():
+    rng = random.Random(2701)
+    with_torsion = 0
+    for _ in range(3000):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        matrix = [[rng.randint(-4, 4) if rng.random() < 0.5 else 0
+                   for _ in range(cols)] for _ in range(rows)]
+        factors = smith_normal_form(matrix).invariant_factors
+        assert factors == \
+            smith_normal_form(matrix, transforms=True).invariant_factors == \
+            _sympy_factors(matrix), matrix
+        with_torsion += any(f != 1 for f in factors)
+    assert with_torsion > 1000
 
 
 def test_snf_planted_block_alone():
     matrix = [[0, 2, 4], [1, 0, 0], [0, 4, 14]]
-    assert _peel_unit_pivots(sparsify(matrix)) == \
-        (1, [[2, 4], [4, 14]])
+    assert _unit_echelon(sparsify(matrix)) == (1, [[2, 4], [4, 14]])
     assert smith_normal_form(matrix).invariant_factors == [1, 2, 6]
     assert smith_normal_form(matrix).diagonal is None
     assert smith_normal_form(matrix, transforms=True).diagonal == \
@@ -381,60 +397,38 @@ def test_snf_sparse_route_on_empty_shapes():
         assert dense.diagonal == matrix
 
 
-def _markowitz_peel(matrix):
-    """The former pivot order of _peel_unit_pivots, kept as a reference:
-    each pivot is the +-1 entry of least Markowitz cost, (other entries in
-    its row) * (other entries in its column), over every live row."""
-    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
-    in_col = {}
-    for i, row in enumerate(rows):
-        for j in row:
-            in_col.setdefault(j, set()).add(i)
-    live = {i for i, row in enumerate(rows) if row}
-    peeled = 0
-    while True:
-        pivot, best = None, None
-        for i in live:
-            width = len(rows[i]) - 1
-            for j, v in rows[i].items():
-                if v in (1, -1):
-                    cost = width * (len(in_col[j]) - 1)
-                    if best is None or cost < best:
-                        best, pivot = cost, (i, j)
-        if pivot is None:
-            break
-        p, q = pivot
-        prow = rows[p]
-        for i in in_col[q] - {p}:
-            row = rows[i]
-            f = row[q] * prow[q]
-            for j, v in prow.items():
-                w = row.get(j, 0) - f * v
-                if w:
-                    in_col[j].add(i)
-                    row[j] = w
-                else:
-                    del row[j]
-                    in_col[j].discard(i)
-            if not row:
-                live.discard(i)
-        for j in prow:
-            in_col[j].discard(p)
-        rows[p] = {}
-        live.discard(p)
-        peeled += 1
-    keep_cols = sorted(j for j, members in in_col.items() if members)
-    return peeled, [[rows[i].get(j, 0) for j in keep_cols]
-                    for i in sorted(live)]
+def test_unit_echelon_pivots_a_set_aside_row_once_a_later_row_has():
+    # the first row holds no unit until the second row's pivot in column 1
+    # leaves a -1 in column 0; the rows themselves stay as they were
+    rows = [{0: 2, 1: 3}, {0: 1, 1: 1}]
+    assert _unit_echelon(rows) == (2, [])
+    assert rows == [{0: 2, 1: 3}, {0: 1, 1: 1}]
+
+
+def test_unit_echelon_leaves_the_rows_with_no_unit_as_the_residue():
+    assert _unit_echelon([{0: 2}, {1: 1}]) == (1, [[2]])
+    assert _unit_echelon([{0: 2, 1: 2}, {0: 2, 1: 4}]) == \
+        (0, [[2, 2], [2, 4]])
+
+
+def test_unit_echelon_drops_the_rows_that_reduce_to_zero():
+    # an empty row; a row the pivot row above it clears; and a set-aside
+    # row that a later pivot row clears on the second pass
+    assert _unit_echelon([{}, {0: 1, 2: -1}, {0: 3, 2: -3}]) == (1, [])
+    assert _unit_echelon([{0: 2, 1: 2}, {0: 1, 1: 1}]) == (1, [])
 
 
 def _peeled_factors(peel, matrix):
-    peeled, residue = peel(matrix)
-    return [1] * peeled + smith_normal_form(residue).invariant_factors
+    pivots, residue = peel(matrix)
+    return [1] * pivots + smith_normal_form(residue).invariant_factors
 
 
 def _sparse_peel(matrix):
-    return _peel_unit_pivots(sparsify(matrix))
+    return column_sweep_peel(sparsify(matrix))
+
+
+def _sparse_echelon(matrix):
+    return _unit_echelon(sparsify(matrix))
 
 
 @pytest.mark.parametrize("degree,length,slice_degree",
@@ -443,43 +437,54 @@ def test_column_sweep_peel_on_real_slices(degree, length, slice_degree):
     ctx, report, _ = morse_context(degree, length)
     slc = build_slice(ctx, report, slice_degree)
     rows = [dict(row) for row in slc.rows]
-    peeled, residue = _peel_unit_pivots(slc.rows)
+    peeled, residue = column_sweep_peel(slc.rows)
     assert residue == []
     assert slc.rows == rows  # the peel works on a copy
     matrix = densify(slc.rows, len(slc.basis_lo))
-    assert [1] * peeled == _peeled_factors(_markowitz_peel, matrix)
+    assert [1] * peeled == _peeled_factors(markowitz_peel, matrix)
+
+
+@pytest.mark.parametrize("degree,length", [(3, 6), (4, 5), (3, 7), (4, 7)])
+def test_unit_echelon_matches_the_column_sweep_on_real_slices(degree,
+                                                              length):
+    ctx, report, _ = morse_context(degree, length)
+    for slice_degree in (degree, degree + 1):
+        slc = build_slice(ctx, report, slice_degree)
+        rows = [dict(row) for row in slc.rows]
+        pivots, residue = _unit_echelon(slc.rows)
+        assert slc.rows == rows  # the echelon works on copies
+        factors = smith_normal_form(residue).invariant_factors
+        cols = len(slc.basis_lo)
+        for peeled, left in (column_sweep_peel(slc.rows),
+                             column_sweep_peel(transpose(slc.rows, cols))):
+            assert (peeled, smith_normal_form(left).invariant_factors) == \
+                (pivots, factors), slice_degree
 
 
 def test_column_sweep_peel_sweeps_until_no_unit_is_left():
     # column 0 holds no unit when the first sweep passes it; the pivot in
     # column 1 then leaves a -1 there, which a second sweep peels
-    assert _peel_unit_pivots(sparsify([[3, 2], [2, 1]])) == (2, [])
-    assert _markowitz_peel([[3, 2], [2, 1]]) == (2, [])
+    assert column_sweep_peel(sparsify([[3, 2], [2, 1]])) == (2, [])
+    assert markowitz_peel([[3, 2], [2, 1]]) == (2, [])
 
 
 def test_column_sweep_peel_on_planted_blocks():
     rng = random.Random(2001)
     for _ in range(12):
         matrix = _unit_sparse_with_planted_block(rng)
-        _, residue = _peel_unit_pivots(sparsify(matrix))
+        _, residue = column_sweep_peel(sparsify(matrix))
         assert all(v not in (1, -1) for row in residue for v in row)
         assert _peeled_factors(_sparse_peel, matrix) == \
-            _peeled_factors(_markowitz_peel, matrix) == \
+            _peeled_factors(_sparse_echelon, matrix) == \
+            _peeled_factors(markowitz_peel, matrix) == \
             _sympy_factors(matrix)
 
 
-def _transpose(rows, cols):
-    """The rows of the transposed matrix, built entry by entry."""
-    return sparsify([list(column) for column in zip(*densify(rows, cols))]) \
-        if rows else [{} for _ in range(cols)]
-
-
-def _both_orientations(rows, cols):
-    """[1] * peeled plus the residue's invariant factors, peeled from the
-    rows and from the rows of the transpose."""
-    return [[1] * peeled + smith_normal_form(residue).invariant_factors
-            for peeled, residue in (_peel_unit_pivots(rows),
-                                    _peel_unit_pivots(_transpose(rows, cols)))]
+def _both_orientations(peel, rows, cols):
+    """[1] * pivots plus the residue's invariant factors, from the rows and
+    from the rows of the transpose."""
+    return [[1] * pivots + smith_normal_form(residue).invariant_factors
+            for pivots, residue in (peel(rows), peel(transpose(rows, cols)))]
 
 
 @functools.cache
@@ -495,52 +500,22 @@ def test_peel_gives_the_same_factors_on_both_orientations_of_real_slices():
         for length in range(1, 7):
             block = _leading_block(slc, length)
             cols = len(block.basis_lo)
-            rows_side, transposed_side = _both_orientations(block.rows, cols)
-            assert rows_side == transposed_side == _peeled_factors(
-                _markowitz_peel, densify(block.rows, cols)), \
-                (slc.degree, length)
+            factors = _peeled_factors(markowitz_peel,
+                                      densify(block.rows, cols))
+            for peel in (column_sweep_peel, _unit_echelon):
+                assert _both_orientations(peel, block.rows, cols) == \
+                    [factors, factors], (slc.degree, length, peel)
 
 
 def test_peel_gives_the_same_factors_on_both_orientations_of_seeded_matrices():
     rng = random.Random(2301)
     for _ in range(16):
         matrix = _unit_sparse_with_planted_block(rng)
-        rows_side, transposed_side = _both_orientations(sparsify(matrix),
-                                                        len(matrix[0]))
-        assert rows_side == transposed_side == \
-            _peeled_factors(_markowitz_peel, matrix) == _sympy_factors(matrix)
-
-
-def test_homology_of_slices_peels_the_side_with_fewer_rows(monkeypatch):
-    # each slice's peel is followed by smith_normal_form's own on the
-    # residue, so the upper slice's peel is the third call
-    peeled = []
-    honest = homology._peel_unit_pivots
-
-    def spy(rows):
-        peeled.append(rows)
-        return honest(rows)
-
-    monkeypatch.setattr(homology, "_peel_unit_pivots", spy)
-    slices = _slices_at_5_6()
-    # degree 4 at bound 6 is 652 x 186, so its transpose is peeled;
-    # degree 5 at bound 5 is 60 x 112, so its rows are
-    wide_lo, wide = (_leading_block(slices[k], 6) for k in (2, 3))
-    narrow_lo, narrow = (_leading_block(slices[k], 5) for k in (3, 4))
-    assert (len(wide.rows), len(wide.basis_lo)) == (652, 186)
-    assert (len(narrow.rows), len(narrow.basis_lo)) == (60, 112)
-    expected = compute_homology(3, 6), compute_homology(4, 5)
-    peeled.clear()
-    assert homology_of_slices(wide_lo, wide) == expected[0]
-    assert peeled[2] == _transpose(wide.rows, 186)
-    peeled.clear()
-    assert homology_of_slices(narrow_lo, narrow) == expected[1]
-    assert peeled[2] is narrow.rows
-    # a square slice keeps its rows too
-    square = _fake(2, [Y], [SIG2], [[2]])
-    peeled.clear()
-    homology_of_slices(_fake(1, [E0], [Y], [[0]]), square)
-    assert peeled[2] is square.rows
+        factors = _sympy_factors(matrix)
+        assert _peeled_factors(markowitz_peel, matrix) == factors
+        for peel in (column_sweep_peel, _unit_echelon):
+            assert _both_orientations(peel, sparsify(matrix),
+                                      len(matrix[0])) == [factors, factors]
 
 
 @pytest.mark.parametrize("degree,length", [(4, 5), (3, 5)])
@@ -730,6 +705,15 @@ def test_homology_of_slices_free_path(context_1_4):
     assert result.torsion == []
     assert result.degree == 1
     assert result.max_length == 4
+    # leading blocks of the slices at (5, 6): a tall slice, 652 x 186, and
+    # a wide one, 60 x 112, each reduced by its rows
+    slices = _slices_at_5_6()
+    tall_lo, tall = (_leading_block(slices[k], 6) for k in (2, 3))
+    wide_lo, wide = (_leading_block(slices[k], 5) for k in (3, 4))
+    assert (len(tall.rows), len(tall.basis_lo)) == (652, 186)
+    assert (len(wide.rows), len(wide.basis_lo)) == (60, 112)
+    assert homology_of_slices(tall_lo, tall) == compute_homology(3, 6)
+    assert homology_of_slices(wide_lo, wide) == compute_homology(4, 5)
 
 
 # --- top-level homology and the stability scan ----------------------------------------

@@ -43,13 +43,13 @@ import pytest
 
 from fkmorse.chains import Chain, boundary, face_sum
 from fkmorse.flow import sigma_cell, sigma_tilde_cell, tau_cell
-from fkmorse.homology import (_peel_unit_pivots, build_slice,
-                              compute_homology, morse_context,
+from fkmorse.homology import (build_slice, compute_homology, morse_context,
                               smith_normal_form, stability_scan)
 from fkmorse.pairing import PairingFlags, SteepnessRule, build_matching
 from fkmorse.simplicial import Simplex, degeneracy, face_form
 
 from dense import densify
+from peels import column_sweep_peel
 
 
 # the lower bound of a stability scan up to the case's length, if one runs
@@ -129,8 +129,9 @@ def _diagonal_block(slc, length):
 
 
 def _block_factors(rows):
-    """The invariant factors, one per unit of rank."""
-    peeled, residue = _peel_unit_pivots(rows)
+    """The invariant factors, one per unit of rank, through the reference
+    column-sweep peel, not the homology path's own echelon."""
+    peeled, residue = column_sweep_peel(rows)
     return [1] * peeled + smith_normal_form(residue).invariant_factors
 
 

@@ -1,11 +1,13 @@
-"""Every public function, class and method of the package has a reader.
+"""Every function, class and method of the package has a reader.
 
-A name is read when it is referred to, outside its own definition, by code
-in src/, by the README's Library example, by tests/test_acceptance.py or by
-a traced entry point in bench/tracing.py.  The other test files do not
-count: a name that only they read is surface kept for the tests alone.
-Names are matched as names, so a method is read when any attribute of that
-name is.
+A public name is read when it is referred to, outside its own definition,
+by code in src/, by the README's Library example, by
+tests/test_acceptance.py or by a traced entry point in bench/tracing.py.
+A private function, class or method (a dunder name aside) is read only by
+code in src/.  The other test files do not count: a name that only they
+read is surface kept for the tests alone, and a helper kept only as a
+test's check route belongs in tests/.  Names are matched as names, so a
+method is read when any attribute of that name is.
 """
 
 import ast
@@ -32,17 +34,26 @@ def _references(tree: ast.AST, imports: bool) -> Counter:
     return out
 
 
-def _definitions(tree: ast.Module):
-    """(qualified name, name, node) of each public module-level function or
-    class and of each public method."""
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def _private(name: str) -> bool:
+    """A leading underscore, but not a dunder name."""
+    return name.startswith("_") and not (name.startswith("__") and
+                                         name.endswith("__"))
+
+
+def _definitions(tree: ast.Module, kept=_public):
+    """(qualified name, name, node) of each module-level function or class
+    and of each method whose name is kept, public ones by default."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and \
-                not node.name.startswith("_"):
+                kept(node.name):
             yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and \
-                        not item.name.startswith("_"):
+                if isinstance(item, ast.FunctionDef) and kept(item.name):
                     yield f"{node.name}.{item.name}", item.name, item
 
 
@@ -72,5 +83,16 @@ def test_every_public_name_has_a_reader():
 
     unread = [qualified for tree in trees
               for qualified, name, node in _definitions(tree)
+              if read[name] - _references(node, imports=False)[name] <= 0]
+    assert unread == []
+
+
+def test_every_private_function_is_read_by_the_package():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    read: Counter = Counter()
+    for tree in trees:
+        read += _references(tree, imports=False)
+    unread = [qualified for tree in trees
+              for qualified, name, node in _definitions(tree, _private)
               if read[name] - _references(node, imports=False)[name] <= 0]
     assert unread == []
