@@ -23,7 +23,7 @@ import os
 import re
 import sys
 from collections import Counter
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .chains import Chain, join_terms
 from .errors import (ChainParseError, SelfCheckError, StabilizationError,
@@ -36,8 +36,9 @@ from .pairing import (Matching, PairingFlags, Scope, SteepnessRule,
                       build_matching, check_dot_size, matching_to_dot,
                       validate_matching)
 from .simplicial import (Simplex, StratumKey, check_stratum_size,
-                         degenerate_size, identity, simplex_text,
-                         stratum_size, stratum_table)
+                         degenerate_size, identity, line_blocks,
+                         simplex_text, stratum_parts, stratum_size,
+                         stratum_table)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -132,12 +133,19 @@ def render_chain(chain: Chain) -> str:
 
 # --- output plumbing --------------------------------------------------------------
 
-def _emit(ns: argparse.Namespace, payload: str) -> None:
+def _emit(ns: argparse.Namespace, payload: str | Iterable[str]) -> None:
+    """Write payload to --output or stdout: a string in one write, given a
+    final newline if it lacks one, or blocks that each end in a newline,
+    each written as it arrives."""
+    if isinstance(payload, str):
+        payload = [payload if payload.endswith("\n") else payload + "\n"]
     if getattr(ns, "output", None):
         with open(ns.output, "w", encoding="utf-8") as fh:
-            fh.write(payload if payload.endswith("\n") else payload + "\n")
+            for block in payload:
+                fh.write(block)
     else:
-        sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
+        for block in payload:
+            sys.stdout.write(block)
 
 
 def _verbose() -> bool:
@@ -158,28 +166,39 @@ def _flags_from(ns: argparse.Namespace) -> PairingFlags:
 def cmd_enumerate(ns: argparse.Namespace) -> int:
     StratumKey(ns.dim, ns.length)  # reject ill-formed strata up front
     check_stratum_size(ns.dim, ns.length)
-    texts, degenerate = stratum_table(ns.dim, ns.length)
-    rows = zip(range(len(texts)), texts, degenerate)
     if ns.format == "json":
+        texts, degenerate = stratum_table(ns.dim, ns.length)
         payload = json.dumps(
             {"dim": ns.dim, "length": ns.length,
              "cells": [{"rank": r, "word": w, "degenerate": d}
-                       for r, w, d in rows]},
+                       for r, (w, d) in enumerate(zip(texts, degenerate))]},
             separators=(",", ":"))
-    elif ns.format == "csv":
-        lines = ["rank,simplex,degenerate"]
-        lines += [f"{r},{w},{str(d).lower()}" for r, w, d in rows]
-        payload = "\n".join(lines)
     else:
-        lines = [f"# stratum dim={ns.dim} length={ns.length}: "
-                 f"{len(texts)} cells, {degenerate.count(False)} "
-                 f"nondegenerate"]
-        for r, w, d in rows:
-            mark = "degenerate" if d else "nondegenerate"
-            lines.append(f"{r}\t{w}\t{mark}")
-        payload = "\n".join(lines)
+        sep, marks = ",", ("false", "true")
+        head = "rank,simplex,degenerate"
+        if ns.format == "text":
+            sep, marks = "\t", ("nondegenerate", "degenerate")
+            size = stratum_size(ns.dim, ns.length)
+            head = (f"# stratum dim={ns.dim} length={ns.length}: {size} "
+                    f"cells, {size - degenerate_size(ns.dim, ns.length)} "
+                    f"nondegenerate")
+        payload = line_blocks(_stratum_lines(head, sep, marks, ns.dim,
+                                             ns.length))
     _emit(ns, payload)
     return EXIT_OK
+
+
+def _stratum_lines(head: str, sep: str, marks: tuple[str, str], dim: int,
+                   length: int) -> Iterator[list[str]]:
+    """head, then the rank, text and mark of each word of stratum
+    (dim, length), split by sep, in the parts of stratum_parts; marks
+    holds the nondegenerate mark, then the degenerate one."""
+    yield [head]
+    rank = 0
+    for texts, degenerate in stratum_parts(dim, length):
+        yield [f"{r}{sep}{t}{sep}{marks[d]}"
+               for r, (t, d) in enumerate(zip(texts, degenerate), rank)]
+        rank += len(texts)
 
 
 def cmd_pair(ns: argparse.Namespace) -> int:

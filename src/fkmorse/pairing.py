@@ -28,10 +28,12 @@ from .simplicial import (
     check_stratum_size,
     enumerate_stratum,
     face_form,
-    face_ranks,
     is_degenerate_word,
-    prefix_walk,
+    line_blocks,
     sort_key,
+    split_face_ranks,
+    split_walk,
+    stratum_parts,
     stratum_size,
     stratum_table,
     stratum_words,
@@ -406,40 +408,49 @@ class CriticalReport:
             walked = _walked_words(dim, length, self.flags)
         return (w for w in walked if w not in down)
 
-    def to_csv(self) -> str:
-        """One row per critical cell, with why it is unmatched: a word at
-        max_dim is "upward-undecided", since its cofaces are unseen.  That
-        stratum, the largest, is walked and not kept, unless read before."""
-        lines = ["dim,length,simplex,degenerate,reason"]
+    def to_csv(self) -> Iterator[str]:
+        """One row per critical cell, with why it is unmatched, in the
+        blocks of line_blocks: a word at max_dim is "upward-undecided",
+        since its cofaces are unseen.  That stratum, the largest, is walked
+        and not kept, unless read before."""
+        return line_blocks(self._csv_parts())
+
+    def _csv_parts(self) -> Iterator[Iterable[str]]:
+        """The rows of to_csv, the header first, in parts."""
+        yield ["dim,length,simplex,degenerate,reason"]
         for n, length in self.scope.strata():
             head = f"{n},{length},"
             if self._fiat:
-                lines += _degenerate_rows(head, n, length)
+                yield from _degenerate_rows(head, n, length)
+            # each part is read to its end before this loop moves on
             if n == self.scope.max_dim:
-                lines += [f"{head}{word_text(w)},false,upward-undecided"
-                          for w in self._unmatched_walk(n, length)]
+                yield (f"{head}{word_text(w)},false,upward-undecided"
+                       for w in self._unmatched_walk(n, length))
             else:
-                lines += [f"{head}{word_text(w)},false,"
-                          f"{_steepness(n, w, self.flags)[1]}"
-                          for w in self.unmatched_words(n, length)]
-        return "\n".join(lines) + "\n"
+                yield (f"{head}{word_text(w)},false,"
+                       f"{_steepness(n, w, self.flags)[1]}"
+                       for w in self.unmatched_words(n, length))
 
 
-def _degenerate_rows(head: str, dim: int, length: int) -> list[str]:
+def _degenerate_rows(head: str, dim: int, length: int) \
+        -> Iterator[list[str]]:
     """The CSV rows of the degenerate words of stratum (dim, length), in
-    rank order.  The last letter is not walked: each row is a word of
-    length - 1 from prefix_walk with one letter appended, kept when the
-    letters still missing are not just that one."""
-    if not length:
-        return [f"{head}e,true,degenerate"] if dim else []
-    texts, masks = prefix_walk(dim, length - 1, length >= dim)
+    rank order, in parts.  A stratum shorter than its dimension is all
+    degenerate.  In a longer one the last letter is not walked: each row
+    is a word of length - 1 from split_walk with one letter appended, kept
+    when the letters still missing are not just that one."""
+    if length < dim:
+        for texts, _ in stratum_parts(dim, length):
+            yield [f"{head}{t},true,degenerate" for t in texts]
+        return
+    if not length:  # the identity of dimension 0, which misses no letter
+        return
     dot = "." if length > 1 else ""
     ends = [f"{dot}a{k},true,degenerate" for k in range(1, dim + 1)]
-    if masks is None:
-        return [f"{head}{t}{e}" for t in texts for e in ends]
     kept = [[e for k, e in enumerate(ends, 1) if m & ~(1 << k)]
             for m in range(2 << dim)]
-    return [f"{head}{t}{e}" for t, m in zip(texts, masks) for e in kept[m]]
+    for texts, masks in split_walk(dim, length - 1, True):
+        yield [f"{head}{t}{e}" for t, m in zip(texts, masks) for e in kept[m]]
 
 
 def _walked_words(n: int, length: int, flags: PairingFlags) \
@@ -618,41 +629,56 @@ def check_dot_size(scope: Scope) -> None:
                                       f"{MAX_STRATUM_CELLS} lines")
 
 
-def matching_to_dot(m: Matching) -> str:
-    """Per-stratum modified Hasse diagrams; meant for small scopes only.
+def matching_to_dot(m: Matching) -> Iterator[str]:
+    """Per-stratum modified Hasse diagrams, in the blocks of line_blocks;
+    meant for small scopes only.
 
     Same-length face edges run downward tau -> sigma in gray; matched pairs
     are reversed (sigma -> tau, red).  Degenerate cells are dashed.  Each
-    stratum is drawn from the texts and degeneracy of stratum_table and
-    the face_ranks of its upper words, by rank, making no word.
+    stratum is drawn by rank, making no word: the lower words from the
+    texts and degeneracy of stratum_table, and the upper ones, which are
+    more, in the parts of stratum_parts and split_face_ranks.
     """
-    lines = ["digraph steepness {", "  rankdir=BT;",
-             '  node [shape=box, fontname="monospace"];']
+    return line_blocks(_dot_parts(m))
+
+
+def _dot_nodes(dim: int, texts: list[str], degenerate: list[bool]) \
+        -> list[str]:
+    """The node line of each word, dashed if degenerate."""
+    return [f'    "d{dim}:{t}" [label="{t}"{", style=dashed" if d else ""}];'
+            for t, d in zip(texts, degenerate)]
+
+
+def _dot_parts(m: Matching) -> Iterator[list[str]]:
+    """The lines of matching_to_dot, in parts."""
+    yield ["digraph steepness {", "  rankdir=BT;",
+           '  node [shape=box, fontname="monospace"];']
     strata: dict[tuple[int, int], dict[tuple[int, ...], tuple[int, ...]]] = {}
     for n, sw, tw in m.word_pairs:
         strata.setdefault((n, len(sw)), {})[sw] = tw
     for (dim, length), up in sorted(strata.items()):
-        lines.append(f"  subgraph cluster_{dim}_{length} {{")
-        lines.append(f'    label="stratum (dim {dim}, length {length})";')
-        (lo, lo_deg), (hi, hi_deg) = (stratum_table(n, length)
-                                      for n in (dim, dim + 1))
-        for n, texts, deg in ((dim, lo, lo_deg), (dim + 1, hi, hi_deg)):
-            lines += [f'    "d{n}:{t}" [label="{t}"'
-                      f'{", style=dashed" if d else ""}];'
-                      for t, d in zip(texts, deg)]
-        ranked = [(word_rank(dim, sw), word_rank(dim + 1, tw))
-                  for sw, tw in up.items()]
+        n = dim + 1
+        yield [f"  subgraph cluster_{dim}_{length} {{",
+               f'    label="stratum (dim {dim}, length {length})";']
+        lo, lo_deg = stratum_table(dim, length)
+        yield _dot_nodes(dim, lo, lo_deg)
+        for texts, deg in stratum_parts(n, length):
+            yield _dot_nodes(n, texts, deg)
         partner = [-1] * len(lo)  # the upper rank each lower word pairs with
-        for s, t in ranked:
-            partner[s] = t
-        faces = zip(*(face_ranks(dim + 1, length, i) for i in range(dim + 2)))
-        heads = [f'    "d{dim + 1}:{t}" -> ' for t in hi]
+        for sw, tw in up.items():
+            partner[word_rank(dim, sw)] = word_rank(n, tw)
         tails = [f'"d{dim}:{t}" [color=gray];' for t in lo]
-        lines += [head + tails[f]
-                  for t, (head, ranks) in enumerate(zip(heads, faces))
-                  for f in ranks if f >= 0 and partner[f] != t]
-        lines += [f'    "d{dim}:{lo[s]}" -> "d{dim + 1}:{hi[t]}" '
-                  f'[color=red, penwidth=2];' for s, t in ranked]
-        lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        start = 0  # the rank of the part's first upper word
+        for (texts, _), *ranks in zip(
+                stratum_parts(n, length),
+                *(split_face_ranks(n, length, i) for i in range(n + 1))):
+            heads = [f'    "d{n}:{t}" -> ' for t in texts]
+            yield [head + tails[f]
+                   for t, (head, faces) in enumerate(zip(heads, zip(*ranks)),
+                                                     start)
+                   for f in faces if f >= 0 and partner[f] != t]
+            start += len(texts)
+        yield [f'    "d{dim}:{word_text(sw)}" -> "d{n}:{word_text(tw)}" '
+               f'[color=red, penwidth=2];' for sw, tw in up.items()]
+        yield ["  }"]
+    yield ["}"]

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import chain, islice, product
 from math import comb
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import TruncationError
 
@@ -192,7 +192,10 @@ def stratum_size(dim: int, length: int) -> int:
 
 
 def degenerate_size(dim: int, length: int) -> int:
-    """stratum_size less the dim! * S(length, dim) surjective words."""
+    """stratum_size less the dim! * S(length, dim) surjective words, of
+    which there are none when length < dim."""
+    if length < dim:
+        return stratum_size(dim, length)
     return sum((-1) ** (k + 1) * comb(dim, k) * (dim - k) ** length
                for k in range(1, dim + 1))
 
@@ -282,10 +285,10 @@ def prefix_walk(dim: int, length: int, masks: bool) \
     missing-letter mask: bit k is set when the letter k of 1..dim does not
     occur, so a word is degenerate exactly when its mask is nonzero.
 
-    Ask for masks only when length >= dim - 1, as for the prefixes of a
-    stratum that can hold nondegenerate words: a stratum with length >= dim
-    within MAX_STRATUM_CELLS has dim <= 7, while a shorter one, all
-    degenerate, may have a dimension in the millions.
+    Ask for masks only at a small dimension, as for the words, prefixes
+    and tails of a stratum that can hold nondegenerate words: a stratum
+    with length >= dim within MAX_STRATUM_CELLS has dim <= 7, while a
+    shorter one, all degenerate, may have a dimension in the millions.
     """
     texts = [""]
     if length:
@@ -303,16 +306,56 @@ def prefix_walk(dim: int, length: int, masks: bool) \
     return texts, out
 
 
-def stratum_table(dim: int, length: int) -> tuple[list[str], list[bool]]:
+# The most words of the tails of split_walk, unless one letter is more.
+_TAIL_WORDS = 1 << 9
+
+
+def _tail_length(dim: int, length: int) -> int:
+    """The length of split_walk's tails: the longest up to length, and of
+    at least one letter, whose words number at most _TAIL_WORDS."""
+    cut = min(length, 1)
+    while cut < length and dim ** (cut + 1) <= _TAIL_WORDS:
+        cut += 1
+    return cut
+
+
+def split_walk(dim: int, length: int, masks: bool) \
+        -> Iterator[tuple[list[str], list[int] | None]]:
+    """prefix_walk(dim, length, masks) in parts, in rank order, so that no
+    list holds the stratum: part k is head k followed by every tail, both
+    walked once by prefix_walk, with tails of _tail_length letters.  A
+    text is head + "." + tail, and a mask is head mask & tail mask."""
+    cut = _tail_length(dim, length)
+    heads, head_masks = prefix_walk(dim, length - cut, masks)
+    tails, tail_masks = prefix_walk(dim, cut, masks)
+    if 0 < cut < length:
+        heads = [h + "." for h in heads]
+    for k, head in enumerate(heads):
+        yield ([head + t for t in tails], None if tail_masks is None
+               else [head_masks[k] & m for m in tail_masks])
+
+
+def stratum_parts(dim: int, length: int) \
+        -> Iterator[tuple[list[str], list[bool]]]:
     """word_text and is_degenerate_word of each word of stratum
-    (dim, length), in rank order, from prefix_walk.  A word shorter than
-    its dimension misses a letter, so it needs no mask."""
-    texts, masks = prefix_walk(dim, length, length >= dim)
-    if not length:
-        texts = ["e"]
-    if masks is None:
-        return texts, [True] * len(texts)
-    return texts, [m != 0 for m in masks]
+    (dim, length), in rank order, in the parts of split_walk.  A word
+    shorter than its dimension misses a letter, so it needs no mask."""
+    if not length:  # the identity misses a letter unless dim is 0
+        yield ["e"], [dim > 0]
+        return
+    for texts, masks in split_walk(dim, length, length >= dim):
+        yield texts, ([True] * len(texts) if masks is None
+                      else [m != 0 for m in masks])
+
+
+def stratum_table(dim: int, length: int) -> tuple[list[str], list[bool]]:
+    """stratum_parts(dim, length) joined into two lists."""
+    texts: list[str] = []
+    degenerate: list[bool] = []
+    for part, flags in stratum_parts(dim, length):
+        texts += part
+        degenerate += flags
+    return texts, degenerate
 
 
 def face_ranks(dim: int, length: int, i: int) -> list[int]:
@@ -329,6 +372,18 @@ def face_ranks(dim: int, length: int, i: int) -> list[int]:
     return ranks
 
 
+def split_face_ranks(dim: int, length: int, i: int) -> Iterator[list[int]]:
+    """face_ranks(dim, length, i) in the parts of split_walk: d_i acts
+    letterwise, so a face's rank is its head's, shifted past the tail,
+    plus its tail's."""
+    cut = _tail_length(dim, length)
+    tails = face_ranks(dim, cut, i)
+    shift = (dim - 1) ** cut
+    for h in face_ranks(dim, length - cut, i):
+        yield [-1] * len(tails) if h < 0 else \
+            [-1 if t < 0 else h * shift + t for t in tails]
+
+
 # --- text -------------------------------------------------------------------
 
 _letter_text = cache("a{}".format)  # the text of each letter, made once
@@ -341,3 +396,17 @@ def word_text(word: tuple[int, ...]) -> str:
 
 def simplex_text(x: Simplex) -> str:
     return word_text(x.word)
+
+
+# The most lines of one block of a streamed export.
+_BLOCK_LINES = 1024
+
+
+def line_blocks(parts: Iterable[Iterable[str]]) -> Iterator[str]:
+    """The lines of each part in turn, each ended by a newline, in blocks
+    of up to _BLOCK_LINES lines, so that an export is written without
+    being held whole."""
+    lines = chain.from_iterable(parts)
+    while block := list(islice(lines, _BLOCK_LINES)):
+        block.append("")  # so that the join ends the last line too
+        yield "\n".join(block)

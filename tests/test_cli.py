@@ -4,9 +4,11 @@ Each subcommand is run in-process through main() so exit codes and exact
 stdout bytes can be asserted without spawning subprocesses.
 """
 
+import contextlib
 import hashlib
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -175,15 +177,33 @@ def _simplex_enumeration(dim, length, fmt):
            for r, w, d in rows]) + "\n"
 
 
+# (2, 9) and (2, 10), (3, 5) and (3, 6) straddle the first split of the
+# stratum walk into heads and tails of at most 2^9 words; (2, 15) holds
+# 2^6 parts and 32 blocks; in (600, 1) one letter is more than a tail may
+# hold, so the tail holds the stratum.
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 @pytest.mark.parametrize("dim,length", [(1, 1), (3, 3), (4, 4), (0, 0),
-                                        (1, 0), (3, 4), (5, 6)])
+                                        (1, 0), (3, 4), (5, 6), (2, 9),
+                                        (2, 10), (3, 5), (3, 6), (2, 15),
+                                        (600, 1)])
 def test_enumerate_prints_what_the_simplex_rendering_printed(capsys, dim,
                                                              length, fmt):
     code, out, _ = run(capsys, "enumerate", "--dim", str(dim),
                        "--length", str(length), "--format", fmt)
     assert code == EXIT_OK
     assert out == _simplex_enumeration(dim, length, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize("dim,length", [(0, 0), (2, 10), (3, 6), (5, 6)])
+def test_enumerate_writes_the_same_bytes_to_output(capsys, tmp_path, dim,
+                                                   length, fmt):
+    target = tmp_path / f"stratum.{fmt}"
+    code, out, _ = run(capsys, "enumerate", "--dim", str(dim), "--length",
+                       str(length), "--format", fmt, "--output", str(target))
+    assert code == EXIT_OK and out == ""
+    assert target.read_text(encoding="utf-8") == \
+        _simplex_enumeration(dim, length, fmt)
 
 
 # --- pair ----------------------------------------------------------------------------
@@ -681,6 +701,77 @@ def test_output_flag_writes_the_payload_to_a_file(capsys, tmp_path):
     assert out == ""
     assert target.read_text() == ('{"degree":1,"scope":{"max_length":3},'
                                   '"betti":1,"torsion":[]}\n')
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("pair --max-dim 6 --max-length 7 --format dot",
+     "the DOT diagram would draw over 2000000 lines"),
+    ("pair --max-dim 3 --max-length 14 --format csv",
+     "stratum (dim 3, length 14) holds 4782969 cells"),
+    ("enumerate --dim 2 --length 21 --format csv",
+     "stratum (dim 2, length 21) holds 2097152 cells"),
+], ids=["pair-dot", "pair-stratum", "enumerate"])
+@pytest.mark.parametrize("sink", ["stdout", "output"])
+def test_a_refused_export_writes_nothing(capsys, tmp_path, argv, message,
+                                         sink):
+    """Every refusal comes before the first byte of an export, so stdout
+    stays empty and no --output file is made."""
+    target = tmp_path / "refused.out"
+    argv = argv.split() + (["--output", str(target)] if sink == "output"
+                           else [])
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_SCOPE
+    assert out == "" and message in err
+    assert not target.exists()
+
+
+class _CountingSink:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+# The most memory an export may take on top of its matching, against
+# 9.6 MB of CSV and 1.6 MB of DOT written.  The joined exports took 36 and
+# 7.5 MB; the blocks take about 0.6 MB.
+EXPORT_PEAK_BYTES = 1_000_000
+
+
+@pytest.mark.parametrize("argv", [
+    "pair --max-dim 2 --max-length 16 --format csv",
+    "pair --max-dim 5 --max-length 5 --format dot",
+], ids=["csv", "dot"])
+def test_a_large_export_writes_in_bounded_memory(monkeypatch, argv):
+    """The traced peak of the export, from the end of the matching build
+    to the last write, stays under a fixed bound below the output's size."""
+    built = []
+
+    def build_then_reset(*args, **kwargs):
+        result = build_matching(*args, **kwargs)
+        built.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return result
+
+    monkeypatch.setattr("fkmorse.cli.build_matching", build_then_reset)
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(argv.split())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert sink.size > EXPORT_PEAK_BYTES
+    assert peak - built[0] < EXPORT_PEAK_BYTES
 
 
 # --- process-level behavior ------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Optional
 
 import pytest
 
-from fkmorse import pairing
+from fkmorse import cli, pairing, simplicial
 from fkmorse.errors import TruncationError
 from fkmorse.pairing import (
     CriticalReport,
@@ -35,12 +35,22 @@ from fkmorse.pairing import (
 )
 from fkmorse.simplicial import (Simplex, Word, enumerate_stratum, face,
                                 face_ranks, face_word, is_degenerate,
-                                is_degenerate_word, prefix_walk, sort_key,
-                                stratum_table, stratum_words,
+                                is_degenerate_word, line_blocks, prefix_walk,
+                                sort_key, stratum_table, stratum_words,
                                 surjective_words, word_rank, word_text)
 
 S = Simplex
 ALLOW = PairingFlags(degenerate_policy="allow")
+
+
+def _csv_text(report):
+    """The pair CSV of report, its blocks joined."""
+    return "".join(report.to_csv())
+
+
+def _dot_text(matching):
+    """The DOT diagram of matching, its blocks joined."""
+    return "".join(matching_to_dot(matching))
 
 
 # --- flags and scope ----------------------------------------------------------
@@ -323,9 +333,9 @@ def test_report_strata_partition(built_3_3):
 
 
 def _csv_reasons(report):
-    """The reason column of report.to_csv() for each critical nondegenerate
-    cell, in row order."""
-    rows = csv.DictReader(io.StringIO(report.to_csv()))
+    """The reason column of the report's CSV for each critical
+    nondegenerate cell, in row order."""
+    rows = csv.DictReader(io.StringIO(_csv_text(report)))
     return {S(int(r["dim"]), () if r["simplex"] == "e" else
               tuple(int(a[1:]) for a in r["simplex"].split("."))): r["reason"]
             for r in rows if r["degenerate"] == "false"}
@@ -345,7 +355,7 @@ def test_report_reasons(built_3_3):
 
 def test_report_csv_shape(built_3_3):
     _, report = built_3_3
-    text = report.to_csv()
+    text = _csv_text(report)
     lines = text.splitlines()
     assert lines[0] == "dim,length,simplex,degenerate,reason"
     rows = list(csv.DictReader(io.StringIO(text)))
@@ -552,7 +562,7 @@ def test_build_matching_agrees_with_the_literal_definition(
     assert matching.pairs == Matching(pairs, scope, flags).pairs
     assert list(report.strata.items()) == list(strata.items())
     assert list(_csv_reasons(report).items()) == list(reasons.items())
-    assert report.to_csv() == _literal_csv(strata, reasons)
+    assert _csv_text(report) == _literal_csv(strata, reasons)
 
 
 @pytest.mark.parametrize("max_dim,max_length,scopes,flags", ORACLE_CASES)
@@ -612,10 +622,10 @@ def test_report_keeps_what_it_builds_on_first_read(top_first):
     _, report = build_matching(3, 3)
     top = [report.unmatched_nondegenerate(3, length) for length in range(4)] \
         if top_first else None
-    strata, csv = report.strata, report.to_csv()
+    strata, csv = report.strata, _csv_text(report)
     words = {key: report.unmatched_words(key.dim, key.length)
              for key in strata}
-    assert report.strata is strata and report.to_csv() == csv
+    assert report.strata is strata and _csv_text(report) == csv
     for key, (deg, unm) in strata.items():
         assert report.degenerate_by_fiat(key.dim, key.length) is deg
         assert report.unmatched_nondegenerate(key.dim, key.length) is unm
@@ -624,7 +634,7 @@ def test_report_keeps_what_it_builds_on_first_read(top_first):
         for length, cells in enumerate(top):
             assert report.unmatched_nondegenerate(3, length) is cells
         assert strata[StratumKey(3, 3)][1] is top[3]
-    assert csv == build_matching(3, 3)[1].to_csv()
+    assert csv == _csv_text(build_matching(3, 3)[1])
 
 
 @pytest.mark.parametrize("flags", [PairingFlags(), ALLOW],
@@ -632,13 +642,13 @@ def test_report_keeps_what_it_builds_on_first_read(top_first):
 def test_csv_export_keeps_no_list_of_the_top_stratum(flags):
     # the max_dim stratum is the largest, and the export reads it once
     _, report = build_matching(2, 12, flags)
-    text = report.to_csv()
+    text = _csv_text(report)
     assert (2, 12) not in report._words and (1, 12) in report._words
-    assert report.to_csv() == text
+    assert _csv_text(report) == text
     # a list read by name is kept, and the export reads that one
     top = report.unmatched_words(2, 12)
     assert report.unmatched_words(2, 12) is top
-    assert report.to_csv() == text
+    assert _csv_text(report) == text
 
 
 def test_build_and_validation_make_no_cell_until_pairs_are_read(
@@ -652,8 +662,8 @@ def test_build_and_validation_make_no_cell_until_pairs_are_read(
     monkeypatch.setattr(pairing, "Simplex", counted)
     matching, report = build_matching(5, 6)
     assert validate_matching(matching).ok
-    report.to_csv()
-    build_matching(5, 6, ALLOW)[1].to_csv()
+    _csv_text(report)
+    _csv_text(build_matching(5, 6, ALLOW)[1])
     assert made == []
     monkeypatch.undo()
     # the rule's pairs as cells, in no particular order
@@ -675,7 +685,7 @@ def test_the_pair_csv_walks_each_stratum_once(monkeypatch):
 
     monkeypatch.setattr(pairing, "surjective_words", recording)
     _, report = build_matching(4, 4)
-    report.to_csv()
+    _csv_text(report)
     assert sorted(walked) == sorted(set(walked)) == \
         list(Scope(4, 4).strata())
 
@@ -992,7 +1002,7 @@ def test_validator_scope_override_rejects_uncovered_pairs(built_3_3):
 
 def test_dot_output(built_3_3):
     matching, _ = built_3_3
-    dot = matching_to_dot(matching)
+    dot = _dot_text(matching)
     assert dot.startswith("digraph steepness {")
     assert dot.rstrip().endswith("}")
     assert 'subgraph cluster_2_3' in dot
@@ -1046,7 +1056,7 @@ def _literal_dot(m):
                          [(3, 3), (4, 4), (3, 5), (5, 4), (5, 5)])
 def test_dot_output_equals_the_literal_renderer(max_dim, max_length, flags):
     matching, _ = build_matching(max_dim, max_length, flags)
-    assert matching_to_dot(matching) == _literal_dot(matching)
+    assert _dot_text(matching) == _literal_dot(matching)
 
 
 @pytest.mark.parametrize("max_dim,max_length", [(3, 3), (4, 4), (5, 4)])
@@ -1054,7 +1064,7 @@ def test_dot_size_bound_covers_every_drawn_line(monkeypatch, max_dim,
                                                 max_length):
     matching, _ = build_matching(max_dim, max_length, ALLOW)
     drawn = sum("[label=" in ln or " -> " in ln
-                for ln in matching_to_dot(matching).splitlines())
+                for ln in _dot_text(matching).splitlines())
     monkeypatch.setattr("fkmorse.pairing.MAX_STRATUM_CELLS", drawn - 1)
     with pytest.raises(TruncationError):
         check_dot_size(matching.scope)
@@ -1144,8 +1154,8 @@ def test_pair_exports_equal_the_word_walk_renderers(max_dim, max_length,
                                                     flags):
     matching, report = build_matching(max_dim, max_length, flags)
     reference, reference_report = build_matching(max_dim, max_length, flags)
-    assert report.to_csv() == _word_walk_csv(reference_report)
-    assert matching_to_dot(matching) == _word_walk_dot(reference)
+    assert _csv_text(report) == _word_walk_csv(reference_report)
+    assert _dot_text(matching) == _word_walk_dot(reference)
 
 
 @pytest.mark.parametrize("flags", FLAG_COMBOS,
@@ -1175,6 +1185,206 @@ def test_stratum_tables_give_each_words_text_and_degeneracy():
     # a stratum shorter than its dimension is all degenerate, with no mask
     texts, degenerate = stratum_table(100_000, 1)
     assert texts[-1] == "a100000" and all(degenerate)
+
+
+# --- the joined exports, as reference routes ---------------------------------
+#
+# The pair CSV and DOT as they were rendered before they came in blocks: every
+# line of the export in one list, joined into one string, and each stratum's
+# degenerate rows from one prefix walk over all its words of length L - 1.
+
+def _joined_degenerate_rows(head, dim, length):
+    if not length:
+        return [f"{head}e,true,degenerate"] if dim else []
+    texts, masks = prefix_walk(dim, length - 1, length >= dim)
+    dot = "." if length > 1 else ""
+    ends = [f"{dot}a{k},true,degenerate" for k in range(1, dim + 1)]
+    if masks is None:
+        return [f"{head}{t}{e}" for t in texts for e in ends]
+    kept = [[e for k, e in enumerate(ends, 1) if m & ~(1 << k)]
+            for m in range(2 << dim)]
+    return [f"{head}{t}{e}" for t, m in zip(texts, masks) for e in kept[m]]
+
+
+def _joined_table(dim, length):
+    """stratum_table as it stood: one prefix walk over the whole stratum."""
+    texts, masks = prefix_walk(dim, length, length >= dim)
+    if not length:
+        texts = ["e"]
+    if masks is None:
+        return texts, [True] * len(texts)
+    return texts, [m != 0 for m in masks]
+
+
+def _joined_csv(report):
+    lines = ["dim,length,simplex,degenerate,reason"]
+    for n, length in report.scope.strata():
+        head = f"{n},{length},"
+        if report.flags.degenerate_policy == "critical":
+            lines += _joined_degenerate_rows(head, n, length)
+        if n == report.scope.max_dim:
+            lines += [f"{head}{word_text(w)},false,upward-undecided"
+                      for w in report._unmatched_walk(n, length)]
+        else:
+            lines += [f"{head}{word_text(w)},false,"
+                      f"{_steepness(n, w, report.flags)[1]}"
+                      for w in report.unmatched_words(n, length)]
+    return "\n".join(lines) + "\n"
+
+
+def _joined_dot(m):
+    lines = ["digraph steepness {", "  rankdir=BT;",
+             '  node [shape=box, fontname="monospace"];']
+    strata = {}
+    for n, sw, tw in m.word_pairs:
+        strata.setdefault((n, len(sw)), {})[sw] = tw
+    for (dim, length), up in sorted(strata.items()):
+        lines.append(f"  subgraph cluster_{dim}_{length} {{")
+        lines.append(f'    label="stratum (dim {dim}, length {length})";')
+        (lo, lo_deg), (hi, hi_deg) = (_joined_table(n, length)
+                                      for n in (dim, dim + 1))
+        for n, texts, deg in ((dim, lo, lo_deg), (dim + 1, hi, hi_deg)):
+            lines += [f'    "d{n}:{t}" [label="{t}"'
+                      f'{", style=dashed" if d else ""}];'
+                      for t, d in zip(texts, deg)]
+        ranked = [(word_rank(dim, sw), word_rank(dim + 1, tw))
+                  for sw, tw in up.items()]
+        partner = [-1] * len(lo)
+        for s, t in ranked:
+            partner[s] = t
+        faces = zip(*(face_ranks(dim + 1, length, i) for i in range(dim + 2)))
+        heads = [f'    "d{dim + 1}:{t}" -> ' for t in hi]
+        tails = [f'"d{dim}:{t}" [color=gray];' for t in lo]
+        lines += [head + tails[f]
+                  for t, (head, ranks) in enumerate(zip(heads, faces))
+                  for f in ranks if f >= 0 and partner[f] != t]
+        lines += [f'    "d{dim}:{lo[s]}" -> "d{dim + 1}:{hi[t]}" '
+                  f'[color=red, penwidth=2];' for s, t in ranked]
+        lines.append("  }")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _assert_blocks(blocks):
+    """Each block of an export ends in a newline and holds at most
+    line_blocks' number of lines, all of them nonempty."""
+    for block in blocks:
+        assert block.endswith("\n")
+        lines = block[:-1].split("\n")
+        assert 0 < len(lines) <= simplicial._BLOCK_LINES
+        assert all(lines)
+
+
+@pytest.mark.parametrize("flags", FLAG_COMBOS,
+                         ids=lambda f: f.degenerate_policy)
+@pytest.mark.parametrize("max_dim,max_length",
+                         [(1, 1), (1, 9), (2, 1), (3, 3), (4, 4), (5, 5),
+                          (5, 6), (6, 5)])
+def test_pair_export_blocks_join_to_the_joined_renderers(max_dim, max_length,
+                                                         flags):
+    matching, report = build_matching(max_dim, max_length, flags)
+    reference, reference_report = build_matching(max_dim, max_length, flags)
+    for blocks, joined in ((list(report.to_csv()),
+                            _joined_csv(reference_report)),
+                           (list(matching_to_dot(matching)),
+                            _joined_dot(reference))):
+        _assert_blocks(blocks)
+        assert "".join(blocks) == joined
+        assert len(blocks) == -(-joined.count("\n") //
+                                simplicial._BLOCK_LINES)
+
+
+def _head_lengths():
+    """For dimensions 2 and 3, the shortest walk split_walk gives a
+    nonempty head: one letter past its longest tail."""
+    out = {}
+    for dim in (2, 3):
+        cut = 0
+        while dim ** (cut + 1) <= simplicial._TAIL_WORDS:
+            cut += 1
+        out[dim] = cut + 1
+    return out
+
+
+HEAD = _head_lengths()
+# The degenerate rows walk to length L - 1, so (n, HEAD[n]) is the last
+# scope whose walk has no head and (n, HEAD[n] + 1) the first with one; the
+# top stratum and enumerate walk to L.  (2, 15), (2, 16) and (3, 10) would
+# straddle a split with tails of 2^14 words.
+CLI_SCOPES = sorted({(1, 1), (1, 12), (2, 1), (3, 1), (6, 1), (4, 4), (5, 5),
+                     (2, HEAD[2] - 1), (2, HEAD[2]), (2, HEAD[2] + 1),
+                     (3, HEAD[3]), (3, HEAD[3] + 1),
+                     (2, 15), (2, 16), (3, 10)})
+
+
+@pytest.mark.parametrize("sink", ["stdout", "output"])
+@pytest.mark.parametrize("policy", ["critical", "allow"])
+@pytest.mark.parametrize("max_dim,max_length", CLI_SCOPES)
+def test_pair_cli_exports_print_the_joined_renderers_bytes(
+        capsys, tmp_path, max_dim, max_length, policy, sink):
+    """Every byte the CLI writes for the CSV and, up to length 5, the DOT,
+    to stdout or to --output, against the joined renderers on a matching
+    built apart.  The DOT draws no split walk, and its longer scopes here
+    take a second each."""
+    matching, report = build_matching(max_dim, max_length,
+                                      PairingFlags(degenerate_policy=policy))
+    formats = {"csv": lambda: _joined_csv(report)}
+    if max_length <= 5:
+        formats["dot"] = lambda: _joined_dot(matching)
+    for fmt, joined in formats.items():
+        argv = ["pair", "--max-dim", str(max_dim), "--max-length",
+                str(max_length), "--format", fmt, "--degenerate-policy",
+                policy]
+        target = tmp_path / f"export.{fmt}"
+        if sink == "output":
+            argv += ["--output", str(target)]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        if sink == "output":
+            assert out == ""
+            out = target.read_text(encoding="utf-8")
+        assert out == joined(), fmt
+
+
+def test_split_walk_is_the_prefix_walk_in_parts():
+    """Every stratum with n <= 4 and L <= 7, the lengths around the first
+    split at n = 2 and 3, with and without masks, and a dimension over
+    the tail size; each part is one head with every tail."""
+    cases = [(n, length) for n in range(5) for length in range(8 if n else 1)]
+    cases += [(n, HEAD[n] + k) for n in (2, 3) for k in (-1, 0, 1)]
+    for n, length in cases:
+        for masks in (False, True):
+            texts, walked = prefix_walk(n, length, masks)
+            parts = list(simplicial.split_walk(n, length, masks))
+            assert [t for part, _ in parts for t in part] == texts
+            if masks:
+                assert [m for _, ms in parts for m in ms] == walked
+            else:
+                assert all(ms is None for _, ms in parts)
+            sizes = {len(part) for part, _ in parts}
+            assert len(sizes) == 1 and sizes.pop() <= simplicial._TAIL_WORDS
+            assert len(parts) == 1 or length >= HEAD.get(n, 0)
+        for i in range(n + 1 if n else 0):
+            assert [r for part in simplicial.split_face_ranks(n, length, i)
+                    for r in part] == face_ranks(n, length, i), (n, length, i)
+    # one letter is more words than a tail may hold, so it is the tail
+    n = simplicial._TAIL_WORDS + 8
+    letters = [f"a{k}" for k in range(1, n + 1)]
+    parts = simplicial.split_walk(n, 2, False)
+    for head, (part, masks) in zip(letters, parts, strict=True):
+        assert part == [f"{head}.{t}" for t in letters] and masks is None
+
+
+def test_line_blocks_end_each_line_and_cut_at_the_block_size():
+    """The lines of the parts in turn, in blocks of _BLOCK_LINES."""
+    size = simplicial._BLOCK_LINES
+    assert list(line_blocks([])) == list(line_blocks([[], []])) == []
+    assert list(line_blocks([[], ["a"], []])) == ["a\n"]
+    lines = [str(k) for k in range(2 * size + 1)]
+    # a part may be a list or a lazy iterable, and a block spans parts
+    blocks = list(line_blocks([lines[:3], iter(lines[3:])]))
+    assert [b.count("\n") for b in blocks] == [size, size, 1]
+    assert "".join(blocks) == "".join(f"{x}\n" for x in lines)
 
 
 def test_face_ranks_are_the_ranks_of_the_same_length_faces():
