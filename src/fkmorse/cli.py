@@ -148,12 +148,8 @@ def _emit(ns: argparse.Namespace, payload: str | Iterable[str]) -> None:
             sys.stdout.write(block)
 
 
-def _verbose() -> bool:
-    return bool(os.environ.get("FKMORSE_VERBOSE"))
-
-
 def _note(message: str) -> None:
-    if _verbose():
+    if os.environ.get("FKMORSE_VERBOSE"):
         sys.stderr.write(message + "\n")
 
 

@@ -26,7 +26,7 @@ homology path can pause the cyclic collector around it.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Container, Union
+from typing import Callable, Container
 
 from .chains import MODES, Chain, boundary, incidence, signed_faces
 from .errors import SelfCheckError, StabilizationError, TruncationError
@@ -34,10 +34,8 @@ from .pairing import (Matching, PairingFlags, Scope, SteepnessRule,
                       _postorder, validate_matching)
 from .simplicial import (Simplex, Word, check_stratum_size, face_form,
                          face_word, identity, is_degenerate_word, sort_key,
-                         stratum_size, stratum_words, surjective_words,
-                         word_text)
+                         stratum_words, surjective_words, word_text)
 
-Pairing = Union[Matching, SteepnessRule]
 Edges = tuple[list[Word], list[int], list[tuple[Word, int]]]
 _NO_EDGES: Edges = ([], [], [])
 
@@ -125,8 +123,8 @@ def _regular(x: Word, tau: Word, inc: int) -> int:
 class FlowContext:
     """Scope-guarded flow computations over a fixed pairing.
 
-    The pairing may be an explicit Matching (validated here unless told
-    otherwise) or a lazy SteepnessRule for scopes too large to enumerate.
+    The pairing may be an explicit Matching, validated here, or a lazy
+    SteepnessRule, which the homology path uses.
     Chains whose flow would need cells outside the scope raise rather than
     returning a partial answer.  stabilize and apply_V ask the pairing one
     cell at a time; boundary_rows walks the strata of the scope one
@@ -138,20 +136,19 @@ class FlowContext:
     homology path runs with the cyclic collector paused.
     """
 
-    def __init__(self, pairing: Pairing, scope: Scope,
-                 mode: str = "unnormalized", validate: bool = True) -> None:
+    def __init__(self, pairing: Matching | SteepnessRule, scope: Scope,
+                 mode: str = "unnormalized") -> None:
         check_mode(mode, pairing.flags)
         if isinstance(pairing, Matching):
             if scope.max_dim > pairing.scope.max_dim or \
                     scope.max_length > pairing.scope.max_length:
                 raise ValueError(
                     f"flow scope {scope} exceeds matching scope {pairing.scope}")
-            if validate:
-                verdict = validate_matching(pairing)
-                if not verdict.ok:
-                    raise SelfCheckError(
-                        "refusing to build a flow on an invalid matching: "
-                        + "; ".join(verdict.errors))
+            verdict = validate_matching(pairing)
+            if not verdict.ok:
+                raise SelfCheckError(
+                    "refusing to build a flow on an invalid matching: "
+                    + "; ".join(verdict.errors))
         self.pairing = pairing
         self.scope = scope
         self.mode = mode
@@ -161,10 +158,11 @@ class FlowContext:
         self._gradient: dict[int, dict] = defaultdict(dict)
         # the coface tables, by dimension and degeneracy of the faces
         self._edges: dict[tuple[int, bool], dict[Word, Edges]] = {}
+        # the cells of dimension max_dim and length <= max_length, the sum
+        # of n ** length, in closed form
+        n, top = scope.max_dim, scope.max_length
         self.iteration_cap = max(
-            64,
-            sum(stratum_size(scope.max_dim, length)
-                for length in range(scope.max_length + 1)))
+            64, (n ** (top + 1) - 1) // (n - 1) if n > 1 else top + 1)
 
     def _guard(self, c: Chain) -> None:
         if c.dim + 1 > self.scope.max_dim:

@@ -21,9 +21,10 @@ from typing import Iterator, Optional
 
 from .errors import SelfCheckError
 from .flow import FlowContext, check_mode
-from .pairing import (CriticalReport, DEFAULT_FLAGS, Matching, PairingFlags,
-                      Scope, build_matching)
-from .simplicial import Simplex, simplex_text
+# build_matching is called nowhere here: bench/test_bench.py reads it here
+from .pairing import (CriticalReport, DEFAULT_FLAGS, PairingFlags, Scope,
+                      SteepnessRule, build_matching)
+from .simplicial import Simplex, check_stratum_size, simplex_text
 
 Matrix = list[list[int]]
 
@@ -329,14 +330,16 @@ def collector_paused() -> Iterator[None]:
 def morse_context(degree: int, max_length: int,
                   flags: PairingFlags = DEFAULT_FLAGS,
                   mode: str = "unnormalized") \
-        -> tuple[FlowContext, CriticalReport, Matching]:
-    """Matching plus flow context wide enough for degree-d homology."""
-    max_dim = degree + 2
-    check_mode(mode, flags)  # before the matching is built
-    matching, report = build_matching(max_dim, max_length, flags)
-    ctx = FlowContext(matching, Scope(max_dim, max_length), mode,
-                      validate=False)  # build_matching validated already
-    return ctx, report, matching
+        -> tuple[FlowContext, CriticalReport, SteepnessRule]:
+    """Flow context and critical report on the steepness rule, wide enough
+    for degree-d homology.  Every stratum of the scope, up to dimension
+    d + 2, is size-checked before any word is walked."""
+    check_mode(mode, flags)
+    scope = Scope(degree + 2, max_length)
+    for n, length in scope.strata():
+        check_stratum_size(n, length)
+    rule = SteepnessRule(flags)
+    return FlowContext(rule, scope, mode), CriticalReport(rule, scope), rule
 
 
 def compute_homology(degree: int, max_length: int,
@@ -376,14 +379,12 @@ def stability_scan(degree: int, length_lo: int, length_hi: int,
     """Homology at every bound in the range; smallest bound after which the
     (betti, torsion) answer stays constant through the end of the range.
 
-    One matching and one pair of slices are built, at length_hi.  Faces
-    never raise word length and pairs stay inside a stratum, so the slices
-    at a bound L are their leading blocks of length <= L.  The forward
-    reduction keys the slices' words in byte form, the backward one by
-    word.  The cyclic collector is paused throughout: the scan makes no
-    reference cycles, so reference counting frees all it drops, and the
-    collector would only walk the matching, memos and slices again and
-    again."""
+    One pair of slices is built, at length_hi, on the steepness rule.
+    Faces never raise word length and pairs stay inside a stratum, so the
+    slices at a bound L are their leading blocks of length <= L.  The
+    cyclic collector is paused throughout: the scan makes no reference
+    cycles, so reference counting frees all it drops, and the collector
+    would only walk the memos and slices again and again."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if length_lo > length_hi:
@@ -393,8 +394,8 @@ def stability_scan(degree: int, length_lo: int, length_hi: int,
         ctx, report = morse_context(degree, length_hi, flags, mode)[:2]
         lo = build_slice(ctx, report, degree)
         hi = build_slice(ctx, report, degree + 1)
-        # the matching and the flow's memos are freed here: the Smith
-        # normal forms need neither
+        # the report's bases and the flow's memos are freed here: the
+        # Smith normal forms need neither
         del ctx, report
         results = [homology_of_slices(_leading_block(lo, L),
                                       _leading_block(hi, L))

@@ -206,16 +206,6 @@ def _steepness(n: int, word: tuple[int, ...], flags: PairingFlags) \
     return None, "not-max-in-min-coface"
 
 
-def _pair_down(dim: int, word: Word, flags: PairingFlags) -> Optional[Word]:
-    """The word w with _steepness(dim - 1, w) = word, from word's side: a
-    partner holds the letter dim once, and lowering it gives w back."""
-    if dim < 2 or word.count(dim) != 1:
-        return None
-    p = word.index(dim)
-    sw = word[:p] + (dim - 1,) + word[p + 1:]
-    return sw if _steepness(dim - 1, sw, flags)[0] == word else None
-
-
 def _cell(dim: int, word: Optional[Word]) -> Optional[Simplex]:
     return None if word is None else Simplex(dim, word)
 
@@ -236,8 +226,19 @@ class SteepnessRule:
         return _steepness(dim, word, self.flags)[0]
 
     def down_word(self, dim: int, word: Word) -> Optional[Word]:
-        """The partner's word if the dimension-dim word pairs down."""
-        return _pair_down(dim, word, self.flags)
+        """The word w with _steepness(dim - 1, w) = word, if any: word
+        holds dim once, some dim - 1 before it and none after, and under
+        critical, lowering the dim gives a nondegenerate w."""
+        if dim < 2 or word.count(dim) != 1:
+            return None
+        p = word.index(dim)
+        if dim - 1 not in word[:p] or dim - 1 in word[p + 1:]:
+            return None
+        sw = word[:p] + (dim - 1,) + word[p + 1:]
+        if self.flags.degenerate_policy == "critical" and \
+                is_degenerate_word(dim - 1, sw):
+            return None
+        return sw
 
     def pair_up(self, x: Simplex) -> Optional[Simplex]:
         return _cell(x.dim + 1, self.up_word(x.dim, x.word))
@@ -353,15 +354,16 @@ class Matching:
 
 
 class CriticalReport:
-    """Critical cells per stratum, read off a matching: the walked words
-    in no pair, and (strata) the degenerate-by-fiat cells, which it takes
-    whole strata to list.  Each list is built on first read and kept;
-    below max_dim, from the words build_matching's walk left unpaired."""
+    """Critical cells per stratum under a pairing: the walked words in no
+    pair, and (strata) the degenerate-by-fiat cells, which it takes whole
+    strata to list.  Each list is built on first read and kept; below
+    max_dim, from the words build_matching's walk left unpaired, if any."""
 
-    def __init__(self, matching: Matching) -> None:
-        self.matching = matching
-        self.scope = matching.scope
-        self.flags = matching.flags
+    def __init__(self, pairing: Matching | SteepnessRule,
+                 scope: Scope) -> None:
+        self.pairing = pairing
+        self.scope = scope
+        self.flags = pairing.flags
         self._unmatched: dict[StratumKey, list[Simplex]] = {}
         self._unpaired: dict[tuple[int, int], list[Word]] = {}
         self._words: dict[tuple[int, int], list[Word]] = {}
@@ -402,11 +404,13 @@ class CriticalReport:
         if dim > self.scope.max_dim or length > self.scope.max_length:
             return ()
         # no leftover of the walk, and no word at max_dim, pairs upward
-        down = self.matching._down[dim]
+        up, down = self.pairing.up_word, self.pairing.down_word
         walked = self._unpaired.pop((dim, length), None)
         if walked is None:  # a stratum build_matching did not walk
             walked = _walked_words(dim, length, self.flags)
-        return (w for w in walked if w not in down)
+            if dim < self.scope.max_dim:
+                walked = (w for w in walked if up(dim, w) is None)
+        return (w for w in walked if down(dim, w) is None)
 
     def to_csv(self) -> Iterator[str]:
         """One row per critical cell, with why it is unmatched, in the
@@ -477,7 +481,7 @@ def build_matching(max_dim: int, max_length: int,
         check_stratum_size(n, length)
 
     matching = Matching((), scope, flags)
-    report = CriticalReport(matching)
+    report = CriticalReport(matching, scope)
     pairs: list[tuple[int, Word, Word]] = []  # in (dim, length, word) order
     for n, length in scope.strata():
         if n < max_dim:

@@ -1,7 +1,8 @@
 """What the traced benchmark run relies on, checked against the package.
 
 bench/tracing.py wraps entry points by module and attribute name and reads
-the critical report of every build_matching call.  A refactor that renames
+the critical report of every build_matching call, which only the pair and
+validate commands make.  A refactor that renames
 or moves one of them would break traced runs only when the benchmark runs,
 so the names and shapes it uses are checked here, with the tracer itself
 imported from its file and left unchanged.
@@ -230,6 +231,59 @@ def test_a_traced_flow_job_counts_its_rule_boundary_and_flow_calls(tracing,
     assert tracer.counts["chains.boundary_calls"] > 0
     assert tracer.counts["flow.stabilize_calls"] == 1
     assert tracer.counts["flow.iterations"] == iterations > 0
+
+
+def _traced_job(tracing, argv):
+    """The exit code and the tracer of one traced CLI job."""
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_job(0)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = fkmorse.cli.main(argv.split())
+        tracer.end_job()
+    finally:
+        tracer.uninstall()
+    return code, tracer
+
+
+@pytest.mark.parametrize("argv", [
+    "homology --degree 3 --max-length 6",
+    "homology --degree 1 --scan 2 7",
+    "morse --degree 3 --max-length 5 --format csv",
+], ids=["homology", "scan", "morse"])
+def test_a_traced_homology_job_builds_and_validates_no_matching(tracing,
+                                                               argv):
+    """The homology path runs on the lazy rule, so a traced job records no
+    build_matching or validate_matching span and counts no build, pair or
+    critical cell, while every entry is still checked by two routes."""
+    code, tracer = _traced_job(tracing, argv)
+    assert code == 0
+    names = {span[0] for span in tracer.spans}
+    assert not names & {"pairing.build_matching", "pairing.validate_matching"}
+    assert tracer.counts["pairing.build_calls"] == 0
+    assert tracer.counts["pairing.pairs"] == 0
+    assert tracer.counts["pairing.critical_cells"] == 0
+    assert tracer.counts["flow.dual_route_checks"] > 0
+
+
+def test_a_traced_pair_job_records_one_build(tracing):
+    code, tracer = _traced_job(tracing,
+                               "pair --max-dim 4 --max-length 4 --format csv")
+    assert code == 0
+    assert tracer.counts["pairing.build_calls"] == 1
+    assert sum(span[0] == "pairing.build_matching"
+               for span in tracer.spans) == 1
+
+
+def test_the_homology_module_still_binds_build_matching():
+    """bench/test_bench.py::test_uninstall_restores_every_binding reads
+    fkmorse.homology.build_matching, though the homology path calls it no
+    more; dropping the import would fail that harness test only."""
+    homology = importlib.import_module("fkmorse.homology")
+    assert homology.build_matching is build_matching
+    assert "fkmorse.homology.build_matching" in \
+        (BENCH / "test_bench.py").read_text("utf-8")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "dot"])

@@ -36,6 +36,8 @@ from fkmorse.simplicial import (Simplex, degenerate_size, enumerate_stratum,
                                 is_degenerate, is_degenerate_word,
                                 stratum_words)
 
+from routes import Unvalidated
+
 S = Simplex
 
 
@@ -377,8 +379,7 @@ def test_boundary_rows_on_a_cyclic_export_fail_fast():
     # every nondegenerate 3-cell of length 3 is matched, so the scope
     # reaches length 4 for an unpaired cell with a face on the cycle
     export = Matching(CYCLIC_PAIRS, Scope(3, 4), PairingFlags()).to_json()
-    flow = FlowContext(Matching.from_json(export), Scope(3, 4),
-                       validate=False)
+    flow = FlowContext(Unvalidated(Matching.from_json(export)), Scope(3, 4))
     start = time.perf_counter()
     # the backward walk up from the basis cell meets the cycle
     with pytest.raises(SelfCheckError, match="has a cycle"):

@@ -17,6 +17,7 @@ tuple words is kept here as the reference for its values.
 """
 
 import random
+import time
 from itertools import combinations, product
 
 import pytest
@@ -41,6 +42,7 @@ from fkmorse.simplicial import (MAX_STRATUM_CELLS, Simplex,
                                 is_degenerate, is_degenerate_word)
 
 from dense import densify
+from routes import Unvalidated, matching_context
 
 S = Simplex
 ALLOW = PairingFlags(degenerate_policy="allow")
@@ -145,8 +147,8 @@ def test_context_validates_explicit_matching():
                    PairingFlags())
     with pytest.raises(SelfCheckError, match="invalid matching"):
         FlowContext(bad, Scope(3, 3))
-    # Skipping validation is allowed for callers that already validated.
-    assert FlowContext(bad, Scope(3, 3), validate=False).is_critical(
+    # A pairing that is not a Matching is taken as it is.
+    assert FlowContext(Unvalidated(bad), Scope(3, 3)).is_critical(
         S(1, (1,)))
 
 
@@ -231,7 +233,7 @@ def test_V_rejects_an_irregular_pair_when_first_met():
     # (2,1) is the face of (3,1) at indices 1 and 2, with incidence 0
     bad = Matching([(S(2, (2, 1)), S(3, (3, 1)))], Scope(3, 3),
                    PairingFlags())
-    local = FlowContext(bad, Scope(3, 3), validate=False)
+    local = FlowContext(Unvalidated(bad), Scope(3, 3))
     for _ in range(2):
         with pytest.raises(SelfCheckError, match="not a regular pair"):
             local.apply_V(_unit(S(2, (2, 1))))
@@ -242,7 +244,7 @@ def test_coface_table_rejects_an_irregular_pair():
     # face sum when it inverts the faces of the degenerate 3-words
     bad = Matching([(S(2, (2, 1)), S(3, (3, 1)))], Scope(3, 3),
                    PairingFlags())
-    local = FlowContext(bad, Scope(3, 3), validate=False)
+    local = FlowContext(Unvalidated(bad), Scope(3, 3))
     with pytest.raises(SelfCheckError, match=r"\(a2.a1, a3.a1\) has "
                        "incidence 0, not a regular pair"):
         local.boundary_rows([sigma_cell(3)], [S(2, (1, 1))])
@@ -396,6 +398,23 @@ def test_stabilize_raises_on_tiny_iteration_cap():
     tiny.iteration_cap = 2
     with pytest.raises(StabilizationError, match="did not stabilize"):
         tiny.stabilize(_unit(y_power(7)))
+
+
+def test_the_iteration_cap_is_the_summed_strata_in_closed_form():
+    # the cap counts the cells of dimension max_dim and length <= max_length;
+    # it was summed stratum by stratum, which took time quadratic in
+    # max_length (3 s at Scope(2, 50_000)), before any chain was read
+    for n in range(1, 7):
+        for top in range(1, 12):
+            summed = sum(n ** length for length in range(top + 1))
+            assert FlowContext(SteepnessRule(), Scope(n, top)).iteration_cap \
+                == max(64, summed), (n, top)
+    start = time.perf_counter()
+    flow = FlowContext(SteepnessRule(), Scope(2, 200_000))
+    assert time.perf_counter() - start < 0.5
+    assert flow.iteration_cap == 2 ** 200_001 - 1
+    assert FlowContext(SteepnessRule(), Scope(1, 200_000)).iteration_cap == \
+        200_001
 
 
 def test_normalized_mode_flows():
@@ -583,8 +602,7 @@ def _reference_columns(flow, n):
                                          ("allow", "unnormalized")])
 def test_columns_are_the_former_columns_on_unpaired_words(policy, mode):
     # Every word of dimension n <= 4 and length <= 6, so every coface of
-    # dimension <= 5; the matching reaches dimension 6, so criticality is
-    # decided on all of them.
+    # dimension <= 5; the context's scope reaches dimension 6.
     ctx = morse_context(4, 6, PairingFlags(policy), mode)[0]
     pairing = ctx.pairing
     dropped = kept_degenerate = 0
@@ -718,7 +736,7 @@ def test_boundary_rows_refuse_a_matched_cell_before_any_reduction():
     matching, _ = build_matching(5, 5)
     n, sw, _ = next(p for p in matching.word_pairs
                     if p[0] == 3 and len(p[1]) == 5)
-    explicit = FlowContext(matching, Scope(5, 5), validate=False)
+    explicit = FlowContext(matching, Scope(5, 5))
     with pytest.raises(ValueError, match="is matched"):
         explicit.boundary_rows([S(n, sw)], [sigma_cell(2)])
     # a matched basis cell has no entry in any row: the backward walk up
@@ -787,9 +805,10 @@ def test_boundary_rows_of_degenerate_critical_cells_match_the_flow(flags):
     (3, 5, "allow", "unnormalized"),
 ])
 def test_slices_equal_the_iterated_flow(degree, length, policy, mode):
-    ctx, report, matching = morse_context(degree, length,
-                                          PairingFlags(policy), mode)
-    oracle = FlowContext(matching, ctx.scope, mode, validate=False)
+    # the slices come from the lazy rule, the oracle's flow from an
+    # explicit matching
+    ctx, report, _ = morse_context(degree, length, PairingFlags(policy), mode)
+    oracle = matching_context(degree, length, PairingFlags(policy), mode)[0]
     for slice_degree in (degree, degree + 1):
         slc = build_slice(ctx, report, slice_degree)
         assert densify(slc.rows, len(slc.basis_lo)) == [

@@ -35,7 +35,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from fkmorse.chains import Chain, boundary
 from fkmorse.errors import SelfCheckError, TruncationError
-from fkmorse import homology, pairing
+from fkmorse import cli as cli_module, flow as flow_module, homology, pairing
 from fkmorse.cli import main
 from fkmorse.flow import FlowContext, y_power
 from fkmorse.homology import (
@@ -53,11 +53,12 @@ from fkmorse.homology import (
     smith_normal_form,
     stability_scan,
 )
-from fkmorse.pairing import PairingFlags, Scope
+from fkmorse.pairing import Matching, PairingFlags, Scope, SteepnessRule
 from fkmorse.simplicial import Simplex, surjective_words
 
 from dense import densify, sparsify
 from peels import column_sweep_peel, markowitz_peel, transpose
+from routes import matching_context
 
 S = Simplex
 
@@ -541,9 +542,12 @@ def context_1_4():
 
 
 def test_morse_context_scope(context_1_4):
-    ctx, report, matching = context_1_4
-    assert ctx.scope == Scope(3, 4)
-    assert matching.scope == Scope(3, 4)
+    ctx, report, rule = context_1_4
+    assert ctx.scope == report.scope == Scope(3, 4)
+    # one lazy rule serves the flow and the report; no matching is built
+    assert type(rule) is SteepnessRule
+    assert ctx.pairing is report.pairing is rule
+    assert rule.flags == PairingFlags()
 
 
 def test_critical_basis_contents(context_1_4):
@@ -571,23 +575,26 @@ def test_slice_shapes_and_entries(context_1_4):
 @pytest.mark.parametrize("degree,length", [(1, 6), (2, 5), (3, 4)])
 def test_the_homology_path_walks_no_stratum_of_dimension_degree_plus_two(
         monkeypatch, degree, length):
-    # the matching reaches dimension d + 2 only to decide which (d+1)-cells
-    # pair upward, which the builder does from the (d+1)-words alone
-    walked = []
+    # the scope reaches dimension d + 2 only for its size guard: the rule
+    # decides which (d+1)-cells pair upward from the (d+1)-words alone
+    walked = {pairing: [], flow_module: []}
+    for module, seen in walked.items():
+        def recording(dim, length, seen=seen):
+            seen.append((dim, length))
+            return surjective_words(dim, length)
 
-    def recording(dim, length):
-        walked.append((dim, length))
-        return surjective_words(dim, length)
-
-    monkeypatch.setattr(pairing, "surjective_words", recording)
+        monkeypatch.setattr(module, "surjective_words", recording)
     ctx, report, _ = morse_context(degree, length)
     build_slice(ctx, report, degree)
     build_slice(ctx, report, degree + 1)
-    assert {dim for dim, _ in walked} == set(range(degree + 2))
-    assert all(dim < degree + 2 for dim, _ in walked)
-    # the slices take the critical cells below dimension d + 2 from the
-    # words the build walk left unpaired, so no stratum is walked twice
-    assert len(walked) == len(set(walked))
+    # the report walks the bases' strata, dimensions d - 1 to d + 1, and
+    # the coface tables the strata of dimensions d and d + 1
+    assert {dim for dim, _ in walked[pairing]} == \
+        set(range(max(degree - 1, 0), degree + 2))
+    assert {dim for dim, _ in walked[flow_module]} == {degree, degree + 1}
+    # each keeps what it walks, so no stratum is walked twice by either
+    for seen in walked.values():
+        assert len(seen) == len(set(seen))
 
 
 def test_slice_serialization(context_1_4):
@@ -616,6 +623,96 @@ def test_boundary_of_critical_two_cells_is_a_power_identity():
                        + Chain.unit(y_power(ones)))
         stable, _ = ctx.stabilize(raw)
         assert stable.is_zero()
+
+
+@pytest.mark.parametrize("mode", ["unnormalized", "normalized"])
+@pytest.mark.parametrize("policy", ["critical", "allow"])
+@pytest.mark.parametrize("degree,length", [(1, 6), (2, 5), (3, 5), (4, 4)])
+def test_slices_on_the_rule_equal_the_slices_on_a_built_matching(
+        degree, length, policy, mode):
+    """morse_context runs on the lazy rule; the former route builds and
+    validates the matching, keeps its walk's leftovers as the bases and
+    asks the matching's pair dicts.  Both give the same bases and rows."""
+    flags = PairingFlags(policy)
+    if (policy, mode) == ("allow", "normalized"):  # refused on both routes
+        for route in (morse_context, matching_context):
+            with pytest.raises(ValueError, match="incoherent"):
+                route(degree, length, flags, mode)
+        return
+    ctx, report, _ = morse_context(degree, length, flags, mode)
+    built_ctx, built, matching = matching_context(degree, length, flags, mode)
+    assert type(matching) is Matching and ctx.scope == built_ctx.scope
+    for slice_degree in (degree, degree + 1):
+        slc = build_slice(ctx, report, slice_degree)
+        assert slc == build_slice(built_ctx, built, slice_degree)
+        assert slc.basis_hi == critical_basis(built, slice_degree, length)
+    assert ctx.dual_route_checks == built_ctx.dual_route_checks > 0
+
+
+@pytest.mark.parametrize("policy", ["critical", "allow"])
+@pytest.mark.parametrize("argv", [
+    "homology --degree 2 --max-length 5",
+    "homology --degree 1 --scan 2 6",
+    "morse --degree 3 --max-length 5 --format csv",
+], ids=["homology", "scan", "morse"])
+def test_the_homology_path_builds_no_matching(monkeypatch, capsys, argv,
+                                             policy):
+    argv = argv.split() + ["--degenerate-policy", policy]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the homology path built a matching")
+
+    modules = (pairing, homology, flow_module, cli_module)
+    for name in ("build_matching", "validate_matching"):
+        for module in modules:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(Matching, "__init__", refuse)
+    monkeypatch.setattr(Matching, "_hold", refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected != ""
+
+
+@pytest.mark.parametrize("argv", [
+    "homology --degree 0 --max-length 20000",
+    "homology --degree 1 --max-length 14",
+    "homology --degree 2 --max-length 11",
+    "homology --degree 3 --max-length 10",
+    "homology --degree 3 --max-length 12",
+    "homology --degree 6 --max-length 7",
+    "homology --degree 1 --scan 2 30",
+    "morse --degree 7 --max-length 7",
+])
+def test_oversized_scopes_are_refused_before_any_word_is_walked(
+        monkeypatch, capsys, argv):
+    """The size guard counts every stratum up to dimension d + 2, as the
+    matching's did, though the path walks no stratum above d + 1; so each
+    of these still exits 3, at once, with nothing on stdout."""
+    def refuse(*args):
+        raise AssertionError("a word was walked")
+
+    for module in (pairing, flow_module):
+        monkeypatch.setattr(module, "surjective_words", refuse)
+        monkeypatch.setattr(module, "stratum_words", refuse)
+    assert main(argv.split()) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "over the limit" in err
+
+
+def test_entries_of_top_dimension_cells_are_answered_on_the_rule():
+    # a matching cannot tell whether a cell of its top dimension is
+    # critical; the rule's context can, and agrees with a matching one
+    # dimension wider
+    ctx = morse_context(1, 4)[0]
+    top, sigma = S(3, (3, 2, 1)), S(2, (2, 1))
+    assert ctx.scope.max_dim == 3
+    with pytest.raises(ValueError, match="undecided"):
+        matching_context(1, 4)[0].morse_boundary_entry(top, sigma)
+    assert ctx.morse_boundary_entry(top, sigma) == \
+        matching_context(2, 4)[0].morse_boundary_entry(top, sigma) == -1
 
 
 # --- homology of consecutive slices ---------------------------------------------------
@@ -791,9 +888,10 @@ def test_leading_blocks_are_the_slices_at_smaller_bounds(policy):
 
 def test_stability_scan_checks_its_bounds_before_building(monkeypatch):
     def no_build(*args, **kwargs):
-        raise AssertionError("a matching was built")
+        raise AssertionError("a flow context or matching was built")
 
-    monkeypatch.setattr(homology, "build_matching", no_build)
+    for name in ("build_matching", "FlowContext", "CriticalReport"):
+        monkeypatch.setattr(homology, name, no_build)
     with pytest.raises(ValueError, match="scope bounds must be >= 1"):
         stability_scan(1, 0, 3)
     with pytest.raises(ValueError, match="degree must be >= 0"):
@@ -808,9 +906,10 @@ def test_stability_scan_checks_its_bounds_before_building(monkeypatch):
 def test_allow_with_normalized_is_refused_before_building(monkeypatch,
                                                           capsys):
     def no_build(*args, **kwargs):
-        raise AssertionError("a matching was built")
+        raise AssertionError("a flow context or matching was built")
 
-    monkeypatch.setattr(homology, "build_matching", no_build)
+    for name in ("build_matching", "FlowContext", "CriticalReport"):
+        monkeypatch.setattr(homology, name, no_build)
     allow = PairingFlags("allow")
     refusal = "normalized chains drop degenerate cells"
     with pytest.raises(ValueError, match=refusal):
@@ -893,7 +992,7 @@ def test_the_pause_keeps_a_caller_disabled_collector_disabled(
 
 def test_the_collector_is_put_back_when_the_path_raises():
     # the dimension-8 stratum at length 7 is over the limit, and is refused
-    # while the matching is built, inside the pause
+    # by morse_context's size guard, inside the pause
     with pytest.raises(TruncationError, match=r"stratum \(dim 8, length 7\)"):
         compute_homology(6, 7)
     assert gc.isenabled()

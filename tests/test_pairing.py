@@ -24,7 +24,6 @@ from fkmorse.pairing import (
     SteepnessRule,
     StratumKey,
     _coface_words,
-    _pair_down,
     _steepness,
     build_matching,
     check_dot_size,
@@ -38,6 +37,8 @@ from fkmorse.simplicial import (Simplex, Word, enumerate_stratum, face,
                                 is_degenerate_word, line_blocks, prefix_walk,
                                 sort_key, stratum_table, stratum_words,
                                 surjective_words, word_rank, word_text)
+
+from routes import pair_down
 
 S = Simplex
 ALLOW = PairingFlags(degenerate_policy="allow")
@@ -270,7 +271,9 @@ def _counted_pair_down(dim: int, word: Word, flags: PairingFlags) \
                          ids=["critical", "allow"])
 def test_closed_form_rule_agrees_with_the_counted_rule(flags):
     """Partner, reason and down-partner of every word of every stratum
-    with n <= 6, L <= 7 and n**L <= 5000."""
+    with n <= 6, L <= 7 and n**L <= 5000, the down-partner by the closed
+    form and by the round trip through the up rule."""
+    rule = SteepnessRule(flags)
     checked = 0
     for n, length in Scope(6, 7).strata():
         if n ** length > 5000:
@@ -278,14 +281,36 @@ def test_closed_form_rule_agrees_with_the_counted_rule(flags):
         for word in stratum_words(n, length):
             assert _steepness(n, word, flags) == \
                 _counted_steepness(n, word, flags), (n, word)
-            assert _pair_down(n, word, flags) == \
+            assert rule.down_word(n, word) == pair_down(n, word, flags) == \
                 _counted_pair_down(n, word, flags), (n, word)
             checked += 1
     assert checked == 14_466
 
 
+@pytest.mark.parametrize("flags", [PairingFlags(), ALLOW],
+                         ids=["critical", "allow"])
+def test_closed_form_down_rule_equals_the_round_trip(flags):
+    """SteepnessRule.down_word, read off the word's letters, against the
+    round trip that lowers the top letter and asks the up rule back, on
+    every stratum of dimension <= 7 with (dim + 1)**L <= 300,000."""
+    rule = SteepnessRule(flags)
+    checked = paired = 0
+    for n, length in Scope(7, 18).strata():
+        if (n + 1) ** length > 300_000:
+            continue
+        for word in stratum_words(n, length):
+            down = rule.down_word(n, word)
+            assert down == pair_down(n, word, flags), (n, word)
+            checked += 1
+            paired += down is not None
+    assert checked == 346_384
+    assert paired > 0
+
+
 def test_the_down_rule_asks_the_up_rule_only_about_words(monkeypatch):
-    # a word of dimension 0 or 1 holds no letter it could lower into a word
+    # the closed form asks the up rule nothing; its check route asks it
+    # only about words, since a word of dimension 0 or 1 holds no letter
+    # it could lower into a word
     asked = []
     up_rule = _steepness
 
@@ -294,9 +319,14 @@ def test_the_down_rule_asks_the_up_rule_only_about_words(monkeypatch):
         return up_rule(n, word, flags)
 
     monkeypatch.setattr("fkmorse.pairing._steepness", recording)
+    rule = SteepnessRule(ALLOW)
     for n, length in Scope(3, 4).strata():
         for word in stratum_words(n, length):
-            _pair_down(n, word, ALLOW)
+            rule.down_word(n, word)
+    assert asked == []
+    for n, length in Scope(3, 4).strata():
+        for word in stratum_words(n, length):
+            pair_down(n, word, ALLOW)
     assert asked
     assert all(set(word) <= set(range(1, n + 1)) for n, word in asked)
 
@@ -674,6 +704,26 @@ def test_build_and_validation_make_no_cell_until_pairs_are_read(
     assert matching.pairs == Matching(cells, Scope(5, 6), PairingFlags()).pairs
     assert matching.pairs is matching.pairs
     assert len(matching) == len(cells)
+
+
+@pytest.mark.parametrize("flags", [PairingFlags(), ALLOW],
+                         ids=["critical", "allow"])
+@pytest.mark.parametrize("max_dim,max_length", [(2, 6), (3, 5), (4, 4),
+                                                (5, 4)])
+def test_a_report_over_the_rule_is_the_built_report(max_dim, max_length,
+                                                    flags):
+    """A CriticalReport that asks the lazy rule, walking every stratum it
+    is asked about, against build_matching's, which keeps its walk's
+    leftovers: the same critical words on every stratum, in order, and
+    the same strata and CSV."""
+    scope = Scope(max_dim, max_length)
+    _, built = build_matching(max_dim, max_length, flags)
+    rule = CriticalReport(SteepnessRule(flags), scope)
+    for n, length in scope.strata():
+        assert rule.unmatched_words(n, length) == \
+            built.unmatched_words(n, length), (n, length)
+    assert rule.strata == built.strata
+    assert _csv_text(rule) == _csv_text(built)
 
 
 def test_the_pair_csv_walks_each_stratum_once(monkeypatch):
