@@ -36,9 +36,9 @@ from .pairing import (Matching, PairingFlags, Scope, SteepnessRule,
                       build_matching, check_dot_size, matching_to_dot,
                       validate_matching)
 from .simplicial import (Simplex, StratumKey, check_stratum_size,
-                         degenerate_size, identity, line_blocks,
-                         simplex_text, stratum_parts, stratum_size,
-                         stratum_table)
+                         degenerate_size, identity, is_degenerate_word,
+                         line_blocks, simplex_text, stratum_parts,
+                         stratum_size, stratum_table)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -216,14 +216,24 @@ def cmd_pair(ns: argparse.Namespace) -> int:
                      **matching.flags.to_json_dict()),
                  f"pairs: {len(matching)}"]
         fiat = matching.flags.degenerate_policy == "critical"
-        # the top stratum is not walked: its critical cells are the words
-        # the rule would walk there less the upper words of pairs
-        raised = Counter(len(sw) for n, sw, _ in matching.word_pairs
-                         if n == ns.max_dim - 1)
+        # the top stratum is not walked: its critical cells are its words
+        # less the upper words of pairs, each kind counted apart; under
+        # critical no pair holds a degenerate word
+        top = ns.max_dim
+        raised = Counter((len(tw), is_degenerate_word(top, tw))
+                         for n, _, tw in matching.word_pairs if n == top - 1)
         for n, length in matching.scope.strata():
-            deg = degenerate_size(n, length) if fiat else 0
-            unmatched = stratum_size(n, length) - deg - raised[length] \
-                if n == ns.max_dim else len(report.unmatched_words(n, length))
+            deg = degenerate_size(n, length)
+            if n == top:
+                unmatched = stratum_size(n, length) - deg - \
+                    raised[length, False]
+                deg -= raised[length, True]
+            else:
+                words = report.unmatched_words(n, length)
+                unmatched = len(words)
+                if not fiat:  # the walk kept the unmatched degenerate words
+                    deg = sum(is_degenerate_word(n, w) for w in words)
+                    unmatched -= deg
             if deg or unmatched:
                 lines.append(f"stratum dim={n} length={length}: "
                              f"{unmatched} critical nondegenerate, "

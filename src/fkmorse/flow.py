@@ -291,11 +291,16 @@ class FlowContext:
         Every face of a surjective word is surjective, and a degenerate word
         has net incidence 0 on every nondegenerate face, so nondegenerate
         faces need only the surjective words and degenerate ones the rest.
+        The critical policy pairs no degenerate word (a Matching that pairs
+        one is refused on construction), so there the degenerate words are
+        all unpaired, and the pairing is not asked about them.
         """
         m, lengths = n + 1, range(self.scope.max_length + 1)
         for length in lengths:
             check_stratum_size(m, length)
         down, up = self.pairing.down_word, self.pairing.up_word
+        if degenerate and self.pairing.flags.degenerate_policy == "critical":
+            down = up = lambda dim, word: None
         incidences = self._incidence[n]
         table: dict[Word, Edges] = defaultdict(lambda: ([], [], []))
         signs = [(i, -1 if i % 2 else 1) for i in range(m + 1)]

@@ -222,8 +222,14 @@ class SteepnessRule:
         self.flags = flags
 
     def up_word(self, dim: int, word: Word) -> Optional[Word]:
-        """The partner's word if the dimension-dim word pairs up, else None."""
-        return _steepness(dim, word, self.flags)[0]
+        """_steepness(dim, word)'s partner, with no reason made: the word
+        with its last dim raised, if it holds dim twice or more and, under
+        critical, is nondegenerate; else None."""
+        if word.count(dim) < 2 or self.flags.degenerate_policy == \
+                "critical" and is_degenerate_word(dim, word):
+            return None
+        p = len(word) - 1 - word[::-1].index(dim)
+        return word[:p] + (dim + 1,) + word[p + 1:]
 
     def down_word(self, dim: int, word: Word) -> Optional[Word]:
         """The word w with _steepness(dim - 1, w) = word, if any: word
@@ -354,10 +360,11 @@ class Matching:
 
 
 class CriticalReport:
-    """Critical cells per stratum under a pairing: the walked words in no
-    pair, and (strata) the degenerate-by-fiat cells, which it takes whole
-    strata to list.  Each list is built on first read and kept; below
-    max_dim, from the words build_matching's walk left unpaired, if any."""
+    """Critical cells per stratum under a pairing: the words in no pair,
+    and (strata) the degenerate-by-fiat cells, which it takes whole strata
+    to list.  Each list is built on first read and kept; below max_dim,
+    from the words build_matching's walk left unpaired, else in closed
+    form (_critical_words)."""
 
     def __init__(self, pairing: Matching | SteepnessRule,
                  scope: Scope) -> None:
@@ -398,40 +405,47 @@ class CriticalReport:
         return self._words[key]
 
     def _unmatched_walk(self, dim: int, length: int) -> Iterable[Word]:
-        """unmatched_words(dim, length) if kept, else its words in turn."""
+        """unmatched_words(dim, length) if kept, else its words in turn:
+        the words build_matching's walk left, or at max_dim the walked
+        ones, less those that pair down; below max_dim, on a stratum no
+        walk left (only a report on the rule has one), the generated
+        words."""
         if (dim, length) in self._words:
             return self._words[(dim, length)]
         if dim > self.scope.max_dim or length > self.scope.max_length:
             return ()
-        # no leftover of the walk, and no word at max_dim, pairs upward
-        up, down = self.pairing.up_word, self.pairing.down_word
         walked = self._unpaired.pop((dim, length), None)
         if walked is None:  # a stratum build_matching did not walk
-            walked = _walked_words(dim, length, self.flags)
             if dim < self.scope.max_dim:
-                walked = (w for w in walked if up(dim, w) is None)
+                return _critical_words(dim, length, self.flags)
+            walked = _walked_words(dim, length, self.flags)
+        down = self.pairing.down_word
         return (w for w in walked if down(dim, w) is None)
 
     def to_csv(self) -> Iterator[str]:
-        """One row per critical cell, with why it is unmatched, in the
-        blocks of line_blocks: a word at max_dim is "upward-undecided",
-        since its cofaces are unseen.  That stratum, the largest, is walked
-        and not kept, unless read before."""
+        """One row per critical cell, with whether its word is degenerate
+        and why it is unmatched, in the blocks of line_blocks: a word at
+        max_dim is "upward-undecided", since its cofaces are unseen.  That
+        stratum, the largest, is walked and not kept, unless read before."""
         return line_blocks(self._csv_parts())
 
     def _csv_parts(self) -> Iterator[Iterable[str]]:
         """The rows of to_csv, the header first, in parts."""
         yield ["dim,length,simplex,degenerate,reason"]
+        allow, marks = not self._fiat, (",false,", ",true,")
         for n, length in self.scope.strata():
             head = f"{n},{length},"
             if self._fiat:
                 yield from _degenerate_rows(head, n, length)
             # each part is read to its end before this loop moves on
             if n == self.scope.max_dim:
-                yield (f"{head}{word_text(w)},false,upward-undecided"
+                yield (f"{head}{word_text(w)}"
+                       f"{marks[allow and is_degenerate_word(n, w)]}"
+                       "upward-undecided"
                        for w in self._unmatched_walk(n, length))
             else:
-                yield (f"{head}{word_text(w)},false,"
+                yield (f"{head}{word_text(w)}"
+                       f"{marks[allow and is_degenerate_word(n, w)]}"
                        f"{_steepness(n, w, self.flags)[1]}"
                        for w in self.unmatched_words(n, length))
 
@@ -465,6 +479,33 @@ def _walked_words(n: int, length: int, flags: PairingFlags) \
     if flags.degenerate_policy == "critical":
         return surjective_words(n, length)
     return stratum_words(n, length)
+
+
+def _critical_words(n: int, length: int, flags: PairingFlags) -> list[Word]:
+    """The words of stratum (n, length) the rule pairs neither up nor down,
+    in lex order; under critical, the nondegenerate ones only.
+
+    Such a word holds n at most once, else it pairs up.  Holding n once,
+    it pairs down exactly when some n - 1 stands before that n and none
+    after (lowering the n keeps every other letter, so a nondegenerate word
+    passes the critical gate).  So each is a rest word u of length - 1 over
+    1..n - 1, surjective under critical, with n put in no later than the
+    last n - 1 of u, or anywhere if u holds none; under allow the words
+    without n join them.  Only the rest words are walked.
+    """
+    critical = flags.degenerate_policy == "critical"
+    if not n:  # the identity, which is critical
+        return [] if length else [()]
+    if not length:  # the identity, degenerate in dimension n
+        return [] if critical else [()]
+    low, top = n - 1, (n,)
+    out = [] if critical else list(stratum_words(low, length))
+    rests = surjective_words if critical else stratum_words
+    for u in rests(low, length - 1):
+        last = len(u) - 1 - u[::-1].index(low) if low in u else len(u)
+        out += [u[:p] + top + u[p:] for p in range(last, -1, -1)]
+    out.sort()
+    return out
 
 
 def build_matching(max_dim: int, max_length: int,

@@ -7,8 +7,12 @@ stdout bytes can be asserted without spawning subprocesses.
 import contextlib
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +49,34 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# --- the import path ------------------------------------------------------------------
+
+# What importing fkmorse.cli may load beyond a fresh interpreter's own
+# modules: each name with its submodules and its C accelerator (_json for
+# json), and the fkmorse modules.  Every start of the command pays for what
+# it imports, so a module that joins the list is a cost to every job.
+CLI_IMPORTS = {"__future__", "argparse", "ast", "copy", "dataclasses", "dis",
+               "gc", "gettext", "heapq", "importlib.machinery", "inspect",
+               "json", "linecache", "opcode", "token", "tokenize", "fkmorse"}
+
+
+def test_importing_the_cli_loads_no_module_beyond_todays_set():
+    code = ("import json, sys; before = set(sys.modules); "
+            "import fkmorse.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = json.loads(done.stdout)
+    assert "fkmorse.cli" in loaded
+    # a subset check: an interpreter that loads fewer modules passes
+    assert [m for m in loaded if m not in CLI_IMPORTS and
+            m.lstrip("_") not in CLI_IMPORTS and
+            m.partition(".")[0] not in CLI_IMPORTS] == []
 
 
 # --- chain expression parsing --------------------------------------------------------
@@ -254,13 +286,46 @@ def test_pair_text_summary_counts_what_the_report_lists(capsys, max_dim,
     assert code == EXIT_OK
     _, report = build_matching(max_dim, max_length,
                                PairingFlags(degenerate_policy=policy))
-    expected = [f"stratum dim={key.dim} length={key.length}: "
-                f"{len(unmatched)} critical nondegenerate, "
-                f"{len(deg)} degenerate unmatched"
-                for key, (deg, unmatched) in sorted(
-                    report.strata.items(),
-                    key=lambda item: (item[0].dim, item[0].length))]
+    # under allow no cell is degenerate by fiat, and the unmatched words
+    # are counted apart by their own degeneracy
+    expected = []
+    for key, (deg, unmatched) in sorted(
+            report.strata.items(),
+            key=lambda item: (item[0].dim, item[0].length)):
+        split = sum(is_degenerate_word(x.dim, x.word) for x in unmatched)
+        expected.append(f"stratum dim={key.dim} length={key.length}: "
+                        f"{len(unmatched) - split} critical nondegenerate, "
+                        f"{len(deg) + split} degenerate unmatched")
     assert out.splitlines()[3:] == expected
+
+
+def test_the_allow_pair_report_marks_degenerate_words(capsys):
+    # under allow, degenerate words go unmatched without being critical by
+    # fiat: the CSV marks each from its word, and the text counts them
+    # apart from the nondegenerate ones
+    argv = ["pair", "--max-dim", "2", "--max-length", "2",
+            "--degenerate-policy", "allow"]
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        "dim,length,simplex,degenerate,reason",
+        "0,0,e,false,no-regular-coface",
+        "1,0,e,true,no-regular-coface",
+        "1,1,a1,false,no-regular-coface",
+        "2,0,e,true,upward-undecided",
+        "2,1,a1,true,upward-undecided",
+        "2,1,a2,true,upward-undecided",
+        "2,2,a1.a1,true,upward-undecided",
+        "2,2,a2.a1,false,upward-undecided",
+        "2,2,a2.a2,true,upward-undecided"]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out.splitlines()[3:] == [
+        f"stratum dim={n} length={length}: {nondegenerate} critical "
+        f"nondegenerate, {degenerate} degenerate unmatched"
+        for n, length, nondegenerate, degenerate in [
+            (0, 0, 1, 0), (1, 0, 0, 1), (1, 1, 1, 0), (2, 0, 0, 1),
+            (2, 1, 0, 2), (2, 2, 1, 2)]]
 
 
 @pytest.mark.parametrize("policy", ["critical", "allow"])

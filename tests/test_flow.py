@@ -19,6 +19,7 @@ tuple words is kept here as the reference for its values.
 import random
 import time
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -240,14 +241,53 @@ def test_V_rejects_an_irregular_pair_when_first_met():
 
 
 def test_coface_table_rejects_an_irregular_pair():
-    # the backward route reads the incidence of (2,1) in (3,1) off its own
-    # face sum when it inverts the faces of the degenerate 3-words
-    bad = Matching([(S(2, (2, 1)), S(3, (3, 1)))], Scope(3, 3),
-                   PairingFlags())
-    local = FlowContext(Unvalidated(bad), Scope(3, 3))
-    with pytest.raises(SelfCheckError, match=r"\(a2.a1, a3.a1\) has "
-                       "incidence 0, not a regular pair"):
-        local.boundary_rows([sigma_cell(3)], [S(2, (1, 1))])
+    # under allow, the backward route reads the incidence of (2,1) in (3,1)
+    # off its own face sum when it inverts the faces of the degenerate
+    # 3-words, and fails before their table is kept; the critical policy
+    # pairs no degenerate word, so that table asks the pairing nothing,
+    # and the forward route meets the pair in d_3 of a3.a1.a2
+    for policy in ("allow", "critical"):
+        bad = Matching([(S(2, (2, 1)), S(3, (3, 1)))], Scope(3, 3),
+                       PairingFlags(policy))
+        local = FlowContext(Unvalidated(bad), Scope(3, 3))
+        with pytest.raises(SelfCheckError, match=r"\(a2.a1, a3.a1\) has "
+                           "incidence 0, not a regular pair"):
+            local.boundary_rows([S(3, (3, 1, 2))], [S(2, (1, 1))])
+        assert ((2, True) in local._edges) == (policy == "critical")
+
+
+class _Asked:
+    """The critical rule's answers under flags, with each word asked."""
+
+    def __init__(self, flags):
+        self.flags, self.asked, self._rule = flags, [], SteepnessRule()
+
+    def up_word(self, dim, word):
+        self.asked.append((dim, word))
+        return self._rule.up_word(dim, word)
+
+    def down_word(self, dim, word):
+        self.asked.append((dim, word))
+        return self._rule.down_word(dim, word)
+
+
+def test_degenerate_coface_tables_ask_the_critical_rule_nothing():
+    # the critical policy pairs no degenerate word, so its degenerate
+    # tables take each as unpaired without asking; a policy name the
+    # tables do not know makes them ask the same rule about every word,
+    # and the tables are the same
+    kept = _Asked(PairingFlags())
+    asking = _Asked(SimpleNamespace(degenerate_policy="asked"))
+    for mode in ("unnormalized", "normalized"):
+        ctx, asked = (FlowContext(p, Scope(5, 5), mode)
+                      for p in (kept, asking))
+        for n in range(5):
+            table = ctx._coface_table(n, True)
+            assert table == asked._coface_table(n, True), (mode, n)
+            assert table or n == 0
+        assert not kept.asked and not any(ctx._incidence.values())
+        assert asking.asked and all(is_degenerate_word(*x)
+                                    for x in asking.asked)
 
 
 def test_boundary_of_V_hits_the_source_with_coefficient_minus_one(ctx):

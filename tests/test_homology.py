@@ -587,13 +587,18 @@ def test_the_homology_path_walks_no_stratum_of_dimension_degree_plus_two(
     ctx, report, _ = morse_context(degree, length)
     build_slice(ctx, report, degree)
     build_slice(ctx, report, degree + 1)
-    # the report walks the bases' strata, dimensions d - 1 to d + 1, and
-    # the coface tables the strata of dimensions d and d + 1
+    # the report makes the bases' critical words, dimensions d - 1 to
+    # d + 1, from the rest words one letter shorter and one dimension
+    # lower, so it walks dimensions d - 2 to d at lengths up to L - 1; the
+    # coface tables walk the strata of dimensions d and d + 1
     assert {dim for dim, _ in walked[pairing]} == \
-        set(range(max(degree - 1, 0), degree + 2))
+        set(range(max(degree - 2, 0), degree + 1))
+    assert max(k for _, k in walked[pairing]) == length - 1
     assert {dim for dim, _ in walked[flow_module]} == {degree, degree + 1}
-    # each keeps what it walks, so no stratum is walked twice by either
+    # no stratum of dimension d + 2 is walked, and each keeps what it
+    # walks, so no stratum is walked twice by either
     for seen in walked.values():
+        assert max(dim for dim, _ in seen) < degree + 2
         assert len(seen) == len(set(seen))
 
 

@@ -38,7 +38,7 @@ from fkmorse.simplicial import (Simplex, Word, enumerate_stratum, face,
                                 sort_key, stratum_table, stratum_words,
                                 surjective_words, word_rank, word_text)
 
-from routes import pair_down
+from routes import critical_walk, pair_down
 
 S = Simplex
 ALLOW = PairingFlags(degenerate_policy="allow")
@@ -272,7 +272,8 @@ def _counted_pair_down(dim: int, word: Word, flags: PairingFlags) \
 def test_closed_form_rule_agrees_with_the_counted_rule(flags):
     """Partner, reason and down-partner of every word of every stratum
     with n <= 6, L <= 7 and n**L <= 5000, the down-partner by the closed
-    form and by the round trip through the up rule."""
+    form and by the round trip through the up rule; and the rule's
+    partner-only up_word, against the partner _steepness gives."""
     rule = SteepnessRule(flags)
     checked = 0
     for n, length in Scope(6, 7).strata():
@@ -281,6 +282,8 @@ def test_closed_form_rule_agrees_with_the_counted_rule(flags):
         for word in stratum_words(n, length):
             assert _steepness(n, word, flags) == \
                 _counted_steepness(n, word, flags), (n, word)
+            assert rule.up_word(n, word) == _steepness(n, word, flags)[0], \
+                (n, word)
             assert rule.down_word(n, word) == pair_down(n, word, flags) == \
                 _counted_pair_down(n, word, flags), (n, word)
             checked += 1
@@ -363,12 +366,12 @@ def test_report_strata_partition(built_3_3):
 
 
 def _csv_reasons(report):
-    """The reason column of the report's CSV for each critical
-    nondegenerate cell, in row order."""
+    """The reason column of the report's CSV for each critical cell that
+    is not degenerate by fiat, in row order."""
     rows = csv.DictReader(io.StringIO(_csv_text(report)))
     return {S(int(r["dim"]), () if r["simplex"] == "e" else
               tuple(int(a[1:]) for a in r["simplex"].split("."))): r["reason"]
-            for r in rows if r["degenerate"] == "false"}
+            for r in rows if r["reason"] != "degenerate"}
 
 
 def test_report_reasons(built_3_3):
@@ -549,7 +552,8 @@ def _literal_csv(strata, reasons):
         deg, unm = strata[key]
         rows += [f"{key.dim},{key.length},{x},true,degenerate"
                  for x in sorted(deg, key=sort_key)]
-        rows += [f"{key.dim},{key.length},{x},false,{reasons[x]}"
+        rows += [f"{key.dim},{key.length},{x},"
+                 f"{str(is_degenerate(x)).lower()},{reasons[x]}"
                  for x in sorted(unm, key=sort_key)]
     return "\n".join(rows) + "\n"
 
@@ -712,8 +716,9 @@ def test_build_and_validation_make_no_cell_until_pairs_are_read(
                                                 (5, 4)])
 def test_a_report_over_the_rule_is_the_built_report(max_dim, max_length,
                                                     flags):
-    """A CriticalReport that asks the lazy rule, walking every stratum it
-    is asked about, against build_matching's, which keeps its walk's
+    """A CriticalReport on the lazy rule, which makes the critical words
+    below max_dim in closed form and walks the top stratum, asking the
+    rule, against build_matching's, which keeps its walk's
     leftovers: the same critical words on every stratum, in order, and
     the same strata and CSV."""
     scope = Scope(max_dim, max_length)
@@ -724,6 +729,22 @@ def test_a_report_over_the_rule_is_the_built_report(max_dim, max_length,
             built.unmatched_words(n, length), (n, length)
     assert rule.strata == built.strata
     assert _csv_text(rule) == _csv_text(built)
+
+
+@pytest.mark.parametrize("flags", [PairingFlags(), ALLOW],
+                         ids=["critical", "allow"])
+def test_generated_critical_words_are_the_walked_ones(flags):
+    """The critical words a report on the rule makes below max_dim, from
+    the rest words one letter shorter, against the check route that walks
+    the stratum and asks the rule both ways, on every stratum with
+    n <= 6 and L <= 8."""
+    report = CriticalReport(SteepnessRule(flags), Scope(7, 8))
+    found = 0
+    for n, length in Scope(6, 8).strata():
+        words = report.unmatched_words(n, length)
+        assert words == critical_walk(n, length, flags), (n, length)
+        found += len(words)
+    assert found > 0
 
 
 def test_the_pair_csv_walks_each_stratum_once(monkeypatch):
@@ -1165,7 +1186,8 @@ def _word_walk_csv(report):
         head = f"{n},{length},"
         lines += [f"{head}{word_text(w)},true,degenerate"
                   for w in _word_walk_degenerate_words(report, n, length)]
-        lines += [f"{head}{word_text(x.word)},false,{reasons[x]}"
+        lines += [f"{head}{word_text(x.word)},"
+                  f"{str(is_degenerate(x)).lower()},{reasons[x]}"
                   for x in report.unmatched_nondegenerate(n, length)]
     return "\n".join(lines) + "\n"
 
@@ -1273,10 +1295,13 @@ def _joined_csv(report):
         if report.flags.degenerate_policy == "critical":
             lines += _joined_degenerate_rows(head, n, length)
         if n == report.scope.max_dim:
-            lines += [f"{head}{word_text(w)},false,upward-undecided"
+            lines += [f"{head}{word_text(w)},"
+                      f"{str(is_degenerate_word(n, w)).lower()},"
+                      "upward-undecided"
                       for w in report._unmatched_walk(n, length)]
         else:
-            lines += [f"{head}{word_text(w)},false,"
+            lines += [f"{head}{word_text(w)},"
+                      f"{str(is_degenerate_word(n, w)).lower()},"
                       f"{_steepness(n, w, report.flags)[1]}"
                       for w in report.unmatched_words(n, length)]
     return "\n".join(lines) + "\n"
