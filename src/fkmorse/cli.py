@@ -31,14 +31,14 @@ from .errors import (ChainParseError, SelfCheckError, StabilizationError,
 from .flow import (FlowContext, beta_cell, sigma_cell, sigma_tilde_cell,
                    tau_cell, tau_tilde_cell, y_power)
 from .homology import (build_slice, collector_paused, compute_homology,
-                       morse_context, stability_scan)
+                       critical_basis, morse_context, stability_scan)
 from .pairing import (Matching, PairingFlags, Scope, SteepnessRule,
                       build_matching, check_dot_size, matching_to_dot,
                       validate_matching)
-from .simplicial import (Simplex, StratumKey, check_stratum_size,
-                         degenerate_size, identity, is_degenerate_word,
-                         line_blocks, simplex_text, stratum_parts,
-                         stratum_size, stratum_table)
+from .simplicial import (MAX_STRATUM_CELLS, Simplex, StratumKey,
+                         check_stratum_size, degenerate_size, identity,
+                         is_degenerate_word, line_blocks, simplex_text,
+                         stratum_parts, stratum_size, stratum_table)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -286,6 +286,14 @@ def cmd_morse(ns: argparse.Namespace) -> int:
     with collector_paused():
         ctx, report, _ = morse_context(ns.degree - 1, ns.max_length,
                                        _flags_from(ns), ns.mode)
+        # every format but an all-zero text report prints each field of the
+        # dense matrix, so a slice with too many is refused before any row
+        rows, cols = (len(critical_basis(report, d, ns.max_length))
+                      for d in (ns.degree, ns.degree - 1))
+        if rows * cols > MAX_STRATUM_CELLS:
+            raise TruncationError(
+                f"the degree-{ns.degree} slice holds {rows} x {cols} = "
+                f"{rows * cols} fields, over the limit of {MAX_STRATUM_CELLS}")
         slc = build_slice(ctx, report, ns.degree)
     _note(f"{ctx.dual_route_checks} boundary entries double-checked")
     if ns.format == "json":

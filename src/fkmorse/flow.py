@@ -15,17 +15,18 @@ the critical cells by following gradient paths down; backward, gradient
 paths run up from each basis cell through upper cofaces to unpaired ones,
 read off a coface table that inverts the face map over a whole stratum of
 the scope.  So boundary rows enumerate the scope's strata, on a
-SteepnessRule too, while stabilize and apply_V stay lazy.  The forward
-reduction keys its words in byte form (face_form), as the byte face
-tables give them, and makes a word only to ask the pairing; the backward
-one inverts the letter-level face_word and keys by word, so the two share
-no face code.  None of it makes reference cycles, which is why the
-homology path can pause the cyclic collector around it.
+SteepnessRule too, while stabilize and apply_V stay lazy.  Both key
+their words in byte form (face_form) and make a word only to ask the
+pairing; the forward one takes faces from simplicial's byte face tables,
+the backward one from translate tables read off the letter-level
+face_word, so the two share no face code.  None of it makes reference
+cycles, which is why the homology path can pause the cyclic collector.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from functools import cache
 from typing import Callable, Container
 
 from .chains import MODES, Chain, boundary, incidence, signed_faces
@@ -36,7 +37,8 @@ from .simplicial import (Simplex, Word, check_stratum_size, face_form,
                          face_word, identity, is_degenerate_word, sort_key,
                          stratum_words, surjective_words, word_text)
 
-Edges = tuple[list[Word], list[int], list[tuple[Word, int]]]
+Key = bytes | Word  # a word in face_form
+Edges = tuple[list[Key], list[int], list[tuple[Key, int]]]
 _NO_EDGES: Edges = ([], [], [])
 
 
@@ -120,6 +122,17 @@ def _regular(x: Word, tau: Word, inc: int) -> int:
     return inc
 
 
+@cache
+def _letter_tables(m: int) -> list[tuple[bytes, bytes]]:
+    """The bytes.translate arguments (table, deleted letters) of d_0, ...,
+    d_m on dimension-m words, m < 256, each read off face_word one letter
+    at a time: faces act letterwise."""
+    images = [[face_word(m, (k,), i) for k in range(1, m + 1)]
+              for i in range(m + 1)]
+    return [(bytes([0] + [f[0] if f else 0 for f in row] + [0] * (255 - m)),
+             bytes(k for k, f in enumerate(row, 1) if not f)) for row in images]
+
+
 class FlowContext:
     """Scope-guarded flow computations over a fixed pairing.
 
@@ -129,9 +142,9 @@ class FlowContext:
     returning a partial answer.  stabilize and apply_V ask the pairing one
     cell at a time; boundary_rows walks the strata of the scope one
     dimension above its basis, each within MAX_STRATUM_CELLS, also on a
-    SteepnessRule.  The forward reduction's projection memo and basis index
-    are keyed by byte-form words, the incidence memo and the backward
-    reduction's coface tables by word.  No memo refers back to the
+    SteepnessRule.  The projection memo, the basis index, the coface
+    tables and the columns key words in face_form, bytes below dimension
+    256; the incidence memo keys them by word.  No memo refers back to the
     context, so dropping it frees them all by reference counting, and the
     homology path runs with the cyclic collector paused.
     """
@@ -157,7 +170,7 @@ class FlowContext:
         self._incidence: dict[int, dict[Word, int]] = defaultdict(dict)
         self._gradient: dict[int, dict] = defaultdict(dict)
         # the coface tables, by dimension and degeneracy of the faces
-        self._edges: dict[tuple[int, bool], dict[Word, Edges]] = {}
+        self._edges: dict[tuple[int, bool], dict[Key, Edges]] = {}
         # the cells of dimension max_dim and length <= max_length, the sum
         # of n ** length, in closed form
         n, top = scope.max_dim, scope.max_length
@@ -264,8 +277,9 @@ class FlowContext:
             memo[cell] = {z: u for z, u in acc.items() if u}
         return memo[x]
 
-    def _coface_edges(self, n: int, z: Word) -> Edges:
-        """The gradient edges out of z and the cofaces a row can read.
+    def _coface_edges(self, n: int, z: Key) -> Edges:
+        """The gradient edges out of z, a dimension-n word in
+        face_form(n + 1, .), and the cofaces a row can read.
 
         For each upper coface tau whose partner y is not z, y and the weight
         -<boundary tau, y> <boundary tau, z>, in parallel lists; then each
@@ -282,11 +296,12 @@ class FlowContext:
                 n, degenerate)
         return table.get(z, _NO_EDGES)
 
-    def _coface_table(self, n: int, degenerate: bool) \
-            -> dict[Word, Edges]:
+    def _coface_table(self, n: int, degenerate: bool) -> dict[Key, Edges]:
         """_coface_edges of the dimension-n words of one degeneracy, by
-        inverting face_word over the dimension-(n+1) words of the scope
-        that are not lower cells.
+        inverting the faces of the dimension-(n+1) words of the scope that
+        are not lower cells.  The faces, partners and unpaired cofaces are
+        keyed in face_form(n + 1, .), their faces taken by _letter_tables
+        below dimension 256 and by face_word from there on.
 
         Every face of a surjective word is surjective, and a degenerate word
         has net incidence 0 on every nondegenerate face, so nondegenerate
@@ -302,8 +317,9 @@ class FlowContext:
         if degenerate and self.pairing.flags.degenerate_policy == "critical":
             down = up = lambda dim, word: None
         incidences = self._incidence[n]
-        table: dict[Word, Edges] = defaultdict(lambda: ([], [], []))
-        signs = [(i, -1 if i % 2 else 1) for i in range(m + 1)]
+        table: dict[Key, Edges] = defaultdict(lambda: ([], [], []))
+        face, steps = (bytes.translate, _letter_tables(m)) if m < 256 else (
+            lambda w, i, _: face_word(m, w, i), [(i, 0) for i in range(m + 1)])
         for length in lengths:
             words = surjective_words(m, length) if not degenerate else (
                 w for w in stratum_words(m, length)
@@ -312,27 +328,31 @@ class FlowContext:
                 y = down(m, w)
                 if y is None and up(m, w) is not None:
                     continue  # no row reads a lower cell
-                inc: dict[Word, int] = {}
-                for i, sign in signs:
-                    f = face_word(m, w, i)
+                key = face_form(m, w)
+                inc, sign = {}, 1
+                for a, b in steps:  # face(key, a, b) is d_0, ..., d_m
+                    f = face(key, a, b)
                     inc[f] = inc.get(f, 0) + sign
+                    sign = -sign
                 if y is None:
                     for f, v in inc.items():
                         if v:
-                            table[f][2].append((w, v))
+                            table[f][2].append((key, v))
                     continue
                 # the forward route reads the pair's incidence from here too
-                p = incidences[y] = _regular(y, w, inc.pop(y, 0))
+                y_key = face_form(m, y)
+                p = incidences[y] = _regular(y, w, inc.pop(y_key, 0))
                 for f, v in inc.items():
                     if v:
                         ys, ws, _ = table[f]
-                        ys.append(y)
+                        ys.append(y_key)
                         ws.append(-p * v)
         return table
 
-    def _column(self, n: int, sigma: Word) -> dict[Word, int]:
+    def _column(self, n: int, sigma: Key) -> dict[Key, int]:
         """<boundary-tilde c, sigma> by the word of every unpaired cell c
-        it is nonzero on, by walking gradient paths upward from sigma.
+        it is nonzero on, by walking gradient paths upward from sigma; c
+        and sigma in face_form(n + 1, .), as the coface tables key them.
 
         The weight of sigma is 1 and each gradient edge (y, w) out of a
         cell z adds w times the weight of z to y; the walk's post-order,
@@ -383,25 +403,29 @@ class FlowContext:
                     self.pairing.down_word(x.dim, x.word) is not None:
                 raise ValueError(
                     f"{x} is matched, so it is no cell of the Morse complex")
-        # the basis positions of each word, in the face_form of the cells'
-        # dimension as the projections give them, and the columns as rows
-        index: dict[bytes | Word, list[int]] = {}
-        backward: dict[Word, dict[int, int]] = {c.word: {} for c in cells}
+        # the basis positions of each word and the columns as rows, keyed
+        # in the face_form of the cells' dimension, as both routes give them
+        index: dict[Key, list[int]] = {}
+        backward = {face_form(c.dim, c.word): {} for c in cells}
         for j, sigma in enumerate(basis):
-            index.setdefault(face_form(sigma.dim + 1, sigma.word),
-                             []).append(j)
-            for w, v in self._column(sigma.dim, sigma.word).items():
+            key = face_form(sigma.dim + 1, sigma.word)
+            index.setdefault(key, []).append(j)
+            for w, v in self._column(sigma.dim, key).items():
                 if w in backward:
                     backward[w][j] = v
         rows = []
         for cell in cells:
-            forward: dict[bytes | Word, int] = {}
+            memo = self._gradient[cell.dim - 1]
+            forward: dict[Key, int] = {}
             for y, v in signed_faces(cell.dim, cell.word, self.mode).items():
-                for z, u in self._projection(cell.dim - 1, y).items():
+                g = memo.get(y)  # _projection only on a miss
+                if g is None:
+                    g = self._projection(cell.dim - 1, y)
+                for z, u in g.items():
                     forward[z] = forward.get(z, 0) + v * u
             row = {j: u for z, u in forward.items() if u
                    for j in index.get(z, ())}
-            column = backward[cell.word]
+            column = backward[face_form(cell.dim, cell.word)]
             if row != column:
                 j = min((j for j in row.keys() | column.keys()
                          if row.get(j) != column.get(j)),

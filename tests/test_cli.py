@@ -671,6 +671,45 @@ def test_morse_json_and_csv(capsys):
     assert out.splitlines() == ["simplex,e", "a1,0"]
 
 
+@pytest.mark.parametrize("argv,digest", [
+    ("--degree 4 --max-length 6 --format csv",
+     "a2ec30aa781cd73ab813b25e47f1977b7254faa095298bb015cb6bf78811eec8"),
+    ("--degree 4 --max-length 6 --format csv --mode normalized",
+     "a2ec30aa781cd73ab813b25e47f1977b7254faa095298bb015cb6bf78811eec8"),
+    ("--degree 4 --max-length 6 --format csv --degenerate-policy allow",
+     "e67ff3d6a0a021cd50acbaf5f294249455ac207f7b707d9b0591e5e23f0734b6"),
+    ("--degree 5 --max-length 6 --format csv",
+     "df5bda74e71e8c8fb512b31f9da33a3517fe1e2f8764d00ef7e3d156e01aaaa4"),
+    ("--degree 4 --max-length 7 --format json",
+     "624d4e9752159a02971a8e3cf22d891d95b502b24b9bcb6453bb3b998f460d4c"),
+], ids=["4-6-csv", "4-6-csv-normalized", "4-6-csv-allow", "5-6-csv",
+        "4-7-json"])
+def test_morse_slices_beyond_the_bench_grid_are_unchanged(capsys, argv,
+                                                         digest):
+    # stdout bytes of slices larger than any benchmark job, as the tuple
+    # keyed backward reduction printed them
+    code, out, _ = run(capsys, "morse", *argv.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_morse_refuses_an_oversized_dense_slice_before_any_row(
+        capsys, tmp_path, fmt):
+    # (5,8) passes the stratum limit, but its slice would print 47964 x
+    # 12720 fields; the bases are counted and the run refused before a
+    # boundary row is built, so nothing is written and no file is made
+    target = tmp_path / "slice.out"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "morse", "--degree", "5", "--max-length",
+                         "8", "--format", fmt, "--output", str(target))
+    assert time.perf_counter() - start < 2.0
+    assert code == EXIT_SCOPE
+    assert out == "" and not target.exists()
+    assert err == ("error: the degree-5 slice holds 47964 x 12720 = "
+                   "610102080 fields, over the limit of 2000000\n")
+
+
 def test_morse_rejects_degree_zero(capsys):
     code, _, _ = run(capsys, "morse", "--degree", "0", "--max-length", "3")
     assert code == EXIT_USAGE
@@ -776,7 +815,9 @@ def test_output_flag_writes_the_payload_to_a_file(capsys, tmp_path):
      "stratum (dim 3, length 14) holds 4782969 cells"),
     ("enumerate --dim 2 --length 21 --format csv",
      "stratum (dim 2, length 21) holds 2097152 cells"),
-], ids=["pair-dot", "pair-stratum", "enumerate"])
+    ("morse --degree 5 --max-length 7 --format csv",
+     "the degree-5 slice holds 7140 x 3060 = 21848400 fields"),
+], ids=["pair-dot", "pair-stratum", "enumerate", "morse"])
 @pytest.mark.parametrize("sink", ["stdout", "output"])
 def test_a_refused_export_writes_nothing(capsys, tmp_path, argv, message,
                                          sink):

@@ -12,8 +12,9 @@ oracle for whole slices. The backward reduction keeps only the cofaces a
 row can read, from tables that invert the face map; the former walk, which
 generated the cofaces of each cell it met and kept every coface that is
 not upper, is kept here as the reference for its edges and columns.
-The forward reduction reads byte-form words; its former projection on
-tuple words is kept here as the reference for its values.
+Both reductions key byte-form words; the former forward projection and
+backward edges and columns on tuple words are kept here as the references
+for their values, compared as words.
 """
 
 import random
@@ -28,6 +29,7 @@ from fkmorse.errors import (SelfCheckError, StabilizationError,
                             TruncationError)
 from fkmorse.flow import (
     FlowContext,
+    _letter_tables,
     beta_cell,
     sigma_cell,
     sigma_tilde_cell,
@@ -39,8 +41,9 @@ from fkmorse.homology import build_slice, morse_context
 from fkmorse.pairing import (Matching, PairingFlags, Scope, SteepnessRule,
                              _coface_words, _postorder, build_matching)
 from fkmorse.simplicial import (MAX_STRATUM_CELLS, Simplex,
-                                enumerate_stratum, face, face_form, identity,
-                                is_degenerate, is_degenerate_word)
+                                enumerate_stratum, face, face_form,
+                                face_word, identity, is_degenerate,
+                                is_degenerate_word)
 
 from dense import densify
 from routes import Unvalidated, matching_context
@@ -529,11 +532,12 @@ def _tamper_columns(monkeypatch, flow, cell, shifts):
     cell in the column of each basis cell sigma."""
     honest = flow._column
 
-    def column(dim, word):
-        out = dict(honest(dim, word))
-        sigma = S(dim, word)
+    def column(dim, key):
+        # the columns, like the coface tables, key words in face_form
+        out = dict(honest(dim, key))
+        sigma, w = S(dim, tuple(key)), face_form(cell.dim, cell.word)
         if sigma in shifts:
-            out[cell.word] = out.get(cell.word, 0) + shifts[sigma]
+            out[w] = out.get(w, 0) + shifts[sigma]
         return out
 
     monkeypatch.setattr(flow, "_column", column)
@@ -653,8 +657,12 @@ def test_columns_are_the_former_columns_on_unpaired_words(policy, mode):
                 former = reference(sigma)
                 unpaired = {w: v for w, v in former.items()
                             if pairing.up_word(n + 1, w) is None}
-                column = ctx._column(n, sigma)
-                assert column == unpaired, (n, sigma)
+                column = ctx._column(n, face_form(n + 1, sigma))
+                # keyed in face_form(n + 1, .), bytes at these dimensions;
+                # as words, the same items
+                assert all(type(w) is bytes for w in column), (n, sigma)
+                assert sorted((tuple(w), v) for w, v in column.items()) == \
+                    sorted(unpaired.items()), (n, sigma)
                 dropped += len(former) - len(unpaired)
                 kept_degenerate += sum(is_degenerate_word(n + 1, w)
                                        for w in column)
@@ -671,22 +679,60 @@ def test_columns_are_the_former_columns_on_unpaired_words(policy, mode):
 def test_coface_tables_are_the_generated_cofaces(policy, mode):
     # Every word of dimension n <= 4 and length <= 6, as in the columns
     # test above: the edges read off the inverted face tables are the
-    # generated ones, less the lower cofaces, in any order.
+    # generated ones, less the lower cofaces, in any order.  The tables
+    # key faces, partners and cofaces in face_form(n + 1, .), bytes at
+    # these dimensions.
     ctx = morse_context(4, 6, PairingFlags(policy), mode)[0]
-    up_word = ctx.pairing.up_word
     for n in range(5):
         for length in range(7 if n else 1):
             for z in product(range(1, n + 1), repeat=length):
-                up, rest = _former_coface_edges(ctx, n, z)
-                ys, ws, unpaired = ctx._coface_edges(n, z)
-                assert len(ys) == len(ws), (n, z)
-                assert sorted(zip(ys, ws)) == sorted(up), (n, z)
-                assert sorted(unpaired) == sorted(
-                    (w, v) for w, v in rest
-                    if up_word(n + 1, w) is None), (n, z)
+                _assert_former_edges(ctx, n, z, bytes)
     # degenerate words got tables only where a boundary reaches them
     assert {d for _, d in ctx._edges} == (
         {False} if mode == "normalized" else {False, True})
+    assert all(type(f) is bytes for table in ctx._edges.values()
+               for f in table)
+
+
+def _assert_former_edges(ctx, n, z, form):
+    """The coface edges of the dimension-n word z are the generated ones,
+    less the lower cofaces, in any order; every word they key is of type
+    form, and as words they are the same items."""
+    up, rest = _former_coface_edges(ctx, n, z)
+    ys, ws, unpaired = ctx._coface_edges(n, face_form(n + 1, z))
+    assert all(type(w) is form for w in (*ys, *(w for w, _ in unpaired))), \
+        (n, z)
+    assert len(ys) == len(ws), (n, z)
+    assert sorted(zip(map(tuple, ys), ws)) == sorted(up), (n, z)
+    assert sorted((tuple(w), v) for w, v in unpaired) == sorted(
+        (w, v) for w, v in rest
+        if ctx.pairing.up_word(n + 1, w) is None), (n, z)
+
+
+def test_letter_tables_are_the_face_word_faces():
+    # the backward route's translate tables, read off face_word one letter
+    # at a time, give face_word at every index on every word with m <= 6
+    # and length <= 5
+    for m in range(1, 7):
+        tables = _letter_tables(m)
+        assert len(tables) == m + 1
+        for length in range(6):
+            for w in product(range(1, m + 1), repeat=length):
+                key = bytes(w)
+                assert [tuple(key.translate(t, d)) for t, d in tables] == \
+                    [face_word(m, w, i) for i in range(m + 1)], (m, w)
+
+
+@pytest.mark.parametrize("m,form", [(255, bytes), (256, tuple),
+                                    (257, tuple)])
+def test_coface_edges_from_dimension_256_on_are_the_tuple_routes(m, form):
+    # below dimension 256 the tables translate bytes; from 256 on face_form
+    # keeps the tuple and the faces come from face_word, with the same edges
+    ctx = FlowContext(SteepnessRule(), Scope(m, 1))
+    for z in [(), *((k,) for k in range(1, m))]:
+        _assert_former_edges(ctx, m - 1, z, form)
+    assert ctx._edges and all(type(f) is form for table in
+                              ctx._edges.values() for f in table)
 
 
 def _former_projection(flow, n):
