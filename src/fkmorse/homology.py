@@ -5,9 +5,11 @@ restricted to word length <= L.  The boundary never increases word length,
 so each truncation is honestly closed under the boundary; the stability
 scan probes how the answer depends on L.
 
-Slice bases use the nondegenerate critical cells: the degenerate cells form
-an acyclic subcomplex the flow never moves, so dropping them changes no
-homology and keeps the low-degree boundary matrices identically zero.
+Slice bases use the unmatched cells.  Under the default policy those are
+nondegenerate: the degenerate cells are critical by fiat and form an acyclic
+subcomplex the flow never moves, so dropping them changes no homology and
+keeps the low-degree boundary matrices identically zero.  Under "allow"
+degenerate cells pair, and the unpaired ones join the bases.
 """
 
 from __future__ import annotations
@@ -241,8 +243,8 @@ class MorseSlice:
 
 def critical_basis(report: CriticalReport, dim: int, max_length: int) \
         -> list[Simplex]:
-    """Nondegenerate critical cells of one dimension, in stratum order,
-    which is (length, word) order."""
+    """Critical cells of one dimension, in stratum order, which is (length,
+    word) order: nondegenerate under critical, any unmatched under allow."""
     return [x for length in range(max_length + 1 if dim else 1)
             for x in report.unmatched_nondegenerate(dim, length)]
 

@@ -170,61 +170,48 @@ def regular_cofaces(sigma: Simplex) -> list[tuple[Simplex, int]]:
 
 # --- the single-cell steepness rule -----------------------------------------
 
-def _steepness(n: int, word: tuple[int, ...], flags: PairingFlags) \
-        -> tuple[Optional[tuple[int, ...]], str]:
-    """The steepness rule on a dimension-n word: its partner's word, or
-    None with the reason it stays unmatched.
-
-    The partner is the lex-least regular same-length coface, kept only if
-    it passes the policy gate and the word is the largest of all its
-    same-length faces.  Shorter faces and cofaces are always smaller, so
-    only same-length ones matter, and the rule has a closed form: the word
-    pairs exactly when its top letter n occurs at least twice, and its
-    partner raises the last n to n + 1.
-
-    Derivation.  With m = n + 1 - i, the same-length cofaces tau with
-    d_i(tau) = word keep every letter below m, raise every letter above m,
-    and take m or m + 1 at each copy of m (_coface_words).  For m' < m, a
-    coface lies in both index sets iff the word has no letter strictly
-    between m' and m and the coface keeps every m' and raises every m.
-    Applied to the neighbours m - 1 and m + 1, this makes the coface from
-    index i regular iff it raises some, not all, copies of m; so m must
-    repeat, and the end indices (m = 0, n + 1) give none.  The lex-least
-    regular coface comes from the largest repeated letter m and raises
-    only its last copy.  If m < n, its face d_1 exceeds the word at that
-    copy; if m = n, every other same-length face is smaller.  A
-    nondegenerate word holds all of 1..n, so its partner holds all of
-    1..n + 1 and is nondegenerate too.
-    """
-    if flags.degenerate_policy == "critical" and is_degenerate_word(n, word):
-        return None, "degenerate"
-    if word.count(n) >= 2:
-        p = len(word) - 1 - word[::-1].index(n)
-        return word[:p] + (n + 1,) + word[p + 1:], "paired"
-    if len(set(word)) == len(word):
-        return None, "no-regular-coface"
-    return None, "not-max-in-min-coface"
-
-
 def _cell(dim: int, word: Optional[Word]) -> Optional[Simplex]:
     return None if word is None else Simplex(dim, word)
 
 
 class SteepnessRule:
-    """Lazy pairing oracle that decides each word from its own letters;
-    needs no global enumeration.
+    """Lazy pairing oracle that decides each word from its own letters, by
+    closed forms: up_word upward, down_word downward.  Needs no global
+    enumeration.
 
-    Equivalent on every stratum to build_matching (tested), but usable at
-    dimensions where enumerating strata is infeasible.
+    Equivalent on every stratum to build_matching, which asks up_word
+    (tested), but usable at dimensions where enumerating strata is
+    infeasible.
     """
 
     def __init__(self, flags: PairingFlags = DEFAULT_FLAGS) -> None:
         self.flags = flags
 
     def up_word(self, dim: int, word: Word) -> Optional[Word]:
-        """_steepness(dim, word)'s partner, with no reason made: the word
-        with its last dim raised, if it holds dim twice or more and, under
-        critical, is nondegenerate; else None."""
+        """The steepness rule on a dimension-dim word: its partner's word,
+        or None (_reason says why).
+
+        The partner is the lex-least regular same-length coface, kept only
+        if it passes the policy gate and the word is the largest of all its
+        same-length faces.  Shorter faces and cofaces are always smaller,
+        so only same-length ones matter, and the rule has a closed form:
+        the word pairs exactly when its top letter n = dim occurs at least
+        twice, and its partner raises the last n to n + 1.
+
+        Derivation.  With m = n + 1 - i, the same-length cofaces tau with
+        d_i(tau) = word keep every letter below m, raise every letter above
+        m, and take m or m + 1 at each copy of m (_coface_words).  For
+        m' < m, a coface lies in both index sets iff the word has no letter
+        strictly between m' and m and the coface keeps every m' and raises
+        every m.  Applied to the neighbours m - 1 and m + 1, this makes the
+        coface from index i regular iff it raises some, not all, copies of
+        m; so m must repeat, and the end indices (m = 0, n + 1) give none.
+        The lex-least regular coface comes from the largest repeated letter
+        m and raises only its last copy.  If m < n, its face d_1 exceeds
+        the word at that copy; if m = n, every other same-length face is
+        smaller.  A nondegenerate word holds all of 1..n, so its partner
+        holds all of 1..n + 1 and is nondegenerate too.
+        """
         if word.count(dim) < 2 or self.flags.degenerate_policy == \
                 "critical" and is_degenerate_word(dim, word):
             return None
@@ -232,7 +219,7 @@ class SteepnessRule:
         return word[:p] + (dim + 1,) + word[p + 1:]
 
     def down_word(self, dim: int, word: Word) -> Optional[Word]:
-        """The word w with _steepness(dim - 1, w) = word, if any: word
+        """The word w with up_word(dim - 1, w) = word, if any: word
         holds dim once, some dim - 1 before it and none after, and under
         critical, lowering the dim gives a nondegenerate w."""
         if dim < 2 or word.count(dim) != 1:
@@ -257,6 +244,18 @@ class SteepnessRule:
 
     def is_critical(self, x: Simplex) -> bool:
         return not self.is_matched(x)
+
+
+def _reason(n: int, word: Word, flags: PairingFlags) -> str:
+    """Why the rule leaves a dimension-n word unpaired, for a word up_word
+    leaves unpaired: under critical a degenerate word is critical by fiat;
+    else a word with no repeated letter has no regular coface, and one
+    whose repeated letters are below n is not the largest face of its
+    least regular coface (see up_word)."""
+    if flags.degenerate_policy == "critical" and is_degenerate_word(n, word):
+        return "degenerate"
+    return "no-regular-coface" if len(set(word)) == len(word) \
+        else "not-max-in-min-coface"
 
 
 # --- explicit matchings over a truncation ------------------------------------
@@ -362,17 +361,18 @@ class Matching:
 class CriticalReport:
     """Critical cells per stratum under a pairing: the words in no pair,
     and (strata) the degenerate-by-fiat cells, which it takes whole strata
-    to list.  Each list is built on first read and kept; below max_dim,
-    from the words build_matching's walk left unpaired, else in closed
-    form (_critical_words)."""
+    to list.  Each list is built on first read and kept, keyed by (dim,
+    length).  Below max_dim the words are made in closed form
+    (_critical_words), whether the pairing is a built matching or the
+    rule; at max_dim, whose cofaces are unseen, they are the walked words
+    the pairing does not pair down."""
 
     def __init__(self, pairing: Matching | SteepnessRule,
                  scope: Scope) -> None:
         self.pairing = pairing
         self.scope = scope
         self.flags = pairing.flags
-        self._unmatched: dict[StratumKey, list[Simplex]] = {}
-        self._unpaired: dict[tuple[int, int], list[Word]] = {}
+        self._unmatched: dict[tuple[int, int], list[Simplex]] = {}
         self._words: dict[tuple[int, int], list[Word]] = {}
         self._fiat = self.flags.degenerate_policy == "critical"
 
@@ -391,7 +391,9 @@ class CriticalReport:
         return self.strata.get(StratumKey(dim, length), ([], []))[0]
 
     def unmatched_nondegenerate(self, dim: int, length: int) -> list[Simplex]:
-        key = StratumKey(dim, length)
+        """The cells in no pair of stratum (dim, length), in lex order: the
+        nondegenerate ones under critical, degenerate ones too under allow."""
+        key = (dim, length)
         if key not in self._unmatched:
             self._unmatched[key] = [Simplex(dim, w)
                                     for w in self.unmatched_words(dim, length)]
@@ -406,21 +408,18 @@ class CriticalReport:
 
     def _unmatched_walk(self, dim: int, length: int) -> Iterable[Word]:
         """unmatched_words(dim, length) if kept, else its words in turn:
-        the words build_matching's walk left, or at max_dim the walked
-        ones, less those that pair down; below max_dim, on a stratum no
-        walk left (only a report on the rule has one), the generated
-        words."""
+        below max_dim the generated words, at max_dim the walked ones less
+        those that pair down."""
         if (dim, length) in self._words:
             return self._words[(dim, length)]
-        if dim > self.scope.max_dim or length > self.scope.max_length:
+        if not (0 <= dim <= self.scope.max_dim and
+                0 <= length <= self.scope.max_length):
             return ()
-        walked = self._unpaired.pop((dim, length), None)
-        if walked is None:  # a stratum build_matching did not walk
-            if dim < self.scope.max_dim:
-                return _critical_words(dim, length, self.flags)
-            walked = _walked_words(dim, length, self.flags)
+        if dim < self.scope.max_dim:
+            return _critical_words(dim, length, self.flags)
         down = self.pairing.down_word
-        return (w for w in walked if down(dim, w) is None)
+        return (w for w in _walked_words(dim, length, self.flags)
+                if down(dim, w) is None)
 
     def to_csv(self) -> Iterator[str]:
         """One row per critical cell, with whether its word is degenerate
@@ -446,7 +445,7 @@ class CriticalReport:
             else:
                 yield (f"{head}{word_text(w)}"
                        f"{marks[allow and is_degenerate_word(n, w)]}"
-                       f"{_steepness(n, w, self.flags)[1]}"
+                       f"{_reason(n, w, self.flags)}"
                        for w in self.unmatched_words(n, length))
 
 
@@ -511,9 +510,10 @@ def _critical_words(n: int, length: int, flags: PairingFlags) -> list[Word]:
 def build_matching(max_dim: int, max_length: int,
                    flags: PairingFlags = DEFAULT_FLAGS,
                    validate: bool = True) -> tuple[Matching, CriticalReport]:
-    """Steepness pairs for every stratum with sigma.dim < max_dim.
+    """Steepness pairs for every stratum with sigma.dim < max_dim, and the
+    critical report on them.
 
-    Applies the steepness rule to every walked word below max_dim, also to
+    Asks SteepnessRule.up_word about every walked word below max_dim, also
     one matched from below, so that a cell used twice reaches
     validate_matching.  The size limit counts every word of the scope.
     """
@@ -521,27 +521,18 @@ def build_matching(max_dim: int, max_length: int,
     for n, length in scope.strata():
         check_stratum_size(n, length)
 
+    up = SteepnessRule(flags).up_word
     matching = Matching((), scope, flags)
-    report = CriticalReport(matching, scope)
-    pairs: list[tuple[int, Word, Word]] = []  # in (dim, length, word) order
-    for n, length in scope.strata():
-        if n < max_dim:
-            rest = report._unpaired[(n, length)] = []
-            for word in _walked_words(n, length, flags):
-                tw = _steepness(n, word, flags)[0]
-                if tw is None:
-                    rest.append(word)
-                else:
-                    pairs.append((n, word, tw))
-
-    matching._hold(pairs)
+    matching._hold([(n, w, tw) for n, length in scope.strata() if n < max_dim
+                    for w in _walked_words(n, length, flags)
+                    if (tw := up(n, w)) is not None])
     if validate:
         verdict = validate_matching(matching)
         if not verdict.ok:
             raise SelfCheckError(
                 "build_matching produced an invalid matching: "
                 + "; ".join(verdict.errors))
-    return matching, report
+    return matching, CriticalReport(matching, scope)
 
 
 # --- validation ---------------------------------------------------------------

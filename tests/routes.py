@@ -32,14 +32,14 @@ def critical_walk(dim: int, length: int, flags: PairingFlags) -> list[Word]:
 
 
 def pair_down(dim: int, word: Word, flags: PairingFlags) -> Optional[Word]:
-    """The word w with _steepness(dim - 1, w) = word, from word's side: a
+    """The word w with up_word(dim - 1, w) = word, from word's side: a
     partner holds the letter dim once, and lowering it gives w back."""
     if dim < 2 or word.count(dim) != 1:
         return None
     p = word.index(dim)
     sw = word[:p] + (dim - 1,) + word[p + 1:]
-    # read off the module, so that a test may record what is asked
-    return sw if pairing._steepness(dim - 1, sw, flags)[0] == word else None
+    # read off the class, so that a test may record what is asked
+    return sw if SteepnessRule(flags).up_word(dim - 1, sw) == word else None
 
 
 def matching_context(degree: int, max_length: int,

@@ -24,7 +24,7 @@ from fkmorse.pairing import (
     SteepnessRule,
     StratumKey,
     _coface_words,
-    _steepness,
+    _reason,
     build_matching,
     check_dot_size,
     coface_occurrences,
@@ -139,8 +139,10 @@ def test_regular_cofaces_examples():
 
 def steepness_pair_reason(sigma, flags=PairingFlags()):
     """The rule on one cell: its partner or None, with the reason."""
-    tw, reason = _steepness(sigma.dim, sigma.word, flags)
-    return (None if tw is None else S(sigma.dim + 1, tw)), reason
+    tw = SteepnessRule(flags).up_word(sigma.dim, sigma.word)
+    if tw is None:
+        return None, _reason(sigma.dim, sigma.word, flags)
+    return S(sigma.dim + 1, tw), "paired"
 
 
 def steepness_pair(sigma, flags=PairingFlags()):
@@ -254,7 +256,8 @@ def _counted_steepness(n: int, word: tuple[int, ...], flags: PairingFlags) \
 
 def _counted_pair_down(dim: int, word: Word, flags: PairingFlags) \
         -> Optional[Word]:
-    """The word w with _steepness(dim - 1, w) = word, from word's side."""
+    """The word w with _counted_steepness(dim - 1, w) = word, from word's
+    side."""
     if dim == 0:
         return None
     faces = _same_length_face_words(dim, word)
@@ -271,19 +274,19 @@ def _counted_pair_down(dim: int, word: Word, flags: PairingFlags) \
                          ids=["critical", "allow"])
 def test_closed_form_rule_agrees_with_the_counted_rule(flags):
     """Partner, reason and down-partner of every word of every stratum
-    with n <= 6, L <= 7 and n**L <= 5000, the down-partner by the closed
-    form and by the round trip through the up rule; and the rule's
-    partner-only up_word, against the partner _steepness gives."""
+    with n <= 6, L <= 7 and n**L <= 5000: the partner by up_word, the
+    reason of an unpaired word by _reason, and the down-partner by the
+    closed form and by the round trip through the up rule."""
     rule = SteepnessRule(flags)
     checked = 0
     for n, length in Scope(6, 7).strata():
         if n ** length > 5000:
             continue
         for word in stratum_words(n, length):
-            assert _steepness(n, word, flags) == \
-                _counted_steepness(n, word, flags), (n, word)
-            assert rule.up_word(n, word) == _steepness(n, word, flags)[0], \
-                (n, word)
+            tw, reason = _counted_steepness(n, word, flags)
+            assert rule.up_word(n, word) == tw, (n, word)
+            if tw is None:
+                assert _reason(n, word, flags) == reason, (n, word)
             assert rule.down_word(n, word) == pair_down(n, word, flags) == \
                 _counted_pair_down(n, word, flags), (n, word)
             checked += 1
@@ -315,13 +318,13 @@ def test_the_down_rule_asks_the_up_rule_only_about_words(monkeypatch):
     # only about words, since a word of dimension 0 or 1 holds no letter
     # it could lower into a word
     asked = []
-    up_rule = _steepness
+    up_rule = SteepnessRule.up_word
 
-    def recording(n, word, flags):
+    def recording(self, n, word):
         asked.append((n, word))
-        return up_rule(n, word, flags)
+        return up_rule(self, n, word)
 
-    monkeypatch.setattr("fkmorse.pairing._steepness", recording)
+    monkeypatch.setattr(SteepnessRule, "up_word", recording)
     rule = SteepnessRule(ALLOW)
     for n, length in Scope(3, 4).strata():
         for word in stratum_words(n, length):
@@ -703,7 +706,8 @@ def test_build_and_validation_make_no_cell_until_pairs_are_read(
     # the rule's pairs as cells, in no particular order
     cells = [(S(n, w), S(n + 1, tw)) for n, length in Scope(5, 6).strata()
              if n < 5 for w in stratum_words(n, length)
-             if (tw := _steepness(n, w, PairingFlags())[0]) is not None]
+             if (tw := _counted_steepness(n, w, PairingFlags())[0])
+             is not None]
     random.Random(15).shuffle(cells)
     assert matching.pairs == Matching(cells, Scope(5, 6), PairingFlags()).pairs
     assert matching.pairs is matching.pairs
@@ -716,11 +720,10 @@ def test_build_and_validation_make_no_cell_until_pairs_are_read(
                                                 (5, 4)])
 def test_a_report_over_the_rule_is_the_built_report(max_dim, max_length,
                                                     flags):
-    """A CriticalReport on the lazy rule, which makes the critical words
-    below max_dim in closed form and walks the top stratum, asking the
-    rule, against build_matching's, which keeps its walk's
-    leftovers: the same critical words on every stratum, in order, and
-    the same strata and CSV."""
+    """A CriticalReport on the lazy rule against build_matching's, on its
+    matching: the same critical words on every stratum, in order, and the
+    same strata and CSV.  Both make the words below max_dim in closed
+    form; at max_dim each walks the stratum and asks its own pairing."""
     scope = Scope(max_dim, max_length)
     _, built = build_matching(max_dim, max_length, flags)
     rule = CriticalReport(SteepnessRule(flags), scope)
@@ -747,7 +750,43 @@ def test_generated_critical_words_are_the_walked_ones(flags):
     assert found > 0
 
 
+@pytest.mark.parametrize("flags", [PairingFlags(), ALLOW],
+                         ids=["critical", "allow"])
+@pytest.mark.parametrize("max_dim,max_length", [(2, 6), (3, 5), (4, 4),
+                                                (5, 4)])
+def test_a_built_report_lists_the_words_in_no_pair_of_its_matching(
+        max_dim, max_length, flags):
+    """build_matching's report against its matching's own pairs, not the
+    closed form: on each stratum, the walked words in no pair; at max_dim,
+    so, the walked words no pair rises into."""
+    matching, report = build_matching(max_dim, max_length, flags)
+    paired = {(n, sw) for n, sw, _ in matching.word_pairs} | \
+        {(n + 1, tw) for n, _, tw in matching.word_pairs}
+    found = 0
+    for n, length in matching.scope.strata():
+        words = report.unmatched_words(n, length)
+        assert words == [w for w in pairing._walked_words(n, length, flags)
+                         if (n, w) not in paired], (n, length)
+        found += len(words)
+    assert found > 0
+
+
+@pytest.mark.parametrize("flags", [PairingFlags(), ALLOW],
+                         ids=["critical", "allow"])
+def test_a_report_holds_no_cell_outside_its_scope(flags):
+    # a negative index too names a stratum with no cells, not an error
+    reports = (build_matching(3, 3, flags)[1],
+               CriticalReport(SteepnessRule(flags), Scope(3, 3)))
+    for report in reports:
+        for dim, length in ((-1, 2), (2, -1), (0, 2), (4, 2), (2, 4)):
+            assert report.unmatched_nondegenerate(dim, length) == []
+
+
 def test_the_pair_csv_walks_each_stratum_once(monkeypatch):
+    """build_matching walks each stratum below the top once; the CSV makes
+    the critical words of each stratum (n, L) below the top from the rest
+    stratum (n - 1, L - 1), walking each once, and walks each top stratum
+    once."""
     walked = []
 
     def recording(dim, length):
@@ -756,9 +795,14 @@ def test_the_pair_csv_walks_each_stratum_once(monkeypatch):
 
     monkeypatch.setattr(pairing, "surjective_words", recording)
     _, report = build_matching(4, 4)
+    assert walked == [(n, length) for n, length in Scope(4, 4).strata()
+                      if n < 4]
+    walked.clear()
     _csv_text(report)
-    assert sorted(walked) == sorted(set(walked)) == \
-        list(Scope(4, 4).strata())
+    rests = [(n - 1, length - 1) for n in range(1, 4)
+             for length in range(1, 5)]
+    top = [(4, length) for length in range(5)]
+    assert sorted(walked) == sorted(set(walked)) == sorted(rests + top)
 
 
 # --- Matching container semantics ----------------------------------------------
@@ -979,6 +1023,7 @@ def _random_matching(rng: random.Random) -> Matching:
     irregular, degenerate or closing a cycle), unrelated words, and
     repeats of a pair's lower or upper cell."""
     flags = rng.choice((PairingFlags(), ALLOW))
+    up = SteepnessRule(flags).up_word
     strata = [(0, 0)] + [(n, k) for n in range(1, 4) for k in range(1, 5)]
     pairs: list = []
     for n, length in rng.sample(strata, rng.randint(1, 3)):
@@ -986,7 +1031,7 @@ def _random_matching(rng: random.Random) -> Matching:
         upper = list(stratum_words(n + 1, length))
         if rng.random() < 0.2:
             rule = [(S(n, w), S(n + 1, tw)) for w in lower
-                    if (tw := _steepness(n, w, flags)[0]) is not None]
+                    if (tw := up(n, w)) is not None]
             pairs += rng.sample(rule, rng.randint(0, len(rule)))
             continue
         first = len(pairs)
@@ -995,7 +1040,7 @@ def _random_matching(rng: random.Random) -> Matching:
             tw = rng.choice(upper)
             if kind < 0.25:
                 sw = rng.choice(lower)
-                tw = _steepness(n, sw, flags)[0] or tw
+                tw = up(n, sw) or tw
             elif kind < 0.85:
                 faces = [f for f in (face(S(n + 1, tw), i).word
                                      for i in range(n + 2))
@@ -1174,7 +1219,7 @@ def _word_walk_reasons(report):
     cofaces are unseen."""
     top = report.scope.max_dim
     return {x: "upward-undecided" if n == top
-            else _steepness(n, x.word, report.flags)[1]
+            else _counted_steepness(n, x.word, report.flags)[1]
             for n, length in report.scope.strata()
             for x in report.unmatched_nondegenerate(n, length)}
 
@@ -1302,7 +1347,7 @@ def _joined_csv(report):
         else:
             lines += [f"{head}{word_text(w)},"
                       f"{str(is_degenerate_word(n, w)).lower()},"
-                      f"{_steepness(n, w, report.flags)[1]}"
+                      f"{_counted_steepness(n, w, report.flags)[1]}"
                       for w in report.unmatched_words(n, length)]
     return "\n".join(lines) + "\n"
 

@@ -1,7 +1,9 @@
 """The README against the code: its Library example runs as written, its
-command lines parse, and it names no option the CLI no longer has.
+command lines parse, it names no option the CLI no longer has, and every
+`module.name` it names is in the package.
 """
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -11,6 +13,8 @@ from fkmorse.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 REMOVED_OPTIONS = ("--seed", "--face-quantifier", "--coface-quantifier")
+MODULES = ("pairing", "chains", "simplicial", "flow", "homology", "cli",
+           "errors")
 
 
 def test_readme_library_example_and_command_lines_match_the_code():
@@ -38,3 +42,17 @@ def test_readme_library_example_and_command_lines_match_the_code():
 
     for option in REMOVED_OPTIONS:
         assert option not in text
+
+
+def test_readme_names_only_what_the_modules_hold():
+    # a backticked `module.name` or `fkmorse.module.name`, dotted further
+    # for a method, must still resolve: names drift as code moves
+    text = README.read_text(encoding="utf-8")
+    refs = re.findall(rf"`(?:fkmorse\.)?({'|'.join(MODULES)})\.([\w.]+)`",
+                      text)
+    assert refs
+    for module, name in refs:
+        target = importlib.import_module(f"fkmorse.{module}")
+        for part in name.split("."):
+            assert hasattr(target, part), f"README names {module}.{name}"
+            target = getattr(target, part)
