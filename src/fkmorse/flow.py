@@ -136,8 +136,8 @@ def _letter_tables(m: int) -> list[tuple[bytes, bytes]]:
 class FlowContext:
     """Scope-guarded flow computations over a fixed pairing.
 
-    The pairing may be an explicit Matching, validated here, or a lazy
-    SteepnessRule, which the homology path uses.
+    The pairing is a lazy SteepnessRule, which the homology path uses, or
+    a Matching, the rule restricted to its pairs, validated here.
     Chains whose flow would need cells outside the scope raise rather than
     returning a partial answer.  stabilize and apply_V ask the pairing one
     cell at a time; boundary_rows walks the strata of the scope one
@@ -149,7 +149,7 @@ class FlowContext:
     homology path runs with the cyclic collector paused.
     """
 
-    def __init__(self, pairing: Matching | SteepnessRule, scope: Scope,
+    def __init__(self, pairing: SteepnessRule, scope: Scope,
                  mode: str = "unnormalized") -> None:
         check_mode(mode, pairing.flags)
         if isinstance(pairing, Matching):
@@ -223,9 +223,6 @@ class FlowContext:
             iterations=self.iteration_cap,
             orbit_tail=(str(current)[:400],))
 
-    def is_critical(self, x: Simplex) -> bool:
-        return self.pairing.is_critical(x)
-
     # --- Morse boundary rows ----------------------------------------------------
 
     def _pair_incidence(self, n: int, x: Word, tau: Word) -> int:
@@ -277,31 +274,18 @@ class FlowContext:
             memo[cell] = {z: u for z, u in acc.items() if u}
         return memo[x]
 
-    def _coface_edges(self, n: int, z: Key) -> Edges:
-        """The gradient edges out of z, a dimension-n word in
-        face_form(n + 1, .), and the cofaces a row can read.
+    def _coface_table(self, n: int, degenerate: bool) -> dict[Key, Edges]:
+        """The gradient edges out of each dimension-n word z of one
+        degeneracy, and the cofaces a row can read, by inverting the faces
+        of the dimension-(n+1) words of the scope that are not lower cells.
 
         For each upper coface tau whose partner y is not z, y and the weight
         -<boundary tau, y> <boundary tau, z>, in parallel lists; then each
         unpaired coface tau (critical, or degenerate and critical by fiat)
-        with <boundary tau, z>; no row reads a lower one.  Read off one
-        table per dimension and degeneracy, built when first asked for.
-        """
-        degenerate = is_degenerate_word(n, z)
-        if degenerate and self.mode == "normalized":
-            return _NO_EDGES  # a normalized boundary drops every such face
-        table = self._edges.get((n, degenerate))
-        if table is None:
-            table = self._edges[n, degenerate] = self._coface_table(
-                n, degenerate)
-        return table.get(z, _NO_EDGES)
-
-    def _coface_table(self, n: int, degenerate: bool) -> dict[Key, Edges]:
-        """_coface_edges of the dimension-n words of one degeneracy, by
-        inverting the faces of the dimension-(n+1) words of the scope that
-        are not lower cells.  The faces, partners and unpaired cofaces are
-        keyed in face_form(n + 1, .), their faces taken by _letter_tables
-        below dimension 256 and by face_word from there on.
+        with <boundary tau, z>; no row reads a lower one.  The faces,
+        partners and unpaired cofaces are keyed in face_form(n + 1, .), their
+        faces taken by _letter_tables below dimension 256 and by face_word
+        from there on.
 
         Every face of a surjective word is surjective, and a degenerate word
         has net incidence 0 on every nondegenerate face, so nondegenerate
@@ -357,16 +341,28 @@ class FlowContext:
         The weight of sigma is 1 and each gradient edge (y, w) out of a
         cell z adds w times the weight of z to y; the walk's post-order,
         reversed, puts every cell after all cells with an edge into it.
+        A pair's words share their letters but the raised top one, and a
+        degenerate coface nets 0 on every nondegenerate face, so every cell
+        the walk reaches has sigma's degeneracy: one coface table, built on
+        first use, serves the walk.  A degenerate sigma has no column under
+        normalized, whose boundary drops every degenerate face.
         """
-        edges = self._coface_edges
-        order = _gradient_order(sigma, lambda z: edges(n, z)[0], {})
+        degenerate = is_degenerate_word(n, sigma)
+        if degenerate and self.mode == "normalized":
+            return {}
+        table = self._edges.get((n, degenerate))
+        if table is None:
+            table = self._edges[n, degenerate] = self._coface_table(
+                n, degenerate)
+        order = _gradient_order(
+            sigma, lambda z: table.get(z, _NO_EDGES)[0], {})
         weight = {sigma: 1}
         column = {}
         for z in reversed(order):
             h = weight.pop(z, 0)
             if not h:
                 continue
-            ys, ws, rest = edges(n, z)
+            ys, ws, rest = table.get(z, _NO_EDGES)
             for y, w in zip(ys, ws):
                 weight[y] = weight.get(y, 0) + w * h
             for w, v in rest:
@@ -399,8 +395,7 @@ class FlowContext:
         if len({b.dim for b in basis}) > 1:
             raise ValueError("basis cells must share one dimension")
         for x in (*cells, *basis):
-            if self.pairing.up_word(x.dim, x.word) is not None or \
-                    self.pairing.down_word(x.dim, x.word) is not None:
+            if self.pairing.is_matched(x):
                 raise ValueError(
                     f"{x} is matched, so it is no cell of the Morse complex")
         # the basis positions of each word and the columns as rows, keyed
@@ -444,7 +439,7 @@ class FlowContext:
             raise ValueError(
                 f"entry needs c.dim = sigma.dim + 1, got {c.dim}, {sigma.dim}")
         for cell in (c, sigma):
-            if not self.is_critical(cell):
+            if not self.pairing.is_critical(cell):
                 raise ValueError(f"{cell} is not critical; entries are only "
                                  f"defined between critical cells")
         return self.boundary_rows([c], [sigma])[0].get(0, 0)

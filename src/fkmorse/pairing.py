@@ -7,8 +7,10 @@ gradient on regular face pairs.  Degenerate cells are left critical by
 default; the "allow" policy lets them pair, for diagnostics.
 
 Pairs never cross word-length strata and faces never increase word length,
-so cycle checking reduces to the same-length sub-digraph of each stratum;
-validate_matching records that reduction in its verdict.
+so an alternating cycle keeps its length and dimension, and the acyclicity
+of each same-length stratum digraph, which validate_matching checks, makes
+the matching acyclic; the strata are finite, so no descending path is
+infinite.
 """
 
 from __future__ import annotations
@@ -240,7 +242,8 @@ class SteepnessRule:
         return _cell(x.dim - 1, self.down_word(x.dim, x.word))
 
     def is_matched(self, x: Simplex) -> bool:
-        return self.pair_up(x) is not None or self.pair_down(x) is not None
+        return self.up_word(x.dim, x.word) is not None or \
+            self.down_word(x.dim, x.word) is not None
 
     def is_critical(self, x: Simplex) -> bool:
         return not self.is_matched(x)
@@ -260,13 +263,15 @@ def _reason(n: int, word: Word, flags: PairingFlags) -> str:
 
 # --- explicit matchings over a truncation ------------------------------------
 
-class Matching:
+class Matching(SteepnessRule):
     """Steepness pairs under a truncation scope, held as (sigma dim, sigma
-    word, tau word) triples; pairs lists them as cells, built on read."""
+    word, tau word) triples; pairs lists them as cells, built on read.  The
+    rule restricted to its pairs: up_word and down_word read them."""
 
     def __init__(self, pairs: Iterable[tuple[Simplex, Simplex]], scope: Scope,
                  flags: PairingFlags) -> None:
-        self.scope, self.flags = scope, flags
+        super().__init__(flags)
+        self.scope = scope
         cells = sorted(pairs, key=lambda p: (p[0].dim, sort_key(p[0])))
         for sigma, tau in cells:
             if tau.dim != sigma.dim + 1:
@@ -303,15 +308,6 @@ class Matching:
         """As SteepnessRule.down_word, within the pairs."""
         return self._down[dim].get(word)
 
-    def pair_up(self, x: Simplex) -> Optional[Simplex]:
-        return _cell(x.dim + 1, self.up_word(x.dim, x.word))
-
-    def pair_down(self, x: Simplex) -> Optional[Simplex]:
-        return _cell(x.dim - 1, self.down_word(x.dim, x.word))
-
-    def is_matched(self, x: Simplex) -> bool:
-        return x.word in self._up[x.dim] or x.word in self._down[x.dim]
-
     def is_critical(self, x: Simplex) -> bool:
         """Unmatched within scope; undecidable at dim = max_dim (no coface data)."""
         if not self.scope.covers(x):
@@ -320,7 +316,7 @@ class Matching:
             raise ValueError(
                 f"criticality of {x} at dim {x.dim} is undecided: the scope "
                 f"holds no dimension-{x.dim + 1} cofaces")
-        return not self.is_matched(x)
+        return super().is_critical(x)
 
     def pairs_for_stratum(self, dim: int, length: int) \
             -> list[tuple[Simplex, Simplex]]:
@@ -359,36 +355,43 @@ class Matching:
 
 
 class CriticalReport:
-    """Critical cells per stratum under a pairing: the words in no pair,
-    and (strata) the degenerate-by-fiat cells, which it takes whole strata
-    to list.  Each list is built on first read and kept, keyed by (dim,
-    length).  Below max_dim the words are made in closed form
-    (_critical_words), whether the pairing is a built matching or the
-    rule; at max_dim, whose cofaces are unseen, they are the walked words
-    the pairing does not pair down."""
+    """Critical cells per stratum under a pairing, the rule or a Matching,
+    which is the rule restricted to its pairs: the words in no pair, and
+    the degenerate-by-fiat cells, which it takes whole strata to list.
+    Each list is built on first read and kept, keyed by (dim, length); a
+    stratum outside the scope has none.  Below max_dim the words are made
+    in closed form (_critical_words); at max_dim, whose cofaces are unseen,
+    they are the walked words the pairing does not pair down."""
 
-    def __init__(self, pairing: Matching | SteepnessRule,
-                 scope: Scope) -> None:
+    def __init__(self, pairing: SteepnessRule, scope: Scope) -> None:
         self.pairing = pairing
         self.scope = scope
         self.flags = pairing.flags
         self._unmatched: dict[tuple[int, int], list[Simplex]] = {}
         self._words: dict[tuple[int, int], list[Word]] = {}
+        self._degenerate: dict[tuple[int, int], list[Simplex]] = {}
         self._fiat = self.flags.degenerate_policy == "critical"
 
     @cached_property
     def strata(self) -> dict[StratumKey, tuple[list[Simplex], list[Simplex]]]:
         out: dict[StratumKey, tuple[list[Simplex], list[Simplex]]] = {}
         for n, length in self.scope.strata():
-            deg = [x for x in enumerate_stratum(n, length)
-                   if is_degenerate_word(n, x.word)] if self._fiat else []
+            deg = self.degenerate_by_fiat(n, length)
             unm = self.unmatched_nondegenerate(n, length)
             if deg or unm:
                 out[StratumKey(n, length)] = (deg, unm)
         return out
 
     def degenerate_by_fiat(self, dim: int, length: int) -> list[Simplex]:
-        return self.strata.get(StratumKey(dim, length), ([], []))[0]
+        """The degenerate cells of stratum (dim, length) under critical, in
+        lex order; none under allow."""
+        key = (dim, length)
+        if key not in self._degenerate:
+            self._degenerate[key] = [
+                x for x in enumerate_stratum(dim, length)
+                if is_degenerate_word(dim, x.word)] \
+                if self._fiat and key in self.scope.strata() else []
+        return self._degenerate[key]
 
     def unmatched_nondegenerate(self, dim: int, length: int) -> list[Simplex]:
         """The cells in no pair of stratum (dim, length), in lex order: the
@@ -412,8 +415,7 @@ class CriticalReport:
         those that pair down."""
         if (dim, length) in self._words:
             return self._words[(dim, length)]
-        if not (0 <= dim <= self.scope.max_dim and
-                0 <= length <= self.scope.max_length):
+        if (dim, length) not in self.scope.strata():
             return ()
         if dim < self.scope.max_dim:
             return _critical_words(dim, length, self.flags)
@@ -543,15 +545,6 @@ class Verdict:
     errors: list[str]
     cycle: Optional[list[Simplex]]
     strata_checked: list[StratumKey]
-    note: str
-
-
-_REDUCTION_NOTE = (
-    "pairs stay inside one word-length stratum and faces never increase "
-    "word length, so any alternating cycle preserves length and dimension; "
-    "acyclicity of each same-length stratum digraph implies global "
-    "acyclicity, and finiteness of strata rules out infinite descending "
-    "paths")
 
 
 def validate_matching(m: Matching) -> Verdict:
@@ -602,7 +595,7 @@ def validate_matching(m: Matching) -> Verdict:
                 + " > ".join(map(word_text, found)))
 
     return Verdict(ok=not errors, errors=errors, cycle=cycle,
-                   strata_checked=checked, note=_REDUCTION_NOTE)
+                   strata_checked=checked)
 
 
 def _postorder(root: Word, successors: Callable[[Word], list[Word]],

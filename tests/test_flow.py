@@ -152,7 +152,7 @@ def test_context_validates_explicit_matching():
     with pytest.raises(SelfCheckError, match="invalid matching"):
         FlowContext(bad, Scope(3, 3))
     # A pairing that is not a Matching is taken as it is.
-    assert FlowContext(Unvalidated(bad), Scope(3, 3)).is_critical(
+    assert FlowContext(Unvalidated(bad), Scope(3, 3)).pairing.is_critical(
         S(1, (1,)))
 
 
@@ -694,12 +694,44 @@ def test_coface_tables_are_the_generated_cofaces(policy, mode):
                for f in table)
 
 
+def _table_edges(ctx, n, z):
+    """The edges of the dimension-n word z in the context's coface table of
+    its degeneracy, built through _coface_table if the context lacks it;
+    none for a degenerate z under normalized, as _column reads them."""
+    degenerate = is_degenerate_word(n, z)
+    if degenerate and ctx.mode == "normalized":
+        return [], [], []
+    if (n, degenerate) not in ctx._edges:
+        ctx._edges[n, degenerate] = ctx._coface_table(n, degenerate)
+    return ctx._edges[n, degenerate].get(face_form(n + 1, z), ([], [], []))
+
+
+@pytest.mark.parametrize("policy,mode", [("critical", "unnormalized"),
+                                         ("critical", "normalized"),
+                                         ("allow", "unnormalized")])
+def test_coface_tables_keep_one_degeneracy(policy, mode):
+    # _column picks one table from sigma for its whole walk: in every table
+    # at n <= 4 and length <= 6, each key, each partner an edge reaches and
+    # each unpaired coface share the table's degeneracy
+    ctx = morse_context(4, 6, PairingFlags(policy), mode)[0]
+    for n in range(5):
+        for degenerate in (False, True):
+            table = ctx._coface_table(n, degenerate)
+            assert table or n == 0, (n, degenerate)
+            for key, (ys, _, unpaired) in table.items():
+                assert is_degenerate_word(n, key) == degenerate, (n, key)
+                assert all(is_degenerate_word(n, y) == degenerate
+                           for y in ys), (n, key)
+                assert all(is_degenerate_word(n + 1, w) == degenerate
+                           for w, _ in unpaired), (n, key)
+
+
 def _assert_former_edges(ctx, n, z, form):
     """The coface edges of the dimension-n word z are the generated ones,
     less the lower cofaces, in any order; every word they key is of type
     form, and as words they are the same items."""
     up, rest = _former_coface_edges(ctx, n, z)
-    ys, ws, unpaired = ctx._coface_edges(n, face_form(n + 1, z))
+    ys, ws, unpaired = _table_edges(ctx, n, z)
     assert all(type(w) is form for w in (*ys, *(w for w, _ in unpaired))), \
         (n, z)
     assert len(ys) == len(ws), (n, z)
@@ -875,9 +907,9 @@ def test_boundary_rows_of_degenerate_critical_cells_match_the_flow(flags):
     oracle = FlowContext(SteepnessRule(flags), Scope(7, 6))
     for r in (3, 4, 5):
         cells = [c for c in (tau_cell(r + 1), sigma_cell(r + 1))
-                 if flow.is_critical(c)]
+                 if flow.pairing.is_critical(c)]
         basis = [c for c in (tau_cell(r), sigma_cell(r), S(r, (r,) * r))
-                 if flow.is_critical(c)]
+                 if flow.pairing.is_critical(c)]
         for cell in cells:
             assert densify(flow.boundary_rows([cell], basis), len(basis)) == \
                 [_iterated_flow_row(oracle, cell, basis)]
@@ -919,7 +951,19 @@ def test_boundary_entry_requires_critical_cells():
 
 
 def test_is_critical_delegates_to_the_pairing(ctx):
-    assert ctx.is_critical(y_power(1))
-    assert ctx.is_critical(sigma_cell(4))
-    assert not ctx.is_critical(y_power(2))
-    assert not ctx.is_critical(S(2, (1, 2)))
+    assert ctx.pairing.is_critical(y_power(1))
+    assert ctx.pairing.is_critical(sigma_cell(4))
+    assert not ctx.pairing.is_critical(y_power(2))
+    assert not ctx.pairing.is_critical(S(2, (1, 2)))
+
+
+def test_the_cell_api_is_defined_once():
+    # a Matching is the rule restricted to its pairs: it inherits the cell
+    # API, which asks up_word and down_word, and the flow context reads one
+    # coface table per column, with no per-cell edge lookup of its own
+    assert issubclass(Matching, SteepnessRule)
+    for name in ("pair_up", "pair_down", "is_matched"):
+        assert name in vars(SteepnessRule) and name not in vars(Matching)
+    assert {"up_word", "down_word", "is_critical"} <= vars(Matching).keys()
+    for name in ("is_critical", "_coface_edges"):
+        assert not hasattr(FlowContext, name)
